@@ -27,12 +27,16 @@ class DimensionMismatch(ValueError):
 
 
 class CapacityExceeded(RuntimeError):
-    """Requested basis is larger than the configured hard limit."""
+    """Requested basis, or its largest sector, is larger than the hard limit.
 
-    def __init__(self, dimension: int, limit: int):
+    what names the measure: "dimension" (whole basis) or "sector".
+    """
+
+    def __init__(self, dimension: int, limit: int, what: str = "dimension"):
         self.dimension = dimension
         self.limit = limit
-        super().__init__(f"basis dimension {dimension} exceeds limit {limit}")
+        self.what = what
+        super().__init__(f"basis {what} {dimension} exceeds limit {limit}")
 
 
 class TruncationTooSmall(ValueError):
@@ -45,12 +49,16 @@ class TruncationTooSmall(ValueError):
 
 
 class StepSizeUnstable(RuntimeError):
-    """Halving the integrator step moved the result more than tolerated."""
+    """Two independent propagations of the same span disagree beyond tolerance.
+
+    The Lindblad oracle recomputes its last sample straight from the initial
+    state and compares it with the sample reached interval by interval.
+    """
 
     def __init__(self, drift: float, limit: float):
         self.drift = drift
         self.limit = limit
-        super().__init__(f"step-halving drift {drift:.3e} exceeds {limit:.1e}")
+        super().__init__(f"propagation drift {drift:.3e} exceeds {limit:.1e}")
 
 
 class LeakageError(ValueError):

@@ -3,8 +3,8 @@
 Everything here is independent of the closed forms: states are explicit
 occupation vectors (cavity = mode 0, excitons = modes 1..N), unitary
 evolution is exact per total-excitation sector via dense eigendecomposition,
-and loss is integrated from the Lindblad generator with one zero-temperature
-channel per exciton mode. Times are raw t; multiply by G for Gt.
+and loss, one zero-temperature channel per exciton mode, is propagated
+exactly under the Lindblad generator. Times are raw t; multiply by G for Gt.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _TAIL_BOUND = 1e-12
 _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
 _LINDBLAD_CAPACITY = 400
+# sectors are diagonalised densely: 256 MiB per complex 4096-state array
+_SECTOR_CAPACITY = 4096
 
 
 def _compositions(total: int, parts: int):
@@ -70,6 +72,9 @@ class FockBasis:
         dimension = math.comb(max_total + n_modes, n_modes)
         if dimension > capacity:
             raise CapacityExceeded(dimension, capacity)
+        largest = math.comb(max_total + n_modes - 1, n_modes - 1)  # k = max_total
+        if largest > _SECTOR_CAPACITY:
+            raise CapacityExceeded(largest, _SECTOR_CAPACITY, "sector")
         self.n_modes = n_modes
         self.max_total = max_total
         states: list[tuple[int, ...]] = []
@@ -79,6 +84,7 @@ class FockBasis:
             offsets.append(len(states))
         self.states = tuple(states)
         self.sector_offsets = tuple(offsets)
+        self.sectors = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
         self.index = {s: i for i, s in enumerate(self.states)}
         self.occupations = np.array(self.states, dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -135,13 +141,8 @@ class SparseHermitian:
     def sector_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._sector_eigs is None:
             full = self.to_csr()
-            eigs = []
-            offsets = self.basis.sector_offsets
-            for k in range(len(offsets) - 1):
-                lo, hi = offsets[k], offsets[k + 1]
-                block = full[lo:hi, lo:hi].toarray()
-                eigs.append(np.linalg.eigh(block))
-            self._sector_eigs = eigs
+            self._sector_eigs = [np.linalg.eigh(full[s, s].toarray())
+                                 for s in self.basis.sectors]
         return self._sector_eigs
 
 
@@ -188,11 +189,11 @@ def build_basis(n_modes: int, max_total: int, capacity: int = 200_000) -> FockBa
 
 
 def minimum_truncation(intensity: float, margin: int = 0) -> int:
-    """Smallest cutoff M whose Poisson tail beyond M is below 1e-12.
+    """Smallest cutoff M whose Poisson tail beyond M is below 1e-12, plus margin.
 
-    margin adds headroom (used before Lindblad runs, where the integrator
-    prefers room above the physically occupied levels even though loss only
-    moves weight downward).
+    H conserves total excitation and loss only lowers it, so levels above M
+    hold just the initial tail: margin (2 in the Lindblad suite) widens the
+    basis the oracle checks, not its accuracy.
     """
     if intensity < 0.0:
         raise InvalidParameter("intensity", "must be nonnegative")
@@ -288,118 +289,115 @@ def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> P
     ):
         raise DimensionMismatch("state and Hamiltonian bases differ")
     out = np.empty(hamiltonian.dimension, dtype=complex)
-    offsets = hamiltonian.basis.sector_offsets
-    for k, (lam, vec) in enumerate(hamiltonian.sector_eigensystems()):
-        lo, hi = offsets[k], offsets[k + 1]
-        block = psi0.amplitudes[lo:hi]
-        out[lo:hi] = vec @ (np.exp(-1j * lam * t) * (vec.conj().T @ block))
+    for s, (lam, vec) in zip(hamiltonian.basis.sectors,
+                             hamiltonian.sector_eigensystems()):
+        out[s] = vec @ (np.exp(-1j * lam * t) * (vec.conj().T @ psi0.amplitudes[s]))
     out /= np.linalg.norm(out)
     return PureState(out, psi0.basis)
 
 
-class _LindbladStepper:
-    """Fixed-step RK4 for drho/dt = -i[H,rho] + gamma sum_j D[b_j] rho.
+def _lindblad_blocks(params: SystemParams, basis: FockBasis):
+    """Per-sector blocks of H_eff = H - i(gamma/2) sum_j n_j, and per sector
+    k the blocks of each lowering operator b_j from sector k+1 into k."""
+    h_eff = build_hamiltonian(params, basis).to_csr()
+    occ = basis.occupations
+    lowerings = []
+    if params.decay_rate > 0.0:
+        n_excitons = occ[:, 1:].sum(axis=1).astype(float)
+        h_eff = h_eff - 0.5j * params.decay_rate * sp.diags(n_excitons)
+        for j in range(1, basis.n_modes):
+            src = np.nonzero(occ[:, j])[0]
+            lowered = (occ[src] - (np.arange(basis.n_modes) == j)).tolist()
+            dst = [basis.index[tuple(s)] for s in lowered]
+            lowerings.append(sp.csr_matrix((np.sqrt(occ[src, j]), (dst, src)),
+                                           shape=h_eff.shape))
+    sectors = basis.sectors
+    jumps = [[b[lo, hi] for b in lowerings] for lo, hi in zip(sectors, sectors[1:])]
+    return [h_eff[s, s] for s in sectors], jumps
 
-    The generator acts on vec(rho) as one sparse matrix: the anticommutator
-    part is folded into an effective non-Hermitian Hamiltonian
-    H - i(gamma/2) sum_j n_j, and with row-major vec(A X B) = (A kron B^T) x
-    the whole right-hand side is
 
-        L = -i (H_eff kron I - I kron conj(H_eff)) + gamma sum_j b_j kron conj(b_j)
+def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
+    """Generator on the stacked row-major vecs of rho[k, k-d], k = d..top.
+    As vec(A X B) = (A kron B^T) vec(X), block (k, l) evolves by
+    -i(H_k kron I - I kron conj(H_l)) and is fed from (k+1, l+1) by
+    gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal."""
+    n = top - d + 1
+    grid = [[None] * n for _ in range(n)]
+    for i, k in enumerate(range(d, top + 1)):
+        grid[i][i] = sp.kronsum(1j * h_blocks[k - d].conj(), -1j * h_blocks[k])
+        if i + 1 < n and jumps[k]:
+            grid[i][i + 1] = gamma * sum(
+                sp.kron(bk, bl.conj()) for bk, bl in zip(jumps[k], jumps[k - d]))
+    return sp.bmat(grid, format="csr")
 
-    The generator is linear and constant, so one RK4 step is exactly the
-    degree-4 Taylor polynomial of exp(hL), evaluated in Horner form.
-    """
 
-    def __init__(self, params: SystemParams, basis: FockBasis):
-        self.h_nominal = min(
-            0.005 / params.collective_rate,
-            0.005 / max(params.decay_rate, params.coupling),
-        )
-        profile = CouplingProfile.isotropic(params.coupling, params.n_crystallites)
-        h_eff = build_hamiltonian(profile, basis).to_csr().astype(complex)
-        gamma = params.decay_rate
-        occ = basis.occupations
-        dim = basis.dimension
-        eye = sp.identity(dim, dtype=complex, format="csr")
-        jumps = None
-        if gamma > 0.0:
-            n_excitons = occ[:, 1:].sum(axis=1).astype(float)
-            h_eff = h_eff + sp.diags(-0.5j * gamma * n_excitons)
-            for j in range(1, basis.n_modes):
-                src = np.nonzero(occ[:, j] >= 1)[0]
-                lowered = occ[src].copy()
-                lowered[:, j] -= 1
-                dst = np.array(
-                    [basis.index[tuple(int(v) for v in s)] for s in lowered],
-                    dtype=np.int64,
-                )
-                scale = np.sqrt(occ[src, j].astype(float))
-                lower = sp.csr_matrix((scale, (dst, src)), shape=(dim, dim))
-                term = gamma * sp.kron(lower, lower.conj())
-                jumps = term if jumps is None else jumps + term
-        generator = -1j * (sp.kron(h_eff, eye) - sp.kron(eye, h_eff.conj()))
-        if jumps is not None:
-            generator = generator + jumps
-        self.generator = sp.csr_matrix(generator)
-
-    def advance(self, rho: np.ndarray, span: float, n_steps: int) -> np.ndarray:
-        h = span / n_steps
-        v = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
-        for _ in range(n_steps):
-            u = v
-            for divisor in (4.0, 3.0, 2.0, 1.0):
-                u = self.generator.dot(u)
-                u *= h / divisor
-                u += v
-            v = u
-        # roundoff is the only hermiticity leak; scrub it once per interval
-        out = v.reshape(rho.shape)
-        return 0.5 * (out + out.conj().T)
+def _expm_action(generator, v: np.ndarray, span: float) -> np.ndarray:
+    """exp(span * generator) v (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    2011). Its norm estimator may draw from numpy's global RNG: a fixed draw,
+    restored afterwards, keeps the result and the caller's stream apart."""
+    from scipy.sparse.linalg import expm_multiply  # 75 ms; only the oracle needs it
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(generator * span, v)
+    finally:
+        np.random.set_state(state)
 
 
 def lindblad_trajectory(params: SystemParams, rho0: MixedState,
-                        times: list[float], _h_scale: float = 1.0) -> list[MixedState]:
-    """Density matrices at the given times (ascending, from t=0).
+                        times: list[float]) -> list[MixedState]:
+    """Density matrices at the given times (ascending, from t=0) under
+    drho/dt = -i[H,rho] + gamma sum_j D[b_j] rho.
 
-    The whole trajectory is integrated twice, once at the nominal step and
-    once at half step; if any snapshot moves by more than 1e-8 the run is
-    rejected as unstable, otherwise the finer run is returned. _h_scale
-    inflates the nominal step and exists only so tests can trip the
-    instability guard cheaply.
+    The generator conserves d = k - l, the row minus column sector excitation
+    (loss moves block (k+1, l+1) into (k, l)). Each chain rho[k, k-d], d >= 0,
+    that rho0 populates is propagated exactly between samples; the d < 0
+    blocks are adjoints. Guard: the last sample, recomputed from rho0 in one
+    span (two halves after a one-span run), must agree within 1e-8.
     """
     validate_params(params)
     basis = rho0.basis
-    if basis.dimension > _LINDBLAD_CAPACITY:
-        raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
-    if any(t < 0.0 for t in times) or any(
-        b < a for a, b in zip(times, times[1:])
-    ):
+    dim = basis.dimension
+    if dim > _LINDBLAD_CAPACITY:
+        raise CapacityExceeded(dim, _LINDBLAD_CAPACITY)
+    if any(t < 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be nonnegative and ascending")
-    stepper = _LindbladStepper(params, basis)
-    h_nominal = stepper.h_nominal * _h_scale
-
-    def run(refine: int) -> list[np.ndarray]:
-        rho = np.array(rho0.matrix, dtype=complex)
-        out = []
-        prev = 0.0
-        for t in times:
-            span = t - prev
-            if span > 0.0:
-                n = refine * max(1, math.ceil(span / h_nominal))
-                rho = stepper.advance(rho, span, n)
-            prev = t
-            out.append(rho.copy())
-        return out
-
-    coarse = run(1)
-    fine = run(2)
-    drift = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(coarse, fine)
-    )
+    sectors = basis.sectors
+    h_blocks, jumps = _lindblad_blocks(params, basis)
+    at = np.arange(dim)
+    chains = []  # (flat indices into rho, generator) per populated chain
+    for d in range(len(sectors)):
+        top = max((k for k in range(d, len(sectors))
+                   if np.any(rho0.matrix[sectors[k], sectors[k - d]])), default=-1)
+        if top >= d:  # nothing ever flows into an empty chain
+            idx = [(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
+                   for k in range(d, top + 1)]
+            chains.append((np.concatenate(idx), _chain_generator(
+                h_blocks, jumps, params.decay_rate, d, top)))
+    start = [rho0.matrix.ravel()[idx] for idx, _ in chains]
+    snapshots, vectors, prev, n_spans = [], start, 0.0, 0
+    for t in times:
+        if t > prev:
+            vectors = [_expm_action(g, v, t - prev)
+                       for (_, g), v in zip(chains, vectors)]
+            n_spans += 1
+        prev = t
+        rho = np.zeros(dim * dim, dtype=complex)
+        for (idx, _), v in zip(chains, vectors):
+            rho[idx] = v
+        rho = rho.reshape(dim, dim)
+        rho += rho.conj().T  # the d < 0 blocks are the adjoints
+        for s in sectors:
+            rho[s, s] *= 0.5  # d = 0: the Hermitian part, scrubbing roundoff
+        snapshots.append(rho)
+    drift = 0.0
+    for (_, g), v0, v in zip(chains, start, vectors):
+        for span in [prev] if n_spans > 1 else [0.5 * prev] * 2:
+            v0 = _expm_action(g, v0, span)
+        drift = max(drift, float(np.max(np.abs(v0 - v))))
     if drift > _DRIFT_TOL:
         raise StepSizeUnstable(drift, _DRIFT_TOL)
-    return [MixedState(rho, basis) for rho in fine]
+    return [MixedState(rho, basis) for rho in snapshots]
 
 
 def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedState:
@@ -474,8 +472,7 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
         lam = np.clip(lam, 0.0, None)
         mat = (vec * lam) @ vec.conj().T
         mat /= np.trace(mat).real
-    tag = qubit_basis
-    return TwoQubitDensity(entries=mat, basis_tag=tag)
+    return TwoQubitDensity(entries=mat, basis_tag=qubit_basis)
 
 
 def w_state_fidelity(psi: PureState, basis: FockBasis) -> float:

@@ -29,7 +29,13 @@ from .model import (
 _SP_TOL = 1e-8
 _SP_DUALITY_TOL = 1e-10
 _CAT_TOL = 1e-6
-_LINDBLAD_TOL = 1e-2
+# The closed form is exact for this linear system: oracle pair densities
+# match it to 1.3e-15. What remains is the Wootters kernel's noise, as for
+# _SP_TOL: up to three near-zero eigenvalues of rho rho-tilde, each off by
+# about eps, enter through square roots, so about 3 sqrt(eps) = 4.5e-8.
+# Measured worst: 6.4e-9 on the default suite, 8.9e-9 for the kernel on the
+# exact closed-form densities.
+_LINDBLAD_TOL = 5e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def _case(case_id: str, reference: float, oracle: float, tol: float) -> VerifyCa
 def _skip(suite: str, exc: CapacityExceeded, tol: float) -> SuiteResult:
     nan = float("nan")
     case = VerifyCase(
-        case_id=f"{suite}/capacity dimension={exc.dimension} limit={exc.limit}",
+        case_id=f"{suite}/capacity {exc.what}={exc.dimension} limit={exc.limit}",
         analytic=nan,
         oracle=nan,
         abs_error=nan,
@@ -205,10 +211,11 @@ def lindblad_suite(n: int = 2,
                                                        ParityKind.EVEN),
                    n_times: int = 25,
                    gt_max: float = 4.0 * math.pi) -> SuiteResult:
-    """Lossy runs: Lindblad integration vs the damped closed form.
+    """Lossy runs: exact Lindblad propagation vs the damped closed form.
 
-    The 1e-2 tolerance reflects the Wigner-Weisskopf approximation in the
-    closed form, not integrator error (that is held to 1e-8 separately).
+    The closed form solves this linear master equation exactly, so the 5e-8
+    tolerance covers only the concurrence kernel's square-root noise (see
+    _LINDBLAD_TOL); the propagator itself is held to 1e-8 by its own guard.
     """
     cases: list[VerifyCase] = []
     records: list[PairRecord] = []

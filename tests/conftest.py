@@ -1,6 +1,6 @@
-"""Shared fixtures: the oracle verification suites are expensive (the lossy
-one integrates a master equation twice over [0, 4pi]), so they run once per
-session and every test reads from the same results."""
+"""Shared fixtures: the oracle verification suites are the expensive part of
+the run (the lossy one propagates a master equation over [0, 4pi]), so they
+run once per session and every test reads from the same results."""
 
 import pytest
 

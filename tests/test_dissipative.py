@@ -1,5 +1,5 @@
 """Underdamped closed forms for a leaky cavity, checked against the lossless
-limit and against direct master-equation integration."""
+limit and against direct master-equation propagation."""
 
 import math
 
@@ -153,9 +153,9 @@ def test_overdamped_regime_is_rejected():
 
 
 def test_closed_form_matches_master_equation():
-    # direct integration of the dissipative dynamics reproduces the closed
+    # exact propagation of the dissipative dynamics reproduces the closed
     # form; the system is linear so agreement is limited only by truncation
-    # and step size
+    # and roundoff
     p = _params(n=2, x=0.25, parity=ParityKind.ODD)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     psi0 = prepare_initial(Cat(p.parity, alpha=p.alpha), basis)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from cavshare import (
     CapacityExceeded,
@@ -28,6 +30,7 @@ from cavshare import (
     isotropic_amplitudes,
     single_photon_pair_density,
 )
+from cavshare import fockspace
 from cavshare.fockspace import (
     FockBasis,
     MixedState,
@@ -82,6 +85,22 @@ def test_basis_sectors_group_total_excitation():
 def test_basis_capacity_guard():
     with pytest.raises(CapacityExceeded):
         build_basis(13, 22)
+
+
+def test_sector_guard_refuses_from_sizes_alone(monkeypatch):
+    # N=10 at |alpha|^2=0.25 fits the 200 000-state total (167 960) but its
+    # top sector has 92 378 states; refuse before enumerating a single state
+    def no_enumeration(*_args):
+        raise AssertionError("basis states enumerated before the guard")
+
+    monkeypatch.setattr(fockspace, "_compositions", no_enumeration)
+    with pytest.raises(CapacityExceeded) as info:
+        build_basis(11, minimum_truncation(0.25))
+    assert (info.value.what, info.value.dimension) == ("sector", math.comb(19, 10))
+    assert "sector 92378" in str(info.value)
+    monkeypatch.undo()
+    # the largest sector the large-sector benchmark diagonalises still fits
+    assert max(s.stop - s.start for s in build_basis(6, 9).sectors) == 2002
 
 
 def test_minimum_truncation_values():
@@ -344,15 +363,107 @@ def test_decay_drains_excitons_and_preserves_trace():
         assert math.isclose(float(np.trace(s.matrix).real), 1.0, abs_tol=1e-8)
 
 
-def test_lindblad_guards():
+def _dense_lindblad_generator(params: SystemParams, basis: FockBasis) -> np.ndarray:
+    """The full row-major vec generator, written out densely from the
+    occupation tuples alone."""
+    dim = basis.dimension
+
+    def lowering(mode):
+        op = np.zeros((dim, dim))
+        for i, state in enumerate(basis.states):
+            if state[mode]:
+                lowered = list(state)
+                lowered[mode] -= 1
+                op[basis.index[tuple(lowered)], i] = math.sqrt(state[mode])
+        return op
+
+    a = lowering(0)
+    excitons = [lowering(j) for j in range(1, basis.n_modes)]
+    # a b_j^dagger as (a^dagger b_j)^dagger: b_j^dagger alone leaves the cutoff
+    hops = [a.T @ b for b in excitons]
+    h_eff = params.coupling * sum(hop + hop.T for hop in hops)
+    h_eff = h_eff - 0.5j * params.decay_rate * sum(b.T @ b for b in excitons)
+    eye = np.eye(dim)
+    jumps = params.decay_rate * sum(np.kron(b, b) for b in excitons)
+    return -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj())) + jumps
+
+
+def _cavity_state(basis: FockBasis, weights) -> MixedState:
+    amps = np.zeros(basis.dimension, dtype=complex)
+    zeros = (0,) * (basis.n_modes - 1)
+    for n, w in enumerate(weights):
+        amps[basis.index[(n,) + zeros]] = w
+    return _as_mixed(PureState(amps / np.linalg.norm(amps), basis))
+
+
+def test_lindblad_matches_dense_expm_of_full_generator():
+    params = SystemParams(n_crystallites=2, decay_rate=0.3)
+    basis = build_basis(3, 2)
+    generator = _dense_lindblad_generator(params, basis)
+    alpha = 0.6 + 0.3j
+    coherent = [alpha ** n / math.sqrt(math.factorial(n)) for n in range(3)]
+    even_cat = [1.0, 0.0, 0.8 ** 2 / math.sqrt(2.0)]
+    times = [0.0, 0.4, 1.3, 2.0]
+    # the coherent state populates every k - l, the even cat only even ones
+    for rho0 in (_cavity_state(basis, coherent), _cavity_state(basis, even_cat)):
+        states = lindblad_trajectory(params, rho0, times)
+        for t, state in zip(times, states):
+            exact = scipy.linalg.expm(generator * t) @ rho0.matrix.ravel()
+            np.testing.assert_allclose(
+                state.matrix, exact.reshape(rho0.matrix.shape), rtol=0, atol=1e-12
+            )
+
+
+def test_lindblad_is_independent_of_the_global_rng():
+    # expm_multiply estimates norms with numpy's global RNG once a span is
+    # long; eight samples make the guard's single span long enough
+    params = SystemParams(
+        n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.EVEN
+    )
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    rho0 = _as_mixed(_cat_state(params, basis))
+    step = 4.0 * math.pi / 25.0
+    times = [params.time_from_gt((k + 0.5) * step) for k in range(8)]
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(lindblad_trajectory(params, rho0, times))
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+    for first, second in zip(*runs):
+        assert np.array_equal(first.matrix, second.matrix)
+
+
+def test_lindblad_guards(monkeypatch):
     params = SystemParams(
         n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.ODD
     )
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     rho0 = _as_mixed(_cat_state(params, basis))
-    with pytest.raises(StepSizeUnstable):
-        lindblad_trajectory(params, rho0, [0.0, params.time_from_gt(1.0)],
-                            _h_scale=60.0)
+    times = [params.time_from_gt(gt) for gt in (0.5, 1.0)]
+    exact = scipy.sparse.linalg.expm_multiply
+    # the guard's limit, 1e-8, sits between the two shifts
+    for shift, unstable in ((1e-6, True), (1e-9, False)):
+        calls = []
+
+        def perturbed(a, b, shift=shift, calls=calls):
+            # shift the vacuum population after the first interval; the
+            # vacuum is stationary, so the last sample carries the shift
+            out = exact(a, b)
+            if not calls:
+                out[0] += shift
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", perturbed)
+        if unstable:
+            with pytest.raises(StepSizeUnstable) as info:
+                lindblad_trajectory(params, rho0, times)
+            assert info.value.drift == pytest.approx(shift, rel=1e-6)
+        else:
+            lindblad_trajectory(params, rho0, times)
+    monkeypatch.undo()
     with pytest.raises(InvalidParameter):
         lindblad_trajectory(params, rho0, [0.5, 0.2])
     with pytest.raises(InvalidParameter):

@@ -74,7 +74,7 @@ def test_lindblad_small_grid_passes():
     assert passed == 2 * 2  # parities x times
     for case in result.cases:
         assert _CASE_PATTERNS["lindblad"].match(case.case_id), case.case_id
-        assert case.tolerance == 1e-2
+        assert case.tolerance == 5e-8
 
 
 def test_interior_grid_avoids_degenerate_nodes():
