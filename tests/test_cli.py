@@ -2,6 +2,7 @@
 and sweep output, exit codes, and byte-level determinism."""
 
 import filecmp
+import hashlib
 import math
 import os
 import shutil
@@ -250,6 +251,27 @@ def test_optimize_single_n_even(tmp_path, monkeypatch):
     assert meta["N"] == "3"
     assert len(rows) == 1
     assert math.isclose(float(rows[0][3]), 1.0 / 3.0, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("sweep", ["--command", "sweep"]),
+        ("sweep_gamma_0.13", ["--command", "sweep", "--gamma_over_g", "0.13"]),
+        ("optimize_odd", ["--command", "optimize"]),
+        ("optimize_even", ["--command", "optimize", "--parity", "even"]),
+    ],
+)
+def test_sweep_and_optimize_match_golden_hashes(tmp_path, monkeypatch, golden,
+                                                argv):
+    # these CSVs take every exponential and sine from cavshare.crmath, so
+    # their bytes are the same on every platform
+    monkeypatch.chdir(tmp_path)
+    assert cli.entrypoint(argv) == 0
+    out = tmp_path / f"{argv[1]}.csv"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    stored = Path(__file__).parent / "golden" / f"{golden}.sha256"
+    assert digest == stored.read_text().strip()
 
 
 # --- verify ------------------------------------------------------------------------
