@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crmath
-from .errors import DegenerateBasis, NotADensityMatrix
+from .entanglement import TwoQubitDensity
+from .errors import DegenerateBasis
 from .model import (
     DEGENERACY_THRESHOLD,
     Cat,
@@ -42,28 +43,6 @@ class TildeBasis:
     """Qubit basis spanned by the even/odd cat states of amplitude mu."""
 
     mu: complex
-
-
-@dataclass(frozen=True)
-class TwoQubitDensity:
-    """Validated 4x4 density matrix in basis order {|00>, |01>, |10>, |11>}."""
-
-    entries: np.ndarray
-    basis_tag: NumberBasis | TildeBasis
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.shape != (4, 4):
-            raise NotADensityMatrix(f"expected shape (4, 4), got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise NotADensityMatrix("not Hermitian within 1e-12")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > 1e-10:
-            raise NotADensityMatrix("trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise NotADensityMatrix("negative eigenvalue beyond -1e-10")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
 
 
 @dataclass(frozen=True)
@@ -225,14 +204,27 @@ def cat_concurrence(n, parity: ParityKind, intensity, gt):
     x = np.asarray(intensity, dtype=float)
     s = crmath.sin(gt)
     s2 = s * s
+    return cat_ratio(parity, x, x * s2 / n, s2 / n)
+
+
+def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
+    """The cat-state pair concurrence (e^{4|mu|^2} - 1)/(e^{2|alpha|^2} +- 1).
+
+    + for even and - for odd parity, clipped to [0, 1]. mu_sq is
+    |mu|^2 = |alpha|^2 |v|^2 as the caller forms it, since the rounding of
+    that product shows in the last digit of every CSV value; 4 mu_sq is
+    exact. At zero intensity the odd value is its limit 2|v|^2 (v_sq is
+    |v|^2) and the even one 0. Arguments broadcast; scalars give a float.
+    """
+    x = np.asarray(intensity, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 is the limit
-        numerator = crmath.expm1(4.0 * x * s2 / n)
+        numerator = crmath.expm1(4.0 * mu_sq)
         if parity is ParityKind.EVEN:
             denominator = crmath.exp(2.0 * x) + 1.0
         else:
             denominator = crmath.expm1(2.0 * x)
         ratio = _clip_unit(np.divide(numerator, denominator))
-    limit = 2.0 * s2 / n if parity is ParityKind.ODD else 0.0 * s2
+    limit = 2.0 * v_sq if parity is ParityKind.ODD else 0.0 * v_sq
     return _result(np.where(x == 0.0, limit, ratio))
 
 

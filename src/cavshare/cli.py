@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,33 +26,14 @@ from .errors import (
     UnknownKey,
 )
 from .model import CouplingProfile, PairIndex, ParityKind, SinglePhoton, SystemParams
-from .optimize import optimal_intensity
+from .optimize import _PEAK_GT, optimal_intensity
 
 _COMMANDS = ("figure", "sweep", "optimize", "verify")
-_FIGURES = ("fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4")
-_KEYS = (
-    "command",
-    "figure",
-    "N",
-    "g",
-    "gamma_over_g",
-    "alpha2",
-    "parity",
-    "t_start",
-    "t_stop",
-    "points",
-    "out",
-)
 
-_TWO_PI = 2.0 * math.pi
-_DEFAULT_TIME_POINTS = 801  # 400 per pi-period on [0, 2pi]
-_FIG4_SPAN = 6.0 * math.pi
-_FIG4_POINTS = 2401
+_TIME_AXIS = (0.0, 2.0 * math.pi, 801)  # 400 points per pi-period
 _FIG2_INTENSITY_AXIS = (0.0, 6.0, 61)
-_FIG2CD_INTENSITY_AXIS = (0.0, 6.0, 601)
 _FIG3_INTENSITIES = (0.01, 0.1, 1.0, 2.0)
 _FIG2CD_N = (2, 3, 5, 10)
-_PEAK_GT = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,51 +53,137 @@ class RunConfig:
     out: str | None = None
 
 
-def _convert(key: str, raw: str, lineno: int):
-    try:
-        if key == "command":
-            if raw not in _COMMANDS:
-                raise ValueError(f"one of {', '.join(_COMMANDS)}")
-            return raw
-        if key == "figure":
-            if raw not in _FIGURES:
-                raise ValueError(f"one of {', '.join(_FIGURES)}")
-            return raw
-        if key in ("N", "points"):
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError("an integer") from None
-        if key in ("g", "gamma_over_g", "alpha2", "t_start", "t_stop"):
-            try:
-                return float(raw)
-            except ValueError:
-                raise ValueError("a number") from None
-        if key == "parity":
-            lowered = raw.lower()
-            if lowered not in ("even", "odd"):
-                raise ValueError("even or odd")
-            return ParityKind.EVEN if lowered == "even" else ParityKind.ODD
-        if key == "out":
-            return raw
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad value for {key}: {raw!r} (expected {exc})") from None
-    raise UnknownKey(key)
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    if points < 2:
+        raise InvalidParameter("points", "grid needs at least 2 points")
+    if not stop > start:
+        raise InvalidParameter("t_stop", "grid stop must exceed start")
+    return np.linspace(start, stop, points)
 
 
-_FIELD_FOR_KEY = {
-    "command": "command",
-    "figure": "figure",
-    "N": "n",
-    "g": "g",
-    "gamma_over_g": "gamma_over_g",
-    "alpha2": "alpha2",
-    "parity": "parity",
-    "t_start": "t_start",
-    "t_stop": "t_stop",
-    "points": "points",
-    "out": "out",
+def _axis(cfg: RunConfig, default_start: float, default_stop: float,
+          default_points: int) -> tuple[float, float, int]:
+    start = cfg.t_start if cfg.t_start is not None else default_start
+    stop = cfg.t_stop if cfg.t_stop is not None else default_stop
+    points = cfg.points if cfg.points is not None else default_points
+    return start, stop, points
+
+
+# Row functions of the figure table: (parity, N, |alpha|^2, grid) -> rows.
+# Each validates the parameters it uses.
+
+def _fig1_rows(parity, n, x, gts):
+    params = SystemParams(n_crystallites=n)
+    profile = CouplingProfile.isotropic(1.0, n)
+    return zip(gts,
+               analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
+               analytic.mean_photon_number(params, gts, SinglePhoton()))
+
+
+def _surface_rows(parity, n, x, gts):
+    SystemParams(n_crystallites=n, parity=parity)  # validates N
+    xs = _grid(*_FIG2_INTENSITY_AXIS)
+    surface = analytic.cat_concurrence(n, parity, xs, gts[:, None])
+    return zip(np.repeat(gts, xs.size), np.tile(xs, gts.size), surface.ravel())
+
+
+def _peak_rows(parity, n, x, xs):
+    for end in (xs[0], xs[-1]):  # the grid is monotone: its ends bound it
+        SystemParams(n_crystallites=2, intensity=end, parity=parity)
+    ns = np.array(_FIG2CD_N)
+    curves = analytic.cat_concurrence(ns[:, None], parity, xs, _PEAK_GT)
+    return zip(np.tile(xs, ns.size), curves.ravel(), np.repeat(ns, xs.size))
+
+
+def _fig3_rows(parity, n, x, grid):
+    xs = np.array(_FIG3_INTENSITIES)[:, None]
+    ns = np.arange(2, 11)
+    odd, even = (analytic.cat_concurrence(ns, parity, xs, _PEAK_GT)
+                 for parity in (ParityKind.ODD, ParityKind.EVEN))
+    return zip(np.repeat(xs, ns.size), np.tile(ns, xs.size), odd.ravel(),
+               even.ravel(), np.tile(2.0 / ns, xs.size))
+
+
+def _fig4_rows(parity, n, x, gts):
+    systems = [
+        SystemParams(n_crystallites=n, decay_rate=ratio, intensity=x, parity=parity)
+        for ratio in (0.13, 0.5)
+        for parity in (ParityKind.ODD, ParityKind.EVEN)
+    ]
+    return zip(gts, *(dissipative.damped_concurrence(params, gts)
+                      for params in systems))
+
+
+@dataclass(frozen=True)
+class _Figure:
+    """One figure: the default (start, stop, points) of its grid keys (None:
+    it has no grid), its CSV columns, the metadata keys it writes between
+    the figure name and the grid keys, its parity, and its row function."""
+
+    axis: tuple[float, float, int] | None
+    header: tuple[str, ...]
+    meta: tuple[str, ...]
+    parity: ParityKind | None
+    rows: Callable[..., Iterable]
+
+
+_SURFACE = ("Gt", "intensity", "concurrence")
+_PEAKS = ("intensity", "max_concurrence", "N")
+# fig2c/d have no time axis (the peak is taken at Gt = pi/2): their grid keys
+# drive the intensity axis instead. fig4 is damped evolution for both
+# parities and two decay ratios, in wide columns.
+_FIGURES = {
+    "fig1": _Figure(_TIME_AXIS, ("Gt", "concurrence", "mean_photon"),
+                    ("N",), None, _fig1_rows),
+    "fig2a": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.ODD,
+                     _surface_rows),
+    "fig2b": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.EVEN,
+                     _surface_rows),
+    "fig2c": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.ODD,
+                     _peak_rows),
+    "fig2d": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.EVEN,
+                     _peak_rows),
+    "fig3": _Figure(None, ("intensity", "N", "max_concurrence_odd",
+                           "max_concurrence_even", "two_over_N"),
+                    (), None, _fig3_rows),
+    "fig4": _Figure((0.0, 6.0 * math.pi, 2401),
+                    ("Gt", "odd_gamma_0.13", "even_gamma_0.13", "odd_gamma_0.5",
+                     "even_gamma_0.5"), ("N", "alpha2"), None, _fig4_rows),
 }
+
+
+def _one_of(options):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError
+        return raw
+    return parse
+
+
+# config key -> (RunConfig field, parser raising ValueError, what it expects)
+_KEYS = {
+    "command": ("command", _one_of(_COMMANDS), f"one of {', '.join(_COMMANDS)}"),
+    "figure": ("figure", _one_of(_FIGURES), f"one of {', '.join(_FIGURES)}"),
+    "N": ("n", int, "an integer"),
+    "g": ("g", float, "a number"),
+    "gamma_over_g": ("gamma_over_g", float, "a number"),
+    "alpha2": ("alpha2", float, "a number"),
+    "parity": ("parity", lambda raw: ParityKind(raw.lower()), "even or odd"),
+    "t_start": ("t_start", float, "a number"),
+    "t_stop": ("t_stop", float, "a number"),
+    "points": ("points", int, "an integer"),
+    "out": ("out", str, None),
+}
+
+
+def _set(cfg: RunConfig, key: str, raw: str, lineno: int) -> RunConfig:
+    field, parse, expected = _KEYS[key]
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ParseError(lineno, f"bad value for {key}: {raw!r} "
+                                 f"(expected {expected})") from None
+    return replace(cfg, **{field: value})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -130,7 +198,7 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _KEYS:
             raise UnknownKey(key)
-        cfg = replace(cfg, **{_FIELD_FOR_KEY[key]: _convert(key, raw, lineno)})
+        cfg = _set(cfg, key, raw, lineno)
     return cfg
 
 
@@ -159,116 +227,21 @@ def _write_csv(path: str, meta: list[tuple[str, object]], header: list[str],
     return count
 
 
-def _grid(start: float, stop: float, points: int) -> np.ndarray:
-    if points < 2:
-        raise InvalidParameter("points", "grid needs at least 2 points")
-    if not stop > start:
-        raise InvalidParameter("t_stop", "grid stop must exceed start")
-    return np.linspace(start, stop, points)
-
-
-def _time_axis(cfg: RunConfig, default_stop: float, default_points: int):
-    start = cfg.t_start if cfg.t_start is not None else 0.0
-    stop = cfg.t_stop if cfg.t_stop is not None else default_stop
-    points = cfg.points if cfg.points is not None else default_points
-    return start, stop, points
-
-
 def run_figure(cfg: RunConfig) -> tuple[str, int]:
-    figure = cfg.figure
-    out = cfg.out if cfg.out is not None else f"{figure}.csv"
-    parity_of = {"fig2a": ParityKind.ODD, "fig2b": ParityKind.EVEN,
-                 "fig2c": ParityKind.ODD, "fig2d": ParityKind.EVEN}
-
-    if figure == "fig1":
-        n = cfg.n if cfg.n is not None else 3
-        start, stop, points = _time_axis(cfg, _TWO_PI, _DEFAULT_TIME_POINTS)
-        params = SystemParams(n_crystallites=n)
-        profile = CouplingProfile.isotropic(1.0, n)
-        gts = _grid(start, stop, points)
-        rows = zip(
-            gts,
-            analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
-            analytic.mean_photon_number(params, gts, SinglePhoton()),
-        )
-        meta = [("command", "figure"), ("figure", figure), ("N", n),
-                ("t_start", start), ("t_stop", stop), ("points", points),
-                ("out", out)]
-        count = _write_csv(out, meta, ["Gt", "concurrence", "mean_photon"], rows)
-        return out, count
-
-    if figure in ("fig2a", "fig2b"):
-        n = cfg.n if cfg.n is not None else 3
-        parity = parity_of[figure]
-        SystemParams(n_crystallites=n, parity=parity)  # validates N
-        start, stop, points = _time_axis(cfg, _TWO_PI, _DEFAULT_TIME_POINTS)
-        xs = _grid(*_FIG2_INTENSITY_AXIS)
-        gts = _grid(start, stop, points)
-        surface = analytic.cat_concurrence(n, parity, xs, gts[:, None])
-        rows = zip(np.repeat(gts, xs.size), np.tile(xs, gts.size),
-                     surface.ravel())
-        meta = [("command", "figure"), ("figure", figure), ("N", n),
-                ("parity", parity), ("t_start", start), ("t_stop", stop),
-                ("points", points), ("out", out)]
-        count = _write_csv(out, meta, ["Gt", "intensity", "concurrence"], rows)
-        return out, count
-
-    if figure in ("fig2c", "fig2d"):
-        parity = parity_of[figure]
-        # the grid keys drive the intensity axis here; these panels have no
-        # time axis (the peak is taken at Gt = pi/2)
-        x_lo, x_hi, x_pts = _FIG2CD_INTENSITY_AXIS
-        start = cfg.t_start if cfg.t_start is not None else x_lo
-        stop = cfg.t_stop if cfg.t_stop is not None else x_hi
-        points = cfg.points if cfg.points is not None else x_pts
-        xs = _grid(start, stop, points)
-        for x in (start, stop):  # the grid is monotone: its ends bound it
-            SystemParams(n_crystallites=2, intensity=x, parity=parity)
-        ns = np.array(_FIG2CD_N)
-        curves = analytic.cat_concurrence(ns[:, None], parity, xs, _PEAK_GT)
-        rows = zip(np.tile(xs, ns.size), curves.ravel(),
-                     np.repeat(ns, xs.size))
-        meta = [("command", "figure"), ("figure", figure), ("parity", parity),
-                ("t_start", start), ("t_stop", stop), ("points", points),
-                ("out", out)]
-        count = _write_csv(out, meta, ["intensity", "max_concurrence", "N"], rows)
-        return out, count
-
-    if figure == "fig3":
-        xs = np.array(_FIG3_INTENSITIES)[:, None]
-        ns = np.arange(2, 11)
-        odd, even = (analytic.cat_concurrence(ns, parity, xs, _PEAK_GT)
-                     for parity in (ParityKind.ODD, ParityKind.EVEN))
-        rows = zip(np.repeat(xs, ns.size), np.tile(ns, xs.size),
-                     odd.ravel(), even.ravel(), np.tile(2.0 / ns, xs.size))
-        meta = [("command", "figure"), ("figure", figure), ("out", out)]
-        count = _write_csv(
-            out, meta,
-            ["intensity", "N", "max_concurrence_odd", "max_concurrence_even",
-             "two_over_N"],
-            rows,
-        )
-        return out, count
-
-    # fig4: damped evolution, both parities, two decay ratios, wide columns
+    fig = _FIGURES[cfg.figure]
+    out = cfg.out if cfg.out is not None else f"{cfg.figure}.csv"
     n = cfg.n if cfg.n is not None else 3
     x = cfg.alpha2 if cfg.alpha2 is not None else 1.0
-    start, stop, points = _time_axis(cfg, _FIG4_SPAN, _FIG4_POINTS)
-    ratios = (0.13, 0.5)
-    systems = [
-        SystemParams(n_crystallites=n, decay_rate=ratio, intensity=x, parity=parity)
-        for ratio in ratios
-        for parity in (ParityKind.ODD, ParityKind.EVEN)
-    ]
-    gts = _grid(start, stop, points)
-    rows = zip(gts, *(dissipative.damped_concurrence(params, gts)
-                        for params in systems))
-    header = ["Gt", "odd_gamma_0.13", "even_gamma_0.13",
-              "odd_gamma_0.5", "even_gamma_0.5"]
-    meta = [("command", "figure"), ("figure", figure), ("N", n), ("alpha2", x),
-            ("t_start", start), ("t_stop", stop), ("points", points),
-            ("out", out)]
-    count = _write_csv(out, meta, header, rows)
+    values = {"N": n, "alpha2": x, "parity": fig.parity}
+    meta = [("command", "figure"), ("figure", cfg.figure)]
+    meta += [(key, values[key]) for key in fig.meta]
+    grid = None
+    if fig.axis is not None:
+        start, stop, points = _axis(cfg, *fig.axis)
+        grid = _grid(start, stop, points)
+        meta += [("t_start", start), ("t_stop", stop), ("points", points)]
+    rows = fig.rows(fig.parity, n, x, grid)
+    count = _write_csv(out, meta + [("out", out)], list(fig.header), rows)
     return out, count
 
 
@@ -279,7 +252,7 @@ def run_sweep(cfg: RunConfig) -> tuple[str, int]:
     ratio = cfg.gamma_over_g if cfg.gamma_over_g is not None else 0.0
     x = cfg.alpha2 if cfg.alpha2 is not None else 1.0
     parity = cfg.parity if cfg.parity is not None else ParityKind.ODD
-    start, stop, points = _time_axis(cfg, _TWO_PI, _DEFAULT_TIME_POINTS)
+    start, stop, points = _axis(cfg, *_TIME_AXIS)
     params = SystemParams(
         n_crystallites=n, coupling=g, decay_rate=ratio * g, intensity=x,
         parity=parity,
@@ -388,15 +361,12 @@ def main(argv: list[str]) -> int:
     for key in _KEYS:
         raw = getattr(ns, key)
         if raw is not None:
-            cfg = replace(cfg, **{_FIELD_FOR_KEY[key]: _convert(key, raw, 0)})
-    if cfg.command == "figure":
-        path, count = run_figure(cfg)
-    elif cfg.command == "sweep":
-        path, count = run_sweep(cfg)
-    elif cfg.command == "optimize":
-        path, count = run_optimize(cfg)
-    else:
+            cfg = _set(cfg, key, raw, 0)
+    if cfg.command == "verify":
         return run_verify(cfg)
+    # looked up per call, so a wrapped run_* is the one that runs
+    run = {"figure": run_figure, "sweep": run_sweep, "optimize": run_optimize}
+    path, count = run[cfg.command](cfg)
     print(f"{cfg.command}: wrote {count} rows -> {path}")
     return 0
 

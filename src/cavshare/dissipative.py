@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import crmath
-from .analytic import (TildeBasis, TwoQubitDensity, _clip_unit, _result,
-                       _tilde_x_matrix)
+from .analytic import TildeBasis, _tilde_x_matrix, cat_ratio
+from .entanglement import TwoQubitDensity
 from .errors import DegenerateBasis, OverdampedRegime
-from .model import DEGENERACY_THRESHOLD, ParityKind, SystemParams
+from .model import DEGENERACY_THRESHOLD, SystemParams
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,7 @@ def damped_concurrence(params: SystemParams, gt):
     """Damped pairwise concurrence C' = (e^{4|alpha v'|^2} - 1)/(e^{2|alpha|^2} +- 1)."""
     v = damped_amplitudes(params, gt).v_prime
     x = params.intensity
-    if x == 0.0:
-        return (2.0 * v * v if params.parity is ParityKind.ODD
-                else 0.0 * (v * v))
-    numerator = crmath.expm1(4.0 * x * v * v)
-    if params.parity is ParityKind.EVEN:
-        denominator = crmath.exp(2.0 * x) + 1.0
-    else:
-        denominator = crmath.expm1(2.0 * x)
-    return _result(_clip_unit(numerator / denominator))
+    return cat_ratio(params.parity, x, x * v * v, v * v)
 
 
 def damped_concurrence_weak_coupling(params: SystemParams, gt):
@@ -111,12 +103,4 @@ def damped_concurrence_weak_coupling(params: SystemParams, gt):
     t = params.time_from_gt(gt)
     s = crmath.sin(gt)
     damped_s2 = s * s * crmath.exp(-params.decay_rate * t / 2.0)
-    if x == 0.0:
-        return (2.0 * damped_s2 / n if params.parity is ParityKind.ODD
-                else 0.0 * damped_s2)
-    numerator = crmath.expm1(4.0 * x * damped_s2 / n)
-    if params.parity is ParityKind.EVEN:
-        denominator = crmath.exp(2.0 * x) + 1.0
-    else:
-        denominator = crmath.expm1(2.0 * x)
-    return _result(_clip_unit(numerator / denominator))
+    return cat_ratio(params.parity, x, x * damped_s2 / n, damped_s2 / n)

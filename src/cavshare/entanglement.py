@@ -1,6 +1,9 @@
-"""Two-qubit entanglement kernel: spin flip and Wootters concurrence."""
+"""Two-qubit entanglement kernel: the validated density, spin flip and
+Wootters concurrence."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +28,39 @@ _FLIP = np.array(
 
 
 def _as_matrix(rho) -> np.ndarray:
-    entries = getattr(rho, "entries", rho)
-    mat = np.asarray(entries, dtype=complex)
+    mat = np.asarray(getattr(rho, "entries", rho), dtype=complex)
     if mat.shape != (4, 4):
         raise NotADensityMatrix(f"expected a 4x4 matrix, got shape {mat.shape}")
     return mat
 
 
-def _check_density(mat: np.ndarray) -> None:
+def _density(entries) -> np.ndarray:
+    """A private read-only copy of a 4x4 density matrix, once its hygiene
+    (Hermiticity, unit trace, positivity) is checked."""
+    mat = _as_matrix(entries).copy()
     if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
         raise NotADensityMatrix("not Hermitian within 1e-12")
-    if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
+    if abs(np.trace(mat) - 1.0) > _TRACE_TOL:
         raise NotADensityMatrix("trace differs from 1 beyond 1e-10")
     if np.linalg.eigvalsh(mat).min() < _EIGENVALUE_FLOOR:
         raise NotADensityMatrix("negative eigenvalue beyond -1e-10")
+    mat.setflags(write=False)
+    return mat
+
+
+@dataclass(frozen=True)
+class TwoQubitDensity:
+    """Validated 4x4 density matrix in basis order {|00>, |01>, |10>, |11>}.
+
+    entries is a read-only copy: the caller's array stays its own.
+    basis_tag is an analytic.NumberBasis or analytic.TildeBasis.
+    """
+
+    entries: np.ndarray
+    basis_tag: object
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", _density(self.entries))
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -55,12 +77,11 @@ def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     Computed as max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly
-    sorted square roots of the eigenvalues of rho * spin_flip(rho). Input
-    hygiene (Hermiticity, unit trace, positivity) is enforced; tiny negative
-    eigenvalues from rounding are clamped to zero.
+    sorted square roots of the eigenvalues of rho * spin_flip(rho). A bare
+    array is checked for hygiene first; a TwoQubitDensity already was. Tiny
+    negative eigenvalues from rounding are clamped to zero.
     """
-    mat = _as_matrix(rho)
-    _check_density(mat)
+    mat = rho.entries if isinstance(rho, TwoQubitDensity) else _density(rho)
     product = mat @ spin_flip(mat)
     eigs = np.linalg.eigvals(product)
     if np.max(np.abs(eigs.imag)) > _IMAG_TOL:

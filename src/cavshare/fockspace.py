@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammainc
 
-from .analytic import NumberBasis, TildeBasis, TwoQubitDensity
+from .analytic import NumberBasis, TildeBasis
+from .entanglement import TwoQubitDensity
 from .errors import (
     CapacityExceeded,
     DegenerateBasis,
@@ -35,7 +36,6 @@ from .model import (
     ParityKind,
     SinglePhoton,
     SystemParams,
-    validate_params,
 )
 
 _TAIL_BOUND = 1e-12
@@ -210,8 +210,10 @@ def build_hamiltonian(coupling: CouplingProfile | SystemParams,
     """Beam-splitter Hamiltonian sum_j g_j (a dagger b_j + a b_j dagger)."""
     if isinstance(coupling, SystemParams):
         profile = CouplingProfile.isotropic(coupling.coupling, coupling.n_crystallites)
+    elif isinstance(coupling, CouplingProfile):
+        profile = coupling
     else:
-        profile = validate_params(coupling)
+        raise TypeError(f"unsupported coupling {type(coupling).__name__}")
     if basis.n_modes != len(profile) + 1:
         raise DimensionMismatch(
             f"basis has {basis.n_modes} modes, profile wants {len(profile) + 1}"
@@ -355,7 +357,6 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     blocks are adjoints. Guard: the last sample, recomputed from rho0 in one
     span (two halves after a one-span run), must agree within 1e-8.
     """
-    validate_params(params)
     basis = rho0.basis
     dim = basis.dimension
     if dim > _LINDBLAD_CAPACITY:

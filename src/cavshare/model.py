@@ -1,11 +1,12 @@
-"""Domain types and parameter validation.
+"""Domain types, validated on construction.
 
 Conventions used throughout the package: hbar = 1, all couplings are real
 and positive, and dynamics is expressed in the frame rotating at the common
 mode frequency, so the frequency enters only as a reconstructable phase.
 Public time arguments of the closed-form modules are dimensionless (Gt with
-G = g sqrt(N), or G't for anisotropic profiles); ``time_from_gt`` /
-``gt_from_time`` convert to and from raw time for the Fock-space oracle.
+G = g sqrt(N), or G't for anisotropic profiles). The Fock-space oracle takes
+raw time t: ``SystemParams.time_from_gt`` converts, and for a profile
+t = G't / ``collective_rate``.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class SystemParams:
     def time_from_gt(self, gt: float) -> float:
         return gt / self.collective_rate
 
-    def gt_from_time(self, t: float) -> float:
-        return t * self.collective_rate
-
 
 def _check_system(p: SystemParams) -> None:
     _require(isinstance(p.n_crystallites, int) and not isinstance(p.n_crystallites, bool),
@@ -116,12 +114,6 @@ class CouplingProfile:
     @classmethod
     def from_params(cls, params: SystemParams) -> "CouplingProfile":
         return cls.isotropic(params.coupling, params.n_crystallites)
-
-    def time_from_gt(self, gt: float) -> float:
-        return gt / self.collective_rate
-
-    def gt_from_time(self, t: float) -> float:
-        return t * self.collective_rate
 
 
 def _check_profile(p: CouplingProfile) -> None:
@@ -170,20 +162,3 @@ class Cat:
 
     parity: ParityKind
     alpha: complex | None = None
-
-
-def validate_params(value):
-    """Re-run the invariant checks for a domain value and return it unchanged.
-
-    Construction already validates, so this is idempotent; it exists so call
-    sites handling raw input can fail fast with InvalidParameter.
-    """
-    if isinstance(value, SystemParams):
-        _check_system(value)
-    elif isinstance(value, CouplingProfile):
-        _check_profile(value)
-    elif isinstance(value, PairIndex):
-        _check_pair(value)
-    else:
-        raise InvalidParameter("value", f"unsupported type {type(value).__name__}")
-    return value

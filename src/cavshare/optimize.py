@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import coherent_concurrence
+from . import crmath
+from .analytic import cat_ratio, coherent_concurrence
 from .errors import DomainError, InvalidParameter, NoRoot
 from .model import ParityKind, SystemParams
 
@@ -59,7 +60,7 @@ def lambert_w0(z: float) -> float:
         w = log_z - log_log + log_log / log_z
     floor = 1e-16 * max(1.0, abs(z))
     for _ in range(100):
-        e_w = math.exp(w)
+        e_w = crmath.exp(w)
         f = w * e_w - z
         if abs(f) <= floor:
             break
@@ -86,12 +87,8 @@ def _stationarity_rhs(x: float) -> float:
         return math.inf
     # zeta e^zeta can undershoot the branch point by a few ulp near the
     # tangency zeta = -1; clamp, the exact value is >= -1/e there
-    z = max(zeta * math.exp(zeta), _BRANCH_POINT)
+    z = max(zeta * crmath.exp(zeta), _BRANCH_POINT)
     return 4.0 * x / (lambert_w0(z) - zeta)
-
-
-def _even_peak(n: int, x: float) -> float:
-    return math.expm1(4.0 * x / n) / (math.exp(2.0 * x) + 1.0)
 
 
 def threshold_intensity(n: int) -> OptimumReport:
@@ -134,7 +131,7 @@ def threshold_intensity(n: int) -> OptimumReport:
         iterations += 1
     return OptimumReport(
         intensity=x,
-        concurrence=_even_peak(n, x),
+        concurrence=cat_ratio(ParityKind.EVEN, x, x / n, 1.0 / n),
         method="root-solve",
         residual=abs(f_x),
         iterations=iterations,

@@ -68,7 +68,7 @@ def test_criterion_2_w_state_emergence():
         profile = CouplingProfile.isotropic(1.0, n)
         ham = build_hamiltonian(profile, basis)
         psi0 = prepare_initial(SinglePhoton(), basis)
-        psi = evolve_unitary(ham, psi0, profile.time_from_gt(_HALF_PI))
+        psi = evolve_unitary(ham, psi0, _HALF_PI / profile.collective_rate)
         worst_iso = min(worst_iso, w_state_fidelity(psi, basis))
     profile = CouplingProfile(couplings=(3.0, 4.0))
     basis = build_basis(3, 1)
@@ -76,7 +76,8 @@ def test_criterion_2_w_state_emergence():
     psi0 = prepare_initial(SinglePhoton(), basis)
     best_aniso = max(
         w_state_fidelity(
-            evolve_unitary(ham, psi0, profile.time_from_gt(float(gt))), basis
+            evolve_unitary(ham, psi0, float(gt) / profile.collective_rate),
+            basis,
         )
         for gt in np.linspace(0.0, 2.0 * math.pi, 201)
     )

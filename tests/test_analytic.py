@@ -167,6 +167,22 @@ def test_two_qubit_density_validates_input():
                         basis_tag=NumberBasis())
 
 
+def test_two_qubit_density_owns_a_copy():
+    # the caller's array stays writeable, and neither it nor a writeable
+    # base it views can change the validated entries afterwards
+    good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    rho = TwoQubitDensity(entries=good, basis_tag=NumberBasis())
+    assert good.flags.writeable
+    good[0, 0] = 5.5
+    assert rho.entries[0, 0] == 0.5
+    base = np.zeros((2, 4, 4), dtype=complex)
+    base[0] = np.diag([0.5, 0.25, 0.25, 0.0])
+    rho = TwoQubitDensity(entries=base[0], basis_tag=NumberBasis())
+    base[0, 0, 0] = 5.5
+    assert np.trace(rho.entries) == 1.0
+    assert not rho.entries.flags.writeable
+
+
 # --- cat-state closed forms --------------------------------------------------
 
 def test_cavity_overlap_formula():

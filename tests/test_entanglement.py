@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cavshare import NotADensityMatrix, concurrence, spin_flip
+from cavshare import (NotADensityMatrix, NumberBasis, TwoQubitDensity,
+                      concurrence, spin_flip)
 
 _BELL = np.zeros(4, dtype=complex)
 _BELL[0] = _BELL[3] = 1.0 / math.sqrt(2.0)
@@ -96,3 +97,22 @@ def test_rejects_non_density_inputs():
 def test_tiny_negative_rounding_is_clamped():
     rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
     assert concurrence(rho) == 0.0
+
+
+def test_validated_density_is_checked_once(monkeypatch):
+    # a TwoQubitDensity was checked when it was built; a bare array is
+    # checked by concurrence itself, through the same function
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return eigvalsh(mat)
+
+    rho = 0.8 * _pure(_BELL) + 0.2 * np.eye(4) / 4.0
+    density = TwoQubitDensity(entries=rho, basis_tag=NumberBasis())
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    value = concurrence(density)
+    assert calls == []
+    assert concurrence(rho) == value
+    assert calls == [(4, 4)]

@@ -136,6 +136,13 @@ def test_hamiltonian_rejects_mismatched_basis():
         build_hamiltonian(CouplingProfile.isotropic(1.0, 3), build_basis(3, 2))
 
 
+def test_hamiltonian_rejects_unsupported_coupling():
+    # construction validates profiles and parameters; anything else is a
+    # type error, as for an unsupported preparation
+    with pytest.raises(TypeError):
+        build_hamiltonian((1.0, 1.0), build_basis(3, 1))
+
+
 def test_hamiltonian_csr_is_hermitian():
     basis = build_basis(3, 3)
     mat = build_hamiltonian(CouplingProfile(couplings=(1.0, 2.0)), basis).to_csr()
@@ -262,7 +269,7 @@ def test_reduced_single_photon_pair_matches_closed_density():
     psi0 = prepare_initial(SinglePhoton(), basis)
     rng = np.random.default_rng(61)
     for gt in rng.uniform(0.1, 2.0 * math.pi, size=12):
-        psi = evolve_unitary(ham, psi0, profile.time_from_gt(float(gt)))
+        psi = evolve_unitary(ham, psi0, float(gt) / profile.collective_rate)
         for pair in (PairIndex(1, 2), PairIndex(2, 3), PairIndex(1, 3)):
             reduced = reduce_to_qubit_pair(psi, pair, basis, NumberBasis())
             closed = single_photon_pair_density(profile, float(gt), pair)

@@ -13,7 +13,6 @@ from cavshare import (
     ParityKind,
     SinglePhoton,
     SystemParams,
-    validate_params,
 )
 
 
@@ -37,7 +36,9 @@ def test_alpha_modulus_and_phase():
 def test_time_conversion_roundtrip():
     params = SystemParams(n_crystallites=5, coupling=0.7)
     for gt in (0.0, 0.3, math.pi, 11.0):
-        assert math.isclose(params.gt_from_time(params.time_from_gt(gt)), gt,
+        t = params.time_from_gt(gt)
+        assert t == gt / params.collective_rate
+        assert math.isclose(t * params.collective_rate, gt,
                             rel_tol=1e-14, abs_tol=1e-15)
 
 
@@ -75,12 +76,6 @@ def test_profile_isotropic_and_from_params():
                         rel_tol=1e-15)
 
 
-def test_profile_time_conversion_matches_rate():
-    profile = CouplingProfile(couplings=(3.0, 4.0))
-    assert math.isclose(profile.time_from_gt(5.0), 1.0, rel_tol=1e-15)
-    assert math.isclose(profile.gt_from_time(1.0), 5.0, rel_tol=1e-15)
-
-
 @pytest.mark.parametrize("couplings", [
     (1.0,),
     (),
@@ -114,11 +109,3 @@ def test_preparation_types_carry_their_fields():
     assert Coherent(1.0 + 0.0j).alpha == 1.0 + 0.0j
     SinglePhoton()  # no fields
 
-
-def test_validate_params_is_idempotent_and_strict():
-    params = SystemParams(n_crystallites=2)
-    assert validate_params(params) is params
-    profile = CouplingProfile.isotropic(1.0, 2)
-    assert validate_params(profile) is profile
-    with pytest.raises(InvalidParameter):
-        validate_params("not a domain value")

@@ -135,6 +135,16 @@ def test_even_peak_concurrence_values():
                         report.concurrence, rel_tol=1e-12)
 
 
+def test_root_solve_peak_is_the_closed_form():
+    # the root solve reports its peak through the same cat kernel as the
+    # closed form, so the two agree to the last bit
+    for n in range(3, 11):
+        report = threshold_intensity(n)
+        params = SystemParams(n_crystallites=n, intensity=report.intensity,
+                              parity=ParityKind.EVEN)
+        assert report.concurrence == coherent_concurrence(params, math.pi / 2.0)
+
+
 def test_pair_plateau_for_odd_pair():
     report = optimal_intensity(2, ParityKind.ODD)
     assert report.method == "plateau"
