@@ -223,17 +223,9 @@ def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
             denominator = crmath.exp(2.0 * x) + 1.0
         else:
             denominator = crmath.expm1(2.0 * x)
-        ratio = _clip_unit(np.divide(numerator, denominator))
+        ratio = np.minimum(np.maximum(np.divide(numerator, denominator), 0.0), 1.0)
     limit = 2.0 * v_sq if parity is ParityKind.ODD else 0.0 * v_sq
-    return _result(np.where(x == 0.0, limit, ratio))
-
-
-def _clip_unit(ratio):
-    return np.minimum(np.maximum(ratio, 0.0), 1.0)
-
-
-def _result(value):
-    """A float for a scalar evaluation, the array otherwise."""
+    value = np.where(x == 0.0, limit, ratio)
     return float(value) if np.ndim(value) == 0 else value
 
 
