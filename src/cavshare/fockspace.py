@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammainc
 
 from .analytic import NumberBasis, TildeBasis
 from .entanglement import TwoQubitDensity
@@ -42,76 +41,82 @@ _TAIL_BOUND = 1e-12
 _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
 _LINDBLAD_CAPACITY = 400
+_CAPACITY = 200_000
 # sectors are diagonalised densely: 256 MiB per complex 4096-state array
 _SECTOR_CAPACITY = 4096
 
 
-def _compositions(total: int, parts: int):
-    """All occupation tuples summing to total, head-descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _occupations(n_modes: int, max_total: int) -> np.ndarray:
+    """Every occupation vector with total <= max_total, in basis order: the
+    ascending lexicographic order of the suffix totals s_j = occ[j] + ... +
+    occ[-1], so each round appends every next total 0..s_j in turn."""
+    suffix = np.arange(max_total + 1, dtype=np.int64)[:, None]
+    for _ in range(n_modes - 1):
+        reps = suffix[:, -1] + 1
+        step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        suffix = np.column_stack([np.repeat(suffix, reps, axis=0), step])
+    return -np.diff(suffix, axis=1, append=0)
 
 
 class FockBasis:
-    """Enumeration of all occupation tuples with total excitation <= max_total.
+    """All occupation vectors with total excitation <= max_total.
 
-    States are grouped by total excitation (sector k spans
-    offsets[k]:offsets[k+1]) so Hamiltonians built on this basis are block
-    diagonal. The index map is a bijection onto range(dimension).
+    Sector k (total excitation k) spans sector_offsets[k]:sector_offsets[k+1],
+    so Hamiltonians on this basis are block diagonal; within a sector states
+    run in descending lexicographic order, so (k, 0, ..., 0) opens sector k.
     """
 
-    def __init__(self, n_modes: int, max_total: int, capacity: int = 200_000):
+    def __init__(self, n_modes: int, max_total: int):
         if n_modes < 2:
             raise InvalidParameter("n_modes", "need at least cavity plus one mode")
         if max_total < 1:
             raise InvalidParameter("max_total", "cutoff must be at least 1")
         dimension = math.comb(max_total + n_modes, n_modes)
-        if dimension > capacity:
-            raise CapacityExceeded(dimension, capacity)
+        if dimension > _CAPACITY:
+            raise CapacityExceeded(dimension, _CAPACITY)
         largest = math.comb(max_total + n_modes - 1, n_modes - 1)  # k = max_total
         if largest > _SECTOR_CAPACITY:
             raise CapacityExceeded(largest, _SECTOR_CAPACITY, "sector")
         self.n_modes = n_modes
         self.max_total = max_total
-        states: list[tuple[int, ...]] = []
-        offsets = [0]
-        for k in range(max_total + 1):
-            states.extend(_compositions(k, n_modes))
-            offsets.append(len(states))
-        self.states = tuple(states)
+        self.dimension = dimension
+        self.occupations = _occupations(n_modes, max_total)
+        offsets = [math.comb(k + n_modes - 1, n_modes) for k in range(max_total + 2)]
         self.sector_offsets = tuple(offsets)
         self.sectors = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.occupations = np.array(self.states, dtype=np.int64)
+        # _pascal[s, j] = C(s + n-1-j, n-j), at most dimension: int64 is exact
+        self._pascal = np.array(
+            [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
+             for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    @property
-    def dimension(self) -> int:
-        return len(self.states)
+    def rank(self, occ) -> np.ndarray:
+        """Basis index of each occupation vector along the last axis: the
+        states whose suffix totals precede s number sum_j C(s_j + n-1-j, n-j)
+        (combinatorial number system; Knuth, TAOCP 4A, 7.2.1.3)."""
+        occ = np.asarray(occ, dtype=np.int64)
+        suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
+        if (occ.shape[-1] != self.n_modes or (occ < 0).any()
+                or (suffix[..., 0] > self.max_total).any()):
+            raise InvalidParameter("occ", "not an occupation vector of this basis")
+        return self._pascal[suffix, np.arange(self.n_modes)].sum(axis=-1)
 
     def pair_plan(self, pair: PairIndex) -> list[tuple[np.ndarray, np.ndarray]]:
         """Grouping of basis states by the configuration of every mode
-        outside the pair; the partial trace sums one block per group."""
+        outside the pair, groups in order of first occurrence and members
+        ascending; the partial trace sums one block per group."""
         key = (pair.m, pair.n)
         plan = self._pair_plans.get(key)
-        if plan is not None:
-            return plan
-        keep = (pair.m, pair.n)
-        rest_cols = [j for j in range(self.n_modes) if j not in keep]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, state in enumerate(self.states):
-            groups.setdefault(tuple(state[j] for j in rest_cols), []).append(i)
-        span = self.max_total + 1
-        plan = []
-        for members in groups.values():
-            idx = np.array(members, dtype=np.int64)
-            pocc = self.occupations[idx, pair.m] * span + self.occupations[idx, pair.n]
-            plan.append((idx, pocc))
-        self._pair_plans[key] = plan
+        if plan is None:
+            rest = np.delete(self.occupations, key, axis=1)
+            _, first, group = np.unique(rest, axis=0, return_index=True,
+                                        return_inverse=True)
+            group = np.argsort(np.argsort(first))[group.ravel()]
+            members = np.split(np.argsort(group, kind="stable"),
+                               np.cumsum(np.bincount(group))[:-1])
+            span = self.max_total + 1
+            pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
+            plan = self._pair_plans[key] = [(idx, pocc[idx]) for idx in members]
         return plan
 
 
@@ -184,25 +189,32 @@ class MixedState:
         object.__setattr__(self, "matrix", mat)
 
 
-def build_basis(n_modes: int, max_total: int, capacity: int = 200_000) -> FockBasis:
-    return FockBasis(n_modes, max_total, capacity=capacity)
+def build_basis(n_modes: int, max_total: int) -> FockBasis:
+    return FockBasis(n_modes, max_total)
 
 
 def minimum_truncation(intensity: float, margin: int = 0) -> int:
-    """Smallest cutoff M whose Poisson tail beyond M is below 1e-12, plus margin.
+    """Smallest cutoff M at which prepare_initial accepts the coherent state
+    and both cats of this intensity (the odd cat's tail is the widest at
+    small intensity), plus margin.
 
     H conserves total excitation and loss only lowers it, so levels above M
     hold just the initial tail: margin (2 in the Lindblad suite) widens the
     basis the oracle checks, not its accuracy.
     """
-    if intensity < 0.0:
-        raise InvalidParameter("intensity", "must be nonnegative")
-    m = 1
-    while gammainc(m + 1, intensity) >= _TAIL_BOUND:
-        m += 1
-        if m > 10_000:
-            raise InvalidParameter("intensity", "no practical truncation found")
-    return m + margin
+    if not 0.0 <= intensity < math.inf:
+        raise InvalidParameter("intensity", "must be finite and nonnegative")
+    alpha = math.sqrt(intensity)
+    kinds = [Coherent(alpha)] + [Cat(p, alpha) for p in ParityKind
+                                 if intensity > 0.0 or p is ParityKind.EVEN]
+    # weights at a cutoff are a prefix of those at a larger one; past
+    # |alpha|^2 ~ 1490 exp(-|alpha|^2/2) underflows and no cutoff is accepted
+    for top in (16, 256, 4096):
+        weights = [_cavity_weights(kind, top) for kind in kinds]
+        for m in range(1, top + 1):
+            if all(1.0 - _captured(w[:m + 1]) < _TAIL_BOUND for w in weights):
+                return m + margin
+    raise InvalidParameter("intensity", "no practical truncation found")
 
 
 def build_hamiltonian(coupling: CouplingProfile | SystemParams,
@@ -218,60 +230,54 @@ def build_hamiltonian(coupling: CouplingProfile | SystemParams,
         raise DimensionMismatch(
             f"basis has {basis.n_modes} modes, profile wants {len(profile) + 1}"
         )
-    rows, cols, vals = [], [], []
-    for i, state in enumerate(basis.states):
-        n_cav = state[0]
-        if n_cav == 0:
-            continue
-        for j, g in enumerate(profile.couplings, start=1):
-            target = list(state)
-            target[0] -= 1
-            target[j] += 1
-            k = basis.index[tuple(target)]
-            # a b_j† taking |state> to |target>: one matrix element per
-            # undirected pair, the conjugate side is implied.
-            rows.append(min(i, k))
-            cols.append(max(i, k))
-            vals.append(g * math.sqrt(n_cav * (state[j] + 1)))
-    return SparseHermitian(basis, rows, cols, vals)
+    occ = basis.occupations
+    src = np.nonzero(occ[:, 0])[0]
+    # a b_j† moves one quantum from the cavity into mode j: one matrix
+    # element per undirected pair (the conjugate side is implied), ordered
+    # by source state and then by j
+    moves = np.eye(basis.n_modes, dtype=np.int64)[1:]
+    moves[:, 0] = -1
+    dst = basis.rank(occ[src, None, :] + moves)
+    vals = np.asarray(profile.couplings) * np.sqrt(occ[src, :1] * (occ[src, 1:] + 1))
+    return SparseHermitian(basis, np.minimum(src[:, None], dst).ravel(),
+                           np.maximum(src[:, None], dst).ravel(), vals.ravel())
+
+
+def _cavity_weights(kind: SinglePhoton | Coherent | Cat, max_total: int) -> np.ndarray:
+    """Cavity Fock amplitudes on levels 0..max_total, tail not yet removed."""
+    if isinstance(kind, SinglePhoton):
+        return np.eye(1, max_total + 1, 1, dtype=complex)[0]
+    if isinstance(kind, Coherent):
+        return _coherent_amplitudes(complex(kind.alpha), max_total)
+    if not isinstance(kind, Cat):
+        raise TypeError(f"unsupported preparation {type(kind).__name__}")
+    if kind.alpha is None:
+        raise InvalidParameter("alpha", "Cat preparation needs an amplitude")
+    alpha = complex(kind.alpha)
+    x = abs(alpha) ** 2
+    sign = kind.parity.sign
+    if sign < 0 and x == 0.0:
+        raise InvalidParameter("alpha", "odd superposition of vacuum is void")
+    norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * x) if sign > 0
+                           else -2.0 * math.expm1(-2.0 * x))
+    return norm * (_coherent_amplitudes(alpha, max_total)
+                   + sign * _coherent_amplitudes(-alpha, max_total))
+
+
+def _captured(weights: np.ndarray) -> float:
+    return float(np.sum(np.abs(weights) ** 2))
 
 
 def prepare_initial(kind: SinglePhoton | Coherent | Cat, basis: FockBasis) -> PureState:
     """Cavity-mode preparation with all exciton modes in vacuum."""
-    amp = np.zeros(basis.dimension, dtype=complex)
-    if isinstance(kind, SinglePhoton):
-        one = (1,) + (0,) * (basis.n_modes - 1)
-        amp[basis.index[one]] = 1.0
-        return PureState(amp, basis)
-    if isinstance(kind, Coherent):
-        alpha = complex(kind.alpha)
-        weights = _coherent_amplitudes(alpha, basis.max_total)
-    elif isinstance(kind, Cat):
-        if kind.alpha is None:
-            raise InvalidParameter("alpha", "Cat preparation needs an amplitude")
-        alpha = complex(kind.alpha)
-        x = abs(alpha) ** 2
-        sign = kind.parity.sign
-        if sign < 0 and x == 0.0:
-            raise InvalidParameter("alpha", "odd superposition of vacuum is void")
-        plus = _coherent_amplitudes(alpha, basis.max_total)
-        minus = _coherent_amplitudes(-alpha, basis.max_total)
-        if sign > 0:
-            norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * x))
-        else:
-            norm = 1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * x))
-        weights = norm * (plus + sign * minus)
-    else:
-        raise TypeError(f"unsupported preparation {type(kind).__name__}")
-    captured = float(np.sum(np.abs(weights) ** 2))
+    weights = _cavity_weights(kind, basis.max_total)
+    captured = _captured(weights)
     tail = max(0.0, 1.0 - captured)
     if tail >= _TAIL_BOUND:
         raise TruncationTooSmall(tail, _TAIL_BOUND)
-    weights = weights / math.sqrt(captured)
-    zeros = (0,) * (basis.n_modes - 1)
-    for n, w in enumerate(weights):
-        if w != 0.0:
-            amp[basis.index[(n,) + zeros]] = w
+    amp = np.zeros(basis.dimension, dtype=complex)
+    # (n, 0, ..., 0) is the first state of sector n
+    amp[list(basis.sector_offsets[:-1])] = weights / math.sqrt(captured)
     return PureState(amp, basis)
 
 
@@ -309,8 +315,7 @@ def _lindblad_blocks(params: SystemParams, basis: FockBasis):
         h_eff = h_eff - 0.5j * params.decay_rate * sp.diags(n_excitons)
         for j in range(1, basis.n_modes):
             src = np.nonzero(occ[:, j])[0]
-            lowered = (occ[src] - (np.arange(basis.n_modes) == j)).tolist()
-            dst = [basis.index[tuple(s)] for s in lowered]
+            dst = basis.rank(occ[src] - (np.arange(basis.n_modes) == j))
             lowerings.append(sp.csr_matrix((np.sqrt(occ[src, j]), (dst, src)),
                                            shape=h_eff.shape))
     sectors = basis.sectors
@@ -405,9 +410,10 @@ def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedSt
     return lindblad_trajectory(params, rho0, [t])[-1]
 
 
-def _pair_occupation_density(state: PureState | MixedState, pair: PairIndex,
-                             basis: FockBasis) -> np.ndarray:
+def _pair_occupation_density(state: PureState | MixedState,
+                             pair: PairIndex) -> np.ndarray:
     """Partial trace onto the pair, indexed by n_m*(M+1) + n_n."""
+    basis = state.basis
     pair.check_bounds(basis.n_modes - 1)
     span = basis.max_total + 1
     red = np.zeros((span * span, span * span), dtype=complex)
@@ -430,17 +436,12 @@ def _cat_pair_projector(mu: complex, span: int) -> np.ndarray:
         raise DegenerateBasis(f"|mu|^2 = {x:.3e} below 1e-12")
     coh = _coherent_amplitudes(mu, span - 1)
     b = np.zeros((span, 2), dtype=complex)
-    even = coh.copy()
-    even[1::2] = 0.0
-    odd = coh.copy()
-    odd[0::2] = 0.0
-    b[:, 0] = even / math.sqrt(0.5 * (1.0 + math.exp(-2.0 * x)))
-    b[:, 1] = odd / math.sqrt(0.5 * (-math.expm1(-2.0 * x)))
+    b[0::2, 0] = coh[0::2] / math.sqrt(0.5 * (1.0 + math.exp(-2.0 * x)))
+    b[1::2, 1] = coh[1::2] / math.sqrt(0.5 * (-math.expm1(-2.0 * x)))
     return b
 
 
 def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
-                         basis: FockBasis,
                          qubit_basis: NumberBasis | TildeBasis) -> TwoQubitDensity:
     """Two-qubit density of the pair in the requested basis.
 
@@ -449,8 +450,8 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
     outside the qubit plane beyond 1e-8 raises LeakageError; smaller
     deficits are renormalized away.
     """
-    red = _pair_occupation_density(state, pair, basis)
-    span = basis.max_total + 1
+    red = _pair_occupation_density(state, pair)
+    span = state.basis.max_total + 1
     if isinstance(qubit_basis, NumberBasis):
         keep = [0 * span + 0, 0 * span + 1, 1 * span + 0, 1 * span + 1]
         mat = red[np.ix_(keep, keep)]
@@ -476,19 +477,15 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
     return TwoQubitDensity(entries=mat, basis_tag=qubit_basis)
 
 
-def w_state_fidelity(psi: PureState, basis: FockBasis) -> float:
+def w_state_fidelity(psi: PureState) -> float:
     """Overlap squared with the equal single-excitation sharing state."""
-    n = basis.n_modes - 1
-    overlap = 0.0 + 0.0j
-    for j in range(1, basis.n_modes):
-        state = [0] * basis.n_modes
-        state[j] = 1
-        overlap += psi.amplitudes[basis.index[tuple(state)]]
-    return abs(overlap) ** 2 / n
+    # sector 1 runs (1, 0, ..., 0) and then one exciton in mode 1, 2, ...
+    excitons = psi.amplitudes[psi.basis.sectors[1]][1:]
+    return abs(excitons.sum()) ** 2 / len(excitons)
 
 
-def observable_mean_photon(state: PureState | MixedState, mode: int,
-                           basis: FockBasis) -> float:
+def observable_mean_photon(state: PureState | MixedState, mode: int) -> float:
+    basis = state.basis
     if not 0 <= mode < basis.n_modes:
         raise InvalidParameter("mode", f"must be in [0, {basis.n_modes})")
     occ = basis.occupations[:, mode].astype(float)
@@ -497,5 +494,5 @@ def observable_mean_photon(state: PureState | MixedState, mode: int,
     return float(occ @ np.diag(state.matrix).real)
 
 
-def total_excitation(state: PureState | MixedState, basis: FockBasis) -> float:
-    return sum(observable_mean_photon(state, j, basis) for j in range(basis.n_modes))
+def total_excitation(state: PureState | MixedState) -> float:
+    return sum(observable_mean_photon(state, j) for j in range(state.basis.n_modes))

@@ -129,16 +129,14 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
             for k, gt in enumerate(_interior_grid(gt_max, n_times)):
                 t = gt / profile.collective_rate
                 psi = fockspace.evolve_unitary(hamiltonian, psi0, t)
-                rho = fockspace.reduce_to_qubit_pair(
-                    psi, pair, basis, analytic.NumberBasis()
-                )
+                rho = fockspace.reduce_to_qubit_pair(psi, pair, analytic.NumberBasis())
                 c_oracle = concurrence(rho)
                 records.append(PairRecord("single_photon", n, gt, c_oracle))
                 law = analytic.single_photon_concurrence(profile, gt, pair)
                 cases.append(_case(
                     f"single_photon/N={n}/Gt={gt:.10g}/law", law, c_oracle, _SP_TOL
                 ))
-                n_bar = fockspace.observable_mean_photon(psi, 0, basis)
+                n_bar = fockspace.observable_mean_photon(psi, 0)
                 duality = (2.0 / n) * (1.0 - n_bar)
                 cases.append(_case(
                     f"single_photon/N={n}/Gt={gt:.10g}/duality",
@@ -147,7 +145,7 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
                 if k % 10 == 0:
                     for other in _all_pairs(n)[1:]:
                         rho_o = fockspace.reduce_to_qubit_pair(
-                            psi, other, basis, analytic.NumberBasis()
+                            psi, other, analytic.NumberBasis()
                         )
                         records.append(PairRecord(
                             "single_photon", n, gt, concurrence(rho_o)
@@ -182,7 +180,7 @@ def cat_suite(n: int = 3,
                     mu = analytic.isotropic_amplitudes(params, gt).v * params.alpha
                     tilde = analytic.TildeBasis(mu)
                     c_oracle = concurrence(
-                        fockspace.reduce_to_qubit_pair(psi, pair, basis, tilde)
+                        fockspace.reduce_to_qubit_pair(psi, pair, tilde)
                     )
                     records.append(PairRecord("cat", n, gt, c_oracle))
                     reference = analytic.coherent_concurrence(params, gt)
@@ -194,7 +192,7 @@ def cat_suite(n: int = 3,
                     if k % 10 == 0:
                         for other in _all_pairs(n)[1:]:
                             rho_o = fockspace.reduce_to_qubit_pair(
-                                psi, other, basis, tilde
+                                psi, other, tilde
                             )
                             records.append(PairRecord(
                                 "cat", n, gt, concurrence(rho_o)
@@ -242,9 +240,7 @@ def lindblad_suite(n: int = 2,
                 v_prime = dissipative.damped_amplitudes(params, gt).v_prime
                 tilde = analytic.TildeBasis(-1j * v_prime * params.alpha)
                 c_oracle = concurrence(
-                    fockspace.reduce_to_qubit_pair(
-                        state, PairIndex(1, 2), basis, tilde
-                    )
+                    fockspace.reduce_to_qubit_pair(state, PairIndex(1, 2), tilde)
                 )
                 records.append(PairRecord("lindblad", n, gt, c_oracle))
                 reference = dissipative.damped_concurrence(params, gt)

@@ -69,15 +69,14 @@ def test_criterion_2_w_state_emergence():
         ham = build_hamiltonian(profile, basis)
         psi0 = prepare_initial(SinglePhoton(), basis)
         psi = evolve_unitary(ham, psi0, _HALF_PI / profile.collective_rate)
-        worst_iso = min(worst_iso, w_state_fidelity(psi, basis))
+        worst_iso = min(worst_iso, w_state_fidelity(psi))
     profile = CouplingProfile(couplings=(3.0, 4.0))
     basis = build_basis(3, 1)
     ham = build_hamiltonian(profile, basis)
     psi0 = prepare_initial(SinglePhoton(), basis)
     best_aniso = max(
         w_state_fidelity(
-            evolve_unitary(ham, psi0, float(gt) / profile.collective_rate),
-            basis,
+            evolve_unitary(ham, psi0, float(gt) / profile.collective_rate)
         )
         for gt in np.linspace(0.0, 2.0 * math.pi, 201)
     )
@@ -120,7 +119,7 @@ def test_criterion_4_optimal_intensities():
     psi0 = prepare_initial(Cat(ParityKind.EVEN, alpha=params.alpha), basis)
     psi = evolve_unitary(ham, psi0, params.time_from_gt(_HALF_PI))
     mu = isotropic_amplitudes(params, _HALF_PI).v * params.alpha
-    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), basis, TildeBasis(mu=mu))
+    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
     oracle_err = abs(concurrence(rho) - 1.0 / 3.0)
 
     ok = (err3 <= 1e-6 and err4 <= 1e-6 and err5 <= 0.01 and cross <= 1e-6

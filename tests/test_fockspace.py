@@ -1,6 +1,7 @@
 """Truncated number-basis machinery: basis enumeration, Hamiltonian blocks,
 state preparation, unitary and lossy propagation, pair reduction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,12 @@ def _as_mixed(psi: PureState) -> MixedState:
     )
 
 
+def _index(basis: FockBasis) -> dict[tuple[int, ...], int]:
+    """Occupation tuple -> basis index, read off the stored occupations so a
+    wrong FockBasis.rank cannot agree with itself."""
+    return {tuple(s): i for i, s in enumerate(basis.occupations.tolist())}
+
+
 # --- basis -------------------------------------------------------------------
 
 def test_basis_enumeration_small():
@@ -66,7 +73,31 @@ def test_basis_enumeration_small():
     assert basis.dimension == 3
     assert basis.occupations.tolist() == [[0, 0], [1, 0], [0, 1]]
     assert basis.sector_offsets == (0, 1, 3)
-    assert basis.index[(0, 1)] == 2
+    assert basis.rank([[0, 1], [1, 0]]).tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+@pytest.mark.parametrize("max_total", [1, 2, 3, 4, 5, 6])
+def test_basis_order_and_rank(n_modes, max_total):
+    # brute force: every tuple with total <= M, by ascending total and then
+    # descending lexicographic order within a total
+    expected = sorted(
+        (s for s in itertools.product(range(max_total + 1), repeat=n_modes)
+         if sum(s) <= max_total),
+        key=lambda s: (sum(s), tuple(-v for v in s)),
+    )
+    basis = build_basis(n_modes, max_total)
+    assert basis.dimension == len(expected)
+    assert basis.occupations.tolist() == [list(s) for s in expected]
+    np.testing.assert_array_equal(basis.rank(basis.occupations),
+                                  np.arange(basis.dimension))
+
+
+def test_rank_refuses_vectors_outside_the_basis():
+    basis = build_basis(3, 2)
+    for occ in ([1, 1, 1], [0, -1, 1], [0, 1]):
+        with pytest.raises(InvalidParameter):
+            basis.rank(occ)
 
 
 def test_basis_dimension_is_binomial():
@@ -93,7 +124,7 @@ def test_sector_guard_refuses_from_sizes_alone(monkeypatch):
     def no_enumeration(*_args):
         raise AssertionError("basis states enumerated before the guard")
 
-    monkeypatch.setattr(fockspace, "_compositions", no_enumeration)
+    monkeypatch.setattr(fockspace, "_occupations", no_enumeration)
     with pytest.raises(CapacityExceeded) as info:
         build_basis(11, minimum_truncation(0.25))
     assert (info.value.what, info.value.dimension) == ("sector", math.comb(19, 10))
@@ -108,8 +139,43 @@ def test_minimum_truncation_values():
     assert minimum_truncation(1.0) == 14
     assert minimum_truncation(1.0, margin=3) == 17
     assert minimum_truncation(0.0) >= 1
-    with pytest.raises(InvalidParameter):
-        minimum_truncation(-0.5)
+    # x*(3), criterion 4's oracle basis: the odd cat's tail needs one level
+    # more than the coherent state's and the even cat's
+    assert minimum_truncation(1.5 * math.log(2.0)) == 15
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            minimum_truncation(bad)
+
+
+def test_minimum_truncation_admits_every_cat():
+    # |alpha|^2 = 0.05, 0.10, ..., 5.00 at N = 2, 3, both parities: 400 cat
+    # preparations, each at the cutoff minimum_truncation returns. At N=3 the
+    # cutoff 28 (|alpha|^2 >= 4.9) has a 4 495-state top sector, which the
+    # sector guard refuses before any state exists.
+    refused = []
+    for i in range(1, 101):
+        x = i / 20
+        cutoff = minimum_truncation(x)
+        for n in (2, 3):
+            try:
+                basis = build_basis(n + 1, cutoff)
+            except CapacityExceeded:
+                refused.append((n, x))
+                continue
+            for parity in ParityKind:
+                params = SystemParams(n_crystallites=n, intensity=x, parity=parity)
+                prepare_initial(Cat(parity, params.alpha), basis)
+        # the cutoff is the smallest: one level less drops a preparation
+        below = build_basis(3, cutoff - 1)
+        kinds = [Coherent(math.sqrt(x))] + [Cat(p, math.sqrt(x)) for p in ParityKind]
+        rejected = 0
+        for kind in kinds:
+            try:
+                prepare_initial(kind, below)
+            except TruncationTooSmall:
+                rejected += 1
+        assert rejected > 0, x
+    assert refused == [(3, 4.9), (3, 4.95), (3, 5.0)]
 
 
 # --- Hamiltonian -------------------------------------------------------------
@@ -155,7 +221,7 @@ def test_hamiltonian_csr_is_hermitian():
 def test_prepare_single_photon_puts_quantum_in_cavity():
     basis = build_basis(4, 2)
     psi = prepare_initial(SinglePhoton(), basis)
-    expected = basis.index[(1, 0, 0, 0)]
+    expected = _index(basis)[(1, 0, 0, 0)]
     assert psi.amplitudes[expected] == 1.0
     assert np.count_nonzero(psi.amplitudes) == 1
 
@@ -165,7 +231,7 @@ def test_prepare_coherent_renormalizes_tiny_tail():
     psi = prepare_initial(Coherent(alpha=0.5), basis)
     assert math.isclose(float(np.vdot(psi.amplitudes, psi.amplitudes).real), 1.0,
                         abs_tol=1e-13)
-    weight0 = abs(psi.amplitudes[basis.index[(0, 0)]]) ** 2
+    weight0 = abs(psi.amplitudes[_index(basis)[(0, 0)]]) ** 2
     assert math.isclose(weight0, math.exp(-0.25), rel_tol=1e-10)
 
 
@@ -255,7 +321,7 @@ def test_truncation_insensitivity_of_pair_concurrence():
         ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
         psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
         mu = isotropic_amplitudes(params, gt).v * params.alpha
-        rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), basis, TildeBasis(mu=mu))
+        rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
         results.append(concurrence(rho))
     assert abs(results[0] - results[1]) < 1e-8
 
@@ -271,7 +337,7 @@ def test_reduced_single_photon_pair_matches_closed_density():
     for gt in rng.uniform(0.1, 2.0 * math.pi, size=12):
         psi = evolve_unitary(ham, psi0, float(gt) / profile.collective_rate)
         for pair in (PairIndex(1, 2), PairIndex(2, 3), PairIndex(1, 3)):
-            reduced = reduce_to_qubit_pair(psi, pair, basis, NumberBasis())
+            reduced = reduce_to_qubit_pair(psi, pair, NumberBasis())
             closed = single_photon_pair_density(profile, float(gt), pair)
             np.testing.assert_allclose(reduced.entries, closed.entries, atol=1e-10)
 
@@ -283,7 +349,7 @@ def test_tilde_reduction_matches_closed_concurrence():
     gt = 0.9
     psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
     mu = isotropic_amplitudes(params, gt).v * params.alpha
-    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), basis, TildeBasis(mu=mu))
+    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
     assert abs(concurrence(rho) - coherent_concurrence(params, gt)) < 1e-9
 
 
@@ -295,16 +361,16 @@ def test_tilde_reduction_guards():
     psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
     mu = isotropic_amplitudes(params, gt).v * params.alpha
     with pytest.raises(LeakageError):
-        reduce_to_qubit_pair(psi, PairIndex(1, 2), basis, TildeBasis(mu=0.5 * mu))
+        reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=0.5 * mu))
     with pytest.raises(DegenerateBasis):
-        reduce_to_qubit_pair(psi, PairIndex(1, 2), basis, TildeBasis(mu=1e-13))
+        reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=1e-13))
 
 
 def test_pair_reduction_bounds_check():
     basis = build_basis(3, 1)
     psi = prepare_initial(SinglePhoton(), basis)
     with pytest.raises(InvalidParameter):
-        reduce_to_qubit_pair(psi, PairIndex(1, 3), basis, NumberBasis())
+        reduce_to_qubit_pair(psi, PairIndex(1, 3), NumberBasis())
 
 
 # --- observables ------------------------------------------------------------------
@@ -316,12 +382,12 @@ def test_mean_photon_tracks_cavity_population():
     psi0 = prepare_initial(SinglePhoton(), basis)
     for gt in (0.0, 0.4, math.pi / 2.0, 2.2):
         psi = evolve_unitary(ham, psi0, params.time_from_gt(gt))
-        assert math.isclose(observable_mean_photon(psi, 0, basis),
+        assert math.isclose(observable_mean_photon(psi, 0),
                             math.cos(gt) ** 2, abs_tol=1e-12)
     with pytest.raises(InvalidParameter):
-        observable_mean_photon(psi0, 4, basis)
+        observable_mean_photon(psi0, 4)
     with pytest.raises(InvalidParameter):
-        observable_mean_photon(psi0, -1, basis)
+        observable_mean_photon(psi0, -1)
 
 
 def test_w_state_fidelity_peaks_at_quarter_period():
@@ -330,17 +396,17 @@ def test_w_state_fidelity_peaks_at_quarter_period():
     ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
     psi0 = prepare_initial(SinglePhoton(), basis)
     at_peak = evolve_unitary(ham, psi0, params.time_from_gt(math.pi / 2.0))
-    assert w_state_fidelity(at_peak, basis) >= 1.0 - 1e-10
-    assert w_state_fidelity(psi0, basis) < 1e-12
+    assert w_state_fidelity(at_peak) >= 1.0 - 1e-10
+    assert w_state_fidelity(psi0) < 1e-12
 
 
 def test_total_excitation_counts_all_modes():
     basis = build_basis(3, 2)
-    idx = basis.index[(1, 1, 0)]
+    idx = _index(basis)[(1, 1, 0)]
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[idx] = 1.0
     psi = PureState(amplitudes=amps, basis=basis)
-    assert math.isclose(total_excitation(psi, basis), 2.0, abs_tol=1e-14)
+    assert math.isclose(total_excitation(psi), 2.0, abs_tol=1e-14)
 
 
 # --- lossy evolution ----------------------------------------------------------------
@@ -362,7 +428,7 @@ def test_decay_drains_excitons_and_preserves_trace():
     rho0 = _as_mixed(prepare_initial(SinglePhoton(), basis))
     times = [params.time_from_gt(gt) for gt in (0.0, 0.8, 1.6, 2.4, 3.2)]
     states = lindblad_trajectory(params, rho0, times)
-    excitations = [total_excitation(s, basis) for s in states]
+    excitations = [total_excitation(s) for s in states]
     assert excitations[0] == pytest.approx(1.0, abs=1e-12)
     assert all(a >= b - 1e-12 for a, b in zip(excitations, excitations[1:]))
     assert excitations[-1] < excitations[0]
@@ -374,14 +440,15 @@ def _dense_lindblad_generator(params: SystemParams, basis: FockBasis) -> np.ndar
     """The full row-major vec generator, written out densely from the
     occupation tuples alone."""
     dim = basis.dimension
+    index = _index(basis)
 
     def lowering(mode):
         op = np.zeros((dim, dim))
-        for i, state in enumerate(basis.states):
+        for state, i in index.items():
             if state[mode]:
                 lowered = list(state)
                 lowered[mode] -= 1
-                op[basis.index[tuple(lowered)], i] = math.sqrt(state[mode])
+                op[index[tuple(lowered)], i] = math.sqrt(state[mode])
         return op
 
     a = lowering(0)
@@ -398,8 +465,9 @@ def _dense_lindblad_generator(params: SystemParams, basis: FockBasis) -> np.ndar
 def _cavity_state(basis: FockBasis, weights) -> MixedState:
     amps = np.zeros(basis.dimension, dtype=complex)
     zeros = (0,) * (basis.n_modes - 1)
+    index = _index(basis)
     for n, w in enumerate(weights):
-        amps[basis.index[(n,) + zeros]] = w
+        amps[index[(n,) + zeros]] = w
     return _as_mixed(PureState(amps / np.linalg.norm(amps), basis))
 
 
