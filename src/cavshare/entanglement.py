@@ -13,7 +13,9 @@ from .errors import NotADensityMatrix
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
-_IMAG_TOL = 1e-9
+# eigenvalues of rho up to this fraction of the largest are rounding, below
+# what eigh resolves: the concurrence treats them as zero
+_RANK_TOL = 8.0 * np.finfo(float).eps
 
 # sigma_y (x) sigma_y in the product basis {|00>, |01>, |10>, |11>}
 _FLIP = np.array(
@@ -77,19 +79,22 @@ def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     Computed as max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly
-    sorted square roots of the eigenvalues of rho * spin_flip(rho). A bare
-    array is checked for hygiene first; a TwoQubitDensity already was. Tiny
-    negative eigenvalues from rounding are clamped to zero.
+    sorted square roots of the eigenvalues of rho * spin_flip(rho). Those are
+    the singular values of tau = X^T (sigma_y x sigma_y) X for any X with
+    rho = X X^dagger (Wootters, PRL 80, 2245, 1998; Uhlmann, PRA 62, 032307,
+    2000); X is taken from the eigenpairs of rho above rounding. Singular
+    values carry an absolute error of about eps ||tau||, where square roots
+    of the near-zero eigenvalues of rho * spin_flip(rho) would carry
+    sqrt(eps). A rounding-level eigenpair of rho is dropped, not kept: its
+    column, of size sqrt(eps), would otherwise pair with a large one under
+    the flip and bring sqrt(eps) back. A bare array is checked for hygiene
+    first; a TwoQubitDensity already was.
     """
     mat = rho.entries if isinstance(rho, TwoQubitDensity) else _density(rho)
-    product = mat @ spin_flip(mat)
-    eigs = np.linalg.eigvals(product)
-    if np.max(np.abs(eigs.imag)) > _IMAG_TOL:
-        raise NotADensityMatrix("eigenvalues of rho * flip(rho) not real within 1e-9")
-    real = eigs.real
-    if real.min() < _EIGENVALUE_FLOOR:
-        raise NotADensityMatrix("negative eigenvalue of rho * flip(rho) beyond -1e-10")
-    lam = np.sqrt(np.clip(real, 0.0, None))
-    lam[::-1].sort()
+    w, u = np.linalg.eigh(mat)
+    keep = w > _RANK_TOL * w[-1]
+    x = u[:, keep] * np.sqrt(w[keep])
+    lam = np.zeros(4)
+    lam[:x.shape[1]] = np.linalg.svd(x.T @ _FLIP @ x, compute_uv=False)
     value = lam[0] - lam[1] - lam[2] - lam[3]
     return float(min(max(value, 0.0), 1.0))

@@ -2,9 +2,10 @@
 
 Everything here is independent of the closed forms: states are explicit
 occupation vectors (cavity = mode 0, excitons = modes 1..N), unitary
-evolution is exact per total-excitation sector via dense eigendecomposition,
-and loss, one zero-temperature channel per exciton mode, is propagated
-exactly under the Lindblad generator. Times are raw t; multiply by G for Gt.
+evolution is exact per total-excitation sector via a dense real symmetric
+eigendecomposition (the couplings are real), and loss, one zero-temperature
+channel per exciton mode, is propagated exactly under the Lindblad
+generator. Times are raw t; multiply by G for Gt.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
 _LINDBLAD_CAPACITY = 400
 _CAPACITY = 200_000
-# sectors are diagonalised densely: 256 MiB per complex 4096-state array
-_SECTOR_CAPACITY = 4096
+# sectors are diagonalised densely: the real float64 eigenvectors of one
+# sector may take at most 128 MiB, which admits up to 4096 states
+_SECTOR_BYTES = 128 * 2**20
 
 
 def _occupations(n_modes: int, max_total: int) -> np.ndarray:
@@ -75,8 +77,8 @@ class FockBasis:
         if dimension > _CAPACITY:
             raise CapacityExceeded(dimension, _CAPACITY)
         largest = math.comb(max_total + n_modes - 1, n_modes - 1)  # k = max_total
-        if largest > _SECTOR_CAPACITY:
-            raise CapacityExceeded(largest, _SECTOR_CAPACITY, "sector")
+        if 8 * largest * largest > _SECTOR_BYTES:
+            raise CapacityExceeded(largest, math.isqrt(_SECTOR_BYTES // 8), "sector")
         self.n_modes = n_modes
         self.max_total = max_total
         self.dimension = dimension
@@ -88,7 +90,7 @@ class FockBasis:
         self._pascal = np.array(
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
-        self._pair_plans: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis: the
@@ -101,34 +103,36 @@ class FockBasis:
             raise InvalidParameter("occ", "not an occupation vector of this basis")
         return self._pascal[suffix, np.arange(self.n_modes)].sum(axis=-1)
 
-    def pair_plan(self, pair: PairIndex) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Grouping of basis states by the configuration of every mode
-        outside the pair, groups in order of first occurrence and members
-        ascending; the partial trace sums one block per group."""
+    def pair_plan(self, pair: PairIndex) -> tuple[np.ndarray, np.ndarray, int]:
+        """Per basis state, its pair occupation n_m*(M+1) + n_n and its group,
+        the index of its configuration of every mode outside the pair; then
+        the number of groups. (pair occupation, group) identifies the state,
+        and the partial trace onto the pair sums over groups."""
         key = (pair.m, pair.n)
         plan = self._pair_plans.get(key)
         if plan is None:
             rest = np.delete(self.occupations, key, axis=1)
-            _, first, group = np.unique(rest, axis=0, return_index=True,
-                                        return_inverse=True)
-            group = np.argsort(np.argsort(first))[group.ravel()]
-            members = np.split(np.argsort(group, kind="stable"),
-                               np.cumsum(np.bincount(group))[:-1])
+            _, group = np.unique(rest, axis=0, return_inverse=True)
+            group = group.ravel()
             span = self.max_total + 1
             pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
-            plan = self._pair_plans[key] = [(idx, pocc[idx]) for idx in members]
+            plan = self._pair_plans[key] = (pocc, group, int(group.max()) + 1)
         return plan
 
 
 class SparseHermitian:
-    """Hermitian operator stored as its upper triangle on a FockBasis."""
+    """Real symmetric operator stored as its upper triangle on a FockBasis;
+    complex values are refused, not truncated."""
 
     def __init__(self, basis: FockBasis, rows, cols, values):
+        values = np.asarray(values)
+        if np.iscomplexobj(values) and np.any(values.imag != 0.0):
+            raise InvalidParameter("values", "must be real")
         self.basis = basis
         self.dimension = basis.dimension
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.asarray(values.real, dtype=np.float64)
         self._csr = None
         self._sector_eigs: list[tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -137,13 +141,14 @@ class SparseHermitian:
             off_diag = self.rows != self.cols
             r = np.concatenate([self.rows, self.cols[off_diag]])
             c = np.concatenate([self.cols, self.rows[off_diag]])
-            v = np.concatenate([self.values, self.values[off_diag].conj()])
+            v = np.concatenate([self.values, self.values[off_diag]])
             self._csr = sp.coo_matrix(
                 (v, (r, c)), shape=(self.dimension, self.dimension)
             ).tocsr()
         return self._csr
 
     def sector_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(eigenvalues, real orthonormal eigenvectors) per sector."""
         if self._sector_eigs is None:
             full = self.to_csr()
             self._sector_eigs = [np.linalg.eigh(full[s, s].toarray())
@@ -289,19 +294,34 @@ def _coherent_amplitudes(alpha: complex, max_total: int) -> np.ndarray:
     return out
 
 
-def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> PureState:
-    """psi(t) = exp(-iHt) psi0, exact per total-excitation sector."""
+def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
+                       times) -> list[PureState]:
+    """psi(t) = exp(-iHt) psi0 at each time, exact per total-excitation sector.
+
+    With the sector block H_k = V diag(lam) V^T, c = V^T psi0 is formed once
+    and every time at once as V [exp(-i lam t) c]. V is real: it multiplies
+    the real and imaginary parts, never a complex copy of itself.
+    """
     if hamiltonian.basis is not psi0.basis and (
         hamiltonian.dimension != psi0.basis.dimension
         or hamiltonian.basis.n_modes != psi0.basis.n_modes
     ):
         raise DimensionMismatch("state and Hamiltonian bases differ")
-    out = np.empty(hamiltonian.dimension, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    out = np.empty((len(times), hamiltonian.dimension), dtype=complex)
     for s, (lam, vec) in zip(hamiltonian.basis.sectors,
                              hamiltonian.sector_eigensystems()):
-        out[s] = vec @ (np.exp(-1j * lam * t) * (vec.conj().T @ psi0.amplitudes[s]))
-    out /= np.linalg.norm(out)
-    return PureState(out, psi0.basis)
+        psi = psi0.amplitudes[s]
+        coeff = np.exp(-1j * np.outer(lam, times)) * (
+            vec.T @ psi.real + 1j * (vec.T @ psi.imag))[:, None]
+        # one real GEMM on the coefficients viewed as interleaved float64
+        out[:, s] = (vec @ coeff.view(np.float64)).view(complex).T
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return [PureState(amp, psi0.basis) for amp in out]
+
+
+def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> PureState:
+    return unitary_trajectory(hamiltonian, psi0, [t])[-1]
 
 
 def _lindblad_blocks(params: SystemParams, basis: FockBasis):
@@ -410,25 +430,6 @@ def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedSt
     return lindblad_trajectory(params, rho0, [t])[-1]
 
 
-def _pair_occupation_density(state: PureState | MixedState,
-                             pair: PairIndex) -> np.ndarray:
-    """Partial trace onto the pair, indexed by n_m*(M+1) + n_n."""
-    basis = state.basis
-    pair.check_bounds(basis.n_modes - 1)
-    span = basis.max_total + 1
-    red = np.zeros((span * span, span * span), dtype=complex)
-    # pair occupations are unique within each rest-group, so indexed +=
-    # accumulates without collisions
-    if isinstance(state, PureState):
-        for idx, pocc in basis.pair_plan(pair):
-            v = state.amplitudes[idx]
-            red[np.ix_(pocc, pocc)] += np.outer(v, v.conj())
-    else:
-        for idx, pocc in basis.pair_plan(pair):
-            red[np.ix_(pocc, pocc)] += state.matrix[np.ix_(idx, idx)]
-    return red
-
-
 def _cat_pair_projector(mu: complex, span: int) -> np.ndarray:
     """Columns: even and odd cat states of amplitude mu on Fock levels 0..span-1."""
     x = abs(mu) ** 2
@@ -450,17 +451,28 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
     outside the qubit plane beyond 1e-8 raises LeakageError; smaller
     deficits are renormalized away.
     """
-    red = _pair_occupation_density(state, pair)
-    span = state.basis.max_total + 1
+    basis = state.basis
+    pair.check_bounds(basis.n_modes - 1)
+    pocc, group, n_groups = basis.pair_plan(pair)
+    span = basis.max_total + 1
+    # columns: the four qubit kets in the pair space, indexed by pair occupation
     if isinstance(qubit_basis, NumberBasis):
-        keep = [0 * span + 0, 0 * span + 1, 1 * span + 0, 1 * span + 1]
-        mat = red[np.ix_(keep, keep)]
+        kets = np.eye(span * span)[:, [0, 1, span, span + 1]]
     elif isinstance(qubit_basis, TildeBasis):
         b = _cat_pair_projector(qubit_basis.mu, span)
-        bb = np.kron(b, b)  # maps the 4 tilde kets into the pair space
-        mat = bb.conj().T @ red @ bb
+        kets = np.kron(b, b)
     else:
         raise TypeError(f"unsupported qubit basis {type(qubit_basis).__name__}")
+    if isinstance(state, PureState):
+        # psi[pair occupation, group]: the partial trace is psi psi^dagger
+        psi = np.zeros((span * span, n_groups), dtype=complex)
+        psi[pocc, group] = state.amplitudes
+        phi = kets.conj().T @ psi
+        mat = phi @ phi.conj().T
+    else:
+        # only entries between states of one group survive the partial trace
+        q = kets[pocc]
+        mat = q.conj().T @ np.where(group[:, None] == group, state.matrix, 0.0) @ q
     captured = float(np.trace(mat).real)
     leak = 1.0 - captured
     if leak > _LEAK_TOL:

@@ -4,12 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cavshare import (NotADensityMatrix, NumberBasis, TwoQubitDensity,
                       concurrence, spin_flip)
 
 _BELL = np.zeros(4, dtype=complex)
 _BELL[0] = _BELL[3] = 1.0 / math.sqrt(2.0)
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# the kernel's agreement with each closed form below
+_KERNEL_TOL = 1e-12
+# reproducible draws, no example database written to disk
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=200)
+
+
+def _complex_vectors(size: int, count: int = 1):
+    """count complex vectors of the given size, entries in the unit square,
+    each with norm at least 0.1."""
+    entry = st.floats(-1.0, 1.0)
+    vector = st.lists(entry, min_size=2 * size, max_size=2 * size).map(
+        lambda v: np.array(v[:size]) + 1j * np.array(v[size:])
+    ).filter(lambda v: np.linalg.norm(v) >= 0.1)
+    return st.lists(vector, min_size=count, max_size=count)
 
 
 def _pure(vec):
@@ -27,23 +46,54 @@ def test_product_state_is_separable():
     assert concurrence(np.eye(4) / 4.0) == 0.0  # maximally mixed
 
 
-def test_werner_state_concurrence():
+@_PROPERTY
+@given(st.floats(0.0, 1.0))
+@example(0.8)
+@example(0.5)
+@example(1.0 / 3.0)
+@example(0.2)
+def test_werner_state_concurrence(p):
     # p |Bell><Bell| + (1-p) I/4 has C = max(0, (3p-1)/2)
-    for p, expected in ((0.8, 0.7), (0.5, 0.25), (1.0 / 3.0, 0.0), (0.2, 0.0)):
-        rho = p * _pure(_BELL) + (1.0 - p) * np.eye(4) / 4.0
-        assert math.isclose(concurrence(rho), expected, abs_tol=1e-12)
+    rho = p * _pure(_BELL) + (1.0 - p) * np.eye(4) / 4.0
+    expected = max(0.0, (3.0 * p - 1.0) / 2.0)
+    assert math.isclose(concurrence(rho), expected, abs_tol=_KERNEL_TOL)
 
 
-def test_pure_state_closed_form():
-    # C(|psi>) = 2 |ad - bc| for amplitudes (a, b, c, d)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-        a, b, c, d = a / norm, b / norm, c / norm, d / norm
-        expected = 2.0 * abs(a * d - b * c)
-        assert math.isclose(concurrence(_pure([a, b, c, d])), expected,
-                            abs_tol=1e-7)
+@_PROPERTY
+@given(_complex_vectors(4))
+def test_pure_state_closed_form(vectors):
+    # C(|psi>) = |<psi| sigma_y x sigma_y |psi*>|, which is 2 |ad - bc|
+    psi = vectors[0] / np.linalg.norm(vectors[0])
+    expected = abs(psi.conj() @ _YY @ psi.conj())
+    assert math.isclose(concurrence(_pure(psi)), expected, abs_tol=_KERNEL_TOL)
+
+
+@_PROPERTY
+@given(st.data())
+def test_x_state_of_exact_rank(data):
+    # An X state is a Hermitian block on {|00>, |11>} (diagonal a, d,
+    # coherence z) beside one on {|01>, |10>} (b, c, w), and has
+    # C = 2 max(0, |z| - sqrt(bc), |w| - sqrt(ad)) (Yu and Eberly, QIC 7, 459,
+    # 2007). Each block is a sum of outer products of 0, 1 or 2 drawn
+    # vectors, so the rank is exactly their count when the vectors are
+    # independent.
+    rank = data.draw(st.integers(1, 3), label="rank")
+    on_00_11 = data.draw(st.integers(max(0, rank - 2), min(2, rank)),
+                         label="vectors on {|00>, |11>}")
+    vectors = data.draw(_complex_vectors(2, rank), label="vectors")
+    rho = np.zeros((4, 4), dtype=complex)
+    for k, v in enumerate(vectors):
+        idx = [0, 3] if k < on_00_11 else [1, 2]
+        rho[np.ix_(idx, idx)] += np.outer(v, v.conj())
+    for idx, count in (([0, 3], on_00_11), ([1, 2], rank - on_00_11)):
+        if count == 2:  # keep the two vectors of one block independent
+            assume(abs(np.linalg.det(rho[np.ix_(idx, idx)])) > 1e-3)
+    rho /= np.trace(rho).real
+    a, b, c, d = np.diagonal(rho).real
+    expected = 2.0 * max(0.0, abs(rho[0, 3]) - math.sqrt(b * c),
+                         abs(rho[1, 2]) - math.sqrt(a * d))
+    assert np.linalg.matrix_rank(rho, tol=1e-9) == rank
+    assert math.isclose(concurrence(rho), expected, abs_tol=_KERNEL_TOL)
 
 
 def _random_su2(rng):

@@ -36,6 +36,7 @@ from cavshare.fockspace import (
     FockBasis,
     MixedState,
     PureState,
+    SparseHermitian,
     build_basis,
     build_hamiltonian,
     evolve_lindblad,
@@ -46,6 +47,7 @@ from cavshare.fockspace import (
     prepare_initial,
     reduce_to_qubit_pair,
     total_excitation,
+    unitary_trajectory,
     w_state_fidelity,
 )
 
@@ -209,6 +211,15 @@ def test_hamiltonian_rejects_unsupported_coupling():
         build_hamiltonian((1.0, 1.0), build_basis(3, 1))
 
 
+def test_sparse_operator_refuses_complex_values():
+    # a float cast would drop the imaginary part silently
+    basis = build_basis(2, 1)
+    with pytest.raises(InvalidParameter):
+        SparseHermitian(basis, [1], [2], [1.0 + 0.5j])
+    real = SparseHermitian(basis, [1], [2], [1.0 + 0.0j])
+    assert real.values.dtype == np.float64 and real.values.tolist() == [1.0]
+
+
 def test_hamiltonian_csr_is_hermitian():
     basis = build_basis(3, 3)
     mat = build_hamiltonian(CouplingProfile(couplings=(1.0, 2.0)), basis).to_csr()
@@ -304,6 +315,25 @@ def test_evolution_preserves_norm_and_sector_weights():
     np.testing.assert_allclose(sector_weights(psi), before, atol=1e-12)
 
 
+def test_unitary_trajectory_matches_dense_expm():
+    profile = CouplingProfile(couplings=(1.0, 2.5))
+    basis = build_basis(3, 3)
+    hamiltonian = _dense_hamiltonian(profile, basis)
+    ham = build_hamiltonian(profile, basis)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    psi0 = PureState(amps / np.linalg.norm(amps), basis)
+    times = [0.0, 0.3, 1.7, 5.0]
+    states = unitary_trajectory(ham, psi0, times)
+    assert len(states) == len(times)
+    for t, psi in zip(times, states):
+        exact = scipy.linalg.expm(-1j * hamiltonian * t) @ psi0.amplitudes
+        np.testing.assert_allclose(psi.amplitudes, exact, rtol=0, atol=1e-14)
+        alone = evolve_unitary(ham, psi0, t)
+        np.testing.assert_allclose(psi.amplitudes, alone.amplitudes, rtol=0,
+                                   atol=1e-15)
+
+
 def test_vacuum_is_stationary():
     basis = build_basis(3, 2)
     ham = build_hamiltonian(CouplingProfile.isotropic(1.0, 2), basis)
@@ -364,6 +394,77 @@ def test_tilde_reduction_guards():
         reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=0.5 * mu))
     with pytest.raises(DegenerateBasis):
         reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=1e-13))
+
+
+def _reference_reduction(matrix, basis: FockBasis, pair: PairIndex, kets):
+    """kets^dagger Tr_rest(rho) kets over its trace: the partial trace summed
+    state pair by state pair within groups keyed by the rest occupations."""
+    span = basis.max_total + 1
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, occ in enumerate(basis.occupations.tolist()):
+        rest = tuple(v for k, v in enumerate(occ) if k not in (pair.m, pair.n))
+        groups.setdefault(rest, []).append((i, occ[pair.m] * span + occ[pair.n]))
+    red = np.zeros((span * span, span * span), dtype=complex)
+    for members in groups.values():
+        for i, p in members:
+            for j, q in members:
+                red[p, q] += matrix[i, j]
+    mat = kets.conj().T @ red @ kets
+    return mat / np.trace(mat).real
+
+
+def _cat_kets(mu: complex, span: int) -> np.ndarray:
+    """Even and odd cats of amplitude mu, normalised on levels 0..span-1, as
+    the product basis of a pair."""
+    levels = np.arange(span)
+    coh = np.array([mu ** n / math.sqrt(math.factorial(n)) for n in levels])
+    b = np.column_stack([np.where(levels % 2 == 0, coh, 0.0),
+                         np.where(levels % 2 == 1, coh, 0.0)])
+    b /= np.linalg.norm(b, axis=0)
+    return np.kron(b, b)
+
+
+def _mix(states: list[PureState], p: float) -> MixedState:
+    first, second = (np.outer(s.amplitudes, s.amplitudes.conj()) for s in states)
+    return MixedState(p * first + (1.0 - p) * second, states[0].basis)
+
+
+def test_pair_reduction_matches_reference_partial_trace():
+    # anisotropic profile; modes 1 and 2 share a coupling, so their cat
+    # amplitudes agree and the pair stays in one tilde basis
+    profile = CouplingProfile(couplings=(1.0, 1.0, 2.0))
+    t = 0.7
+    modes = np.zeros((4, 4))
+    modes[0, 1:] = modes[1:, 0] = profile.couplings
+    transfer = scipy.linalg.expm(-1j * modes * t)[:, 0]
+    alpha = math.sqrt(0.05)
+    basis = build_basis(4, minimum_truncation(0.05))
+    span = basis.max_total + 1
+    ham = build_hamiltonian(profile, basis)
+    cats = [unitary_trajectory(ham, prepare_initial(Cat(p, alpha), basis), [t])[0]
+            for p in (ParityKind.EVEN, ParityKind.ODD)]
+    # vacuum plus one excitation, in levels {0, 1} of every pair
+    low = np.zeros(basis.dimension, dtype=complex)
+    low[:basis.sector_offsets[2]] = [0.6, 0.3j, -0.2, 0.5, 0.1 + 0.4j]
+    low = unitary_trajectory(ham, PureState(low / np.linalg.norm(low), basis), [t])[0]
+    other = unitary_trajectory(ham, prepare_initial(SinglePhoton(), basis), [t])[0]
+    number = np.eye(span * span)[:, [0, 1, span, span + 1]]
+    cases = [
+        (cats[1], PairIndex(1, 2), TildeBasis(mu=alpha * transfer[1])),
+        (_mix(cats, 0.3), PairIndex(1, 2), TildeBasis(mu=alpha * transfer[1])),
+        (low, PairIndex(1, 3), NumberBasis()),
+        (_mix([low, other], 0.6), PairIndex(2, 3), NumberBasis()),
+    ]
+    for state, pair, qubits in cases:
+        if isinstance(qubits, TildeBasis):
+            kets = _cat_kets(qubits.mu, span)
+        else:
+            kets = number
+        matrix = (state.matrix if isinstance(state, MixedState)
+                  else np.outer(state.amplitudes, state.amplitudes.conj()))
+        expected = _reference_reduction(matrix, basis, pair, kets)
+        reduced = reduce_to_qubit_pair(state, pair, qubits)
+        np.testing.assert_allclose(reduced.entries, expected, rtol=0, atol=1e-13)
 
 
 def test_pair_reduction_bounds_check():
@@ -436,26 +537,33 @@ def test_decay_drains_excitons_and_preserves_trace():
         assert math.isclose(float(np.trace(s.matrix).real), 1.0, abs_tol=1e-8)
 
 
+def _dense_lowering(basis: FockBasis, mode: int) -> np.ndarray:
+    """The lowering operator of one mode, written out densely from the
+    occupation tuples alone."""
+    dim = basis.dimension
+    index = _index(basis)
+    op = np.zeros((dim, dim))
+    for state, i in index.items():
+        if state[mode]:
+            lowered = list(state)
+            lowered[mode] -= 1
+            op[index[tuple(lowered)], i] = math.sqrt(state[mode])
+    return op
+
+
+def _dense_hamiltonian(profile: CouplingProfile, basis: FockBasis) -> np.ndarray:
+    a = _dense_lowering(basis, 0)
+    # a b_j^dagger as (a^dagger b_j)^dagger: b_j^dagger alone leaves the cutoff
+    hops = [a.T @ _dense_lowering(basis, j) for j in range(1, basis.n_modes)]
+    return sum(g * (hop + hop.T) for g, hop in zip(profile.couplings, hops))
+
+
 def _dense_lindblad_generator(params: SystemParams, basis: FockBasis) -> np.ndarray:
     """The full row-major vec generator, written out densely from the
     occupation tuples alone."""
     dim = basis.dimension
-    index = _index(basis)
-
-    def lowering(mode):
-        op = np.zeros((dim, dim))
-        for state, i in index.items():
-            if state[mode]:
-                lowered = list(state)
-                lowered[mode] -= 1
-                op[index[tuple(lowered)], i] = math.sqrt(state[mode])
-        return op
-
-    a = lowering(0)
-    excitons = [lowering(j) for j in range(1, basis.n_modes)]
-    # a b_j^dagger as (a^dagger b_j)^dagger: b_j^dagger alone leaves the cutoff
-    hops = [a.T @ b for b in excitons]
-    h_eff = params.coupling * sum(hop + hop.T for hop in hops)
+    excitons = [_dense_lowering(basis, j) for j in range(1, basis.n_modes)]
+    h_eff = _dense_hamiltonian(CouplingProfile.from_params(params), basis)
     h_eff = h_eff - 0.5j * params.decay_rate * sum(b.T @ b for b in excitons)
     eye = np.eye(dim)
     jumps = params.decay_rate * sum(np.kron(b, b) for b in excitons)

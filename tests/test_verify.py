@@ -74,7 +74,22 @@ def test_lindblad_small_grid_passes():
     assert passed == 2 * 2  # parities x times
     for case in result.cases:
         assert _CASE_PATTERNS["lindblad"].match(case.case_id), case.case_id
-        assert case.tolerance == 5e-8
+        assert case.tolerance == 1e-12
+
+
+# Worst |closed form - oracle| of each default suite, measured at 1.1e-15
+# (single photon), 4.2e-12 (cat: the Fock tail, under 1e-12, that the cutoff
+# leaves; four more levels bring it to 1.1e-15) and 2.5e-15 (Lindblad). Each
+# pin leaves a margin of at least ten, for rounding that differs between
+# BLAS builds.
+@pytest.mark.parametrize("fixture, pin", [
+    ("single_photon_result", 1e-13),
+    ("cat_result", 5e-11),
+    ("lindblad_result", 1e-13),
+])
+def test_default_suite_worst_error(request, fixture, pin):
+    result = request.getfixturevalue(fixture)
+    assert max(case.abs_error for case in result.cases) <= pin
 
 
 def test_interior_grid_avoids_degenerate_nodes():
