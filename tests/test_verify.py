@@ -1,8 +1,10 @@
 """Self-check harness: closed forms replayed against the truncated number
 basis oracle, with capacity skips and bookkeeping."""
 
+import hashlib
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,18 @@ def test_lindblad_small_grid_passes():
 def test_default_suite_worst_error(request, fixture, pin):
     result = request.getfixturevalue(fixture)
     assert max(case.abs_error for case in result.cases) <= pin
+
+
+def test_default_case_ids_match_golden(single_photon_result, cat_result,
+                                       lindblad_result):
+    # ids hold only parameters and .10g grid times, so unlike the oracle
+    # column this hash does not depend on the LAPACK build
+    digest = hashlib.sha256()
+    for result in (single_photon_result, cat_result, lindblad_result):
+        for case in result.cases:
+            digest.update(f"{case.case_id}\t{case.status}\n".encode())
+    stored = Path(__file__).parent / "golden" / "verify_cases.sha256"
+    assert digest.hexdigest() == stored.read_text().strip()
 
 
 def test_interior_grid_avoids_degenerate_nodes():
