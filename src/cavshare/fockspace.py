@@ -204,8 +204,10 @@ def minimum_truncation(intensity: float, margin: int = 0) -> int:
     small intensity), plus margin.
 
     H conserves total excitation and loss only lowers it, so levels above M
-    hold just the initial tail: margin (2 in the Lindblad suite) widens the
-    basis the oracle checks, not its accuracy.
+    hold just the initial tail. The margin shrinks that tail, which bounds
+    the oracle's accuracy: on the default Lindblad suite margins 0, 1 and 2
+    give worst errors 4.2e-12 (20 of 50 rows over its 1e-12 gate), 3.6e-13
+    and 2.5e-15.
     """
     if not 0.0 <= intensity < math.inf:
         raise InvalidParameter("intensity", "must be finite and nonnegative")
@@ -222,15 +224,10 @@ def minimum_truncation(intensity: float, margin: int = 0) -> int:
     raise InvalidParameter("intensity", "no practical truncation found")
 
 
-def build_hamiltonian(coupling: CouplingProfile | SystemParams,
-                      basis: FockBasis) -> SparseHermitian:
+def build_hamiltonian(profile: CouplingProfile, basis: FockBasis) -> SparseHermitian:
     """Beam-splitter Hamiltonian sum_j g_j (a dagger b_j + a b_j dagger)."""
-    if isinstance(coupling, SystemParams):
-        profile = CouplingProfile.isotropic(coupling.coupling, coupling.n_crystallites)
-    elif isinstance(coupling, CouplingProfile):
-        profile = coupling
-    else:
-        raise TypeError(f"unsupported coupling {type(coupling).__name__}")
+    if not isinstance(profile, CouplingProfile):
+        raise TypeError(f"unsupported coupling {type(profile).__name__}")
     if basis.n_modes != len(profile) + 1:
         raise DimensionMismatch(
             f"basis has {basis.n_modes} modes, profile wants {len(profile) + 1}"
@@ -327,7 +324,7 @@ def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> P
 def _lindblad_blocks(params: SystemParams, basis: FockBasis):
     """Per-sector blocks of H_eff = H - i(gamma/2) sum_j n_j, and per sector
     k the blocks of each lowering operator b_j from sector k+1 into k."""
-    h_eff = build_hamiltonian(params, basis).to_csr()
+    h_eff = build_hamiltonian(CouplingProfile.from_params(params), basis).to_csr()
     occ = basis.occupations
     lowerings = []
     if params.decay_rate > 0.0:
@@ -435,11 +432,8 @@ def _cat_pair_projector(mu: complex, span: int) -> np.ndarray:
     x = abs(mu) ** 2
     if x < DEGENERACY_THRESHOLD:
         raise DegenerateBasis(f"|mu|^2 = {x:.3e} below 1e-12")
-    coh = _coherent_amplitudes(mu, span - 1)
-    b = np.zeros((span, 2), dtype=complex)
-    b[0::2, 0] = coh[0::2] / math.sqrt(0.5 * (1.0 + math.exp(-2.0 * x)))
-    b[1::2, 1] = coh[1::2] / math.sqrt(0.5 * (-math.expm1(-2.0 * x)))
-    return b
+    return np.column_stack([_cavity_weights(Cat(parity, mu), span - 1)
+                            for parity in (ParityKind.EVEN, ParityKind.ODD)])
 
 
 def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
@@ -449,7 +443,8 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
     NumberBasis keeps Fock levels {0,1} of each mode; TildeBasis(mu)
     projects onto the orthonormal even/odd superpositions of |+-mu>. Weight
     outside the qubit plane beyond 1e-8 raises LeakageError; smaller
-    deficits are renormalized away.
+    deficits are renormalized away. Nothing is clamped: an eigenvalue of the
+    pair density below -1e-10 raises NotADensityMatrix.
     """
     basis = state.basis
     pair.check_bounds(basis.n_modes - 1)
@@ -479,13 +474,6 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
         raise LeakageError(leak, _LEAK_TOL)
     mat = mat / captured
     mat = 0.5 * (mat + mat.conj().T)
-    floor = float(np.linalg.eigvalsh(mat).min())
-    if floor < -1e-10:
-        # tiny negative weight from the projection; lift it and renormalize
-        lam, vec = np.linalg.eigh(mat)
-        lam = np.clip(lam, 0.0, None)
-        mat = (vec * lam) @ vec.conj().T
-        mat /= np.trace(mat).real
     return TwoQubitDensity(entries=mat, basis_tag=qubit_basis)
 
 

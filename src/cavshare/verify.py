@@ -3,8 +3,10 @@
 Each suite evolves states on the truncated Fock space, reduces to qubit
 pairs, applies the concurrence kernel, and compares against the closed
 forms. The CLI emits these rows as CSV; the acceptance tests assert on
-them directly. Sample times sit strictly inside the period so degenerate
-instants (empty modes, vanishing tilde basis) are never hit.
+them directly. Samples sit at the centres of n_times equal cells. An odd
+count can put one on an instant where the tilde basis vanishes (Gt = pi
+for the lossless cat, v'(t) = 0 for the lossy one); that sample becomes a
+skip row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import analytic, dissipative, fockspace
 from .entanglement import concurrence
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, DegenerateBasis
 from .model import (
     Cat,
     CouplingProfile,
@@ -82,17 +84,9 @@ def _case(case_id: str, reference: float, oracle: float, tol: float) -> VerifyCa
     )
 
 
-def _skip(suite: str, exc: CapacityExceeded, tol: float) -> SuiteResult:
+def _skip(case_id: str, reference: float, tol: float) -> VerifyCase:
     nan = float("nan")
-    case = VerifyCase(
-        case_id=f"{suite}/capacity {exc.what}={exc.dimension} limit={exc.limit}",
-        analytic=nan,
-        oracle=nan,
-        abs_error=nan,
-        tolerance=tol,
-        status="skip",
-    )
-    return SuiteResult(suite=suite, cases=[case], pair_records=[])
+    return VerifyCase(case_id, reference, nan, nan, tol, "skip")
 
 
 def _interior_grid(gt_max: float, n_times: int) -> list[float]:
@@ -103,6 +97,41 @@ def _all_pairs(n: int) -> list[PairIndex]:
     return [
         PairIndex(m, k) for m in range(1, n + 1) for k in range(m + 1, n + 1)
     ]
+
+
+def _run(suite: str, tol: float, preparations) -> SuiteResult:
+    """The sample loop every suite shares.
+
+    preparations yields, per prepared state, N and its samples in grid
+    order: (case id, Gt, state, qubit basis, closed form, extra rows). Each
+    sample reduces pair (1, 2), writes its row and then its extra rows, and
+    on every tenth sample also records every other pair for the monogamy
+    check. A sample whose qubit basis degenerates becomes one skip row with
+    no record; a basis over capacity turns the whole suite into one skip row.
+    """
+    cases: list[VerifyCase] = []
+    records: list[PairRecord] = []
+    try:
+        for n, samples in preparations:
+            for k, (case_id, gt, state, qubit_basis, reference,
+                    extra) in enumerate(samples):
+                try:
+                    c_oracle = concurrence(fockspace.reduce_to_qubit_pair(
+                        state, PairIndex(1, 2), qubit_basis))
+                except DegenerateBasis:
+                    cases.append(_skip(f"{case_id}/degenerate", reference, tol))
+                    continue
+                records.append(PairRecord(suite, n, gt, c_oracle))
+                cases.append(_case(case_id, reference, c_oracle, tol))
+                cases.extend(extra)
+                if k % 10 == 0:
+                    for other in _all_pairs(n)[1:]:
+                        rho = fockspace.reduce_to_qubit_pair(state, other, qubit_basis)
+                        records.append(PairRecord(suite, n, gt, concurrence(rho)))
+    except CapacityExceeded as exc:
+        case_id = f"{suite}/capacity {exc.what}={exc.dimension} limit={exc.limit}"
+        return SuiteResult(suite, [_skip(case_id, float("nan"), tol)], [])
+    return SuiteResult(suite, cases, records)
 
 
 def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
@@ -116,44 +145,27 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
     reduction and the cavity population independently; both agree with the
     law to about 1e-15.
     """
-    cases: list[VerifyCase] = []
-    records: list[PairRecord] = []
-    try:
+    grid = _interior_grid(gt_max, n_times)
+
+    def preparations():
         for n in n_values:
             profile = CouplingProfile.isotropic(1.0, n)
             basis = fockspace.build_basis(n + 1, 1)
-            hamiltonian = fockspace.build_hamiltonian(profile, basis)
-            psi0 = fockspace.prepare_initial(SinglePhoton(), basis)
-            pair = PairIndex(1, 2)
-            grid = _interior_grid(gt_max, n_times)
             trajectory = fockspace.unitary_trajectory(
-                hamiltonian, psi0, [gt / profile.collective_rate for gt in grid]
+                fockspace.build_hamiltonian(profile, basis),
+                fockspace.prepare_initial(SinglePhoton(), basis),
+                [gt / profile.collective_rate for gt in grid],
             )
-            for k, (gt, psi) in enumerate(zip(grid, trajectory)):
-                rho = fockspace.reduce_to_qubit_pair(psi, pair, analytic.NumberBasis())
-                c_oracle = concurrence(rho)
-                records.append(PairRecord("single_photon", n, gt, c_oracle))
-                law = analytic.single_photon_concurrence(profile, gt, pair)
-                cases.append(_case(
-                    f"single_photon/N={n}/Gt={gt:.10g}/law", law, c_oracle, _SP_TOL
-                ))
-                n_bar = fockspace.observable_mean_photon(psi, 0)
-                duality = (2.0 / n) * (1.0 - n_bar)
-                cases.append(_case(
-                    f"single_photon/N={n}/Gt={gt:.10g}/duality",
-                    law, duality, _SP_DUALITY_TOL,
-                ))
-                if k % 10 == 0:
-                    for other in _all_pairs(n)[1:]:
-                        rho_o = fockspace.reduce_to_qubit_pair(
-                            psi, other, analytic.NumberBasis()
-                        )
-                        records.append(PairRecord(
-                            "single_photon", n, gt, concurrence(rho_o)
-                        ))
-    except CapacityExceeded as exc:
-        return _skip("single_photon", exc, _SP_TOL)
-    return SuiteResult("single_photon", cases, records)
+            samples = []
+            for gt, psi in zip(grid, trajectory):
+                law = analytic.single_photon_concurrence(profile, gt, PairIndex(1, 2))
+                duality = (2.0 / n) * (1.0 - fockspace.observable_mean_photon(psi, 0))
+                case_id = f"single_photon/N={n}/Gt={gt:.10g}"
+                samples.append((f"{case_id}/law", gt, psi, analytic.NumberBasis(), law, (
+                    _case(f"{case_id}/duality", law, duality, _SP_DUALITY_TOL),)))
+            yield n, samples
+
+    return _run("single_photon", _SP_TOL, preparations())
 
 
 def cat_suite(n: int = 3,
@@ -162,9 +174,9 @@ def cat_suite(n: int = 3,
               n_times: int = 50,
               gt_max: float = 2.0 * math.pi) -> SuiteResult:
     """Cat-state runs: oracle tilde-basis concurrence vs the closed form."""
-    cases: list[VerifyCase] = []
-    records: list[PairRecord] = []
-    try:
+    grid = _interior_grid(gt_max, n_times)
+
+    def preparations():
         for x in intensities:
             basis = fockspace.build_basis(n + 1, fockspace.minimum_truncation(x))
             hamiltonian = fockspace.build_hamiltonian(
@@ -172,36 +184,20 @@ def cat_suite(n: int = 3,
             )
             for parity in parities:
                 params = SystemParams(n_crystallites=n, intensity=x, parity=parity)
-                psi0 = fockspace.prepare_initial(Cat(parity, params.alpha), basis)
-                pair = PairIndex(1, 2)
-                grid = _interior_grid(gt_max, n_times)
                 trajectory = fockspace.unitary_trajectory(
-                    hamiltonian, psi0, [params.time_from_gt(gt) for gt in grid]
+                    hamiltonian,
+                    fockspace.prepare_initial(Cat(parity, params.alpha), basis),
+                    [params.time_from_gt(gt) for gt in grid],
                 )
-                for k, (gt, psi) in enumerate(zip(grid, trajectory)):
-                    mu = analytic.isotropic_amplitudes(params, gt).v * params.alpha
-                    tilde = analytic.TildeBasis(mu)
-                    c_oracle = concurrence(
-                        fockspace.reduce_to_qubit_pair(psi, pair, tilde)
-                    )
-                    records.append(PairRecord("cat", n, gt, c_oracle))
-                    reference = analytic.coherent_concurrence(params, gt)
-                    label = parity.name.lower()
-                    cases.append(_case(
-                        f"cat/N={n}/x={x:.10g}/{label}/Gt={gt:.10g}",
-                        reference, c_oracle, _CAT_TOL,
-                    ))
-                    if k % 10 == 0:
-                        for other in _all_pairs(n)[1:]:
-                            rho_o = fockspace.reduce_to_qubit_pair(
-                                psi, other, tilde
-                            )
-                            records.append(PairRecord(
-                                "cat", n, gt, concurrence(rho_o)
-                            ))
-    except CapacityExceeded as exc:
-        return _skip("cat", exc, _CAT_TOL)
-    return SuiteResult("cat", cases, records)
+                yield n, [(
+                    f"cat/N={n}/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}",
+                    gt, psi,
+                    analytic.TildeBasis(
+                        analytic.isotropic_amplitudes(params, gt).v * params.alpha),
+                    analytic.coherent_concurrence(params, gt), (),
+                ) for gt, psi in zip(grid, trajectory)]
+
+    return _run("cat", _CAT_TOL, preparations())
 
 
 def lindblad_suite(n: int = 2,
@@ -217,13 +213,12 @@ def lindblad_suite(n: int = 2,
     1e-12 tolerance covers rounding alone (see _LINDBLAD_TOL); the
     propagator is also held to 1e-8 by its own drift guard.
     """
-    cases: list[VerifyCase] = []
-    records: list[PairRecord] = []
-    try:
+    grid = _interior_grid(gt_max, n_times)
+
+    def preparations():
         basis = fockspace.build_basis(
             n + 1, fockspace.minimum_truncation(intensity, margin=2)
         )
-        grid = _interior_grid(gt_max, n_times)
         for parity in parities:
             params = SystemParams(
                 n_crystallites=n,
@@ -235,25 +230,20 @@ def lindblad_suite(n: int = 2,
             rho0 = fockspace.MixedState(
                 np.outer(psi0.amplitudes, psi0.amplitudes.conj()), basis
             )
-            times = [params.time_from_gt(gt) for gt in grid]
-            trajectory = fockspace.lindblad_trajectory(params, rho0, times)
-            label = parity.name.lower()
-            for gt, state in zip(grid, trajectory):
-                v_prime = dissipative.damped_amplitudes(params, gt).v_prime
-                tilde = analytic.TildeBasis(-1j * v_prime * params.alpha)
-                c_oracle = concurrence(
-                    fockspace.reduce_to_qubit_pair(state, PairIndex(1, 2), tilde)
-                )
-                records.append(PairRecord("lindblad", n, gt, c_oracle))
-                reference = dissipative.damped_concurrence(params, gt)
-                cases.append(_case(
-                    f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
-                    f"/{label}/Gt={gt:.10g}",
-                    reference, c_oracle, _LINDBLAD_TOL,
-                ))
-    except CapacityExceeded as exc:
-        return _skip("lindblad", exc, _LINDBLAD_TOL)
-    return SuiteResult("lindblad", cases, records)
+            trajectory = fockspace.lindblad_trajectory(
+                params, rho0, [params.time_from_gt(gt) for gt in grid]
+            )
+            yield n, [(
+                f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
+                f"/{parity.name.lower()}/Gt={gt:.10g}",
+                gt, rho,
+                analytic.TildeBasis(
+                    -1j * dissipative.damped_amplitudes(params, gt).v_prime
+                    * params.alpha),
+                dissipative.damped_concurrence(params, gt), (),
+            ) for gt, rho in zip(grid, trajectory)]
+
+    return _run("lindblad", _LINDBLAD_TOL, preparations())
 
 
 def run_all(n_times: int | None = None,

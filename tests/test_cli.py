@@ -315,6 +315,21 @@ def test_verify_sector_overflow_exits_three(tmp_path, monkeypatch, capsys):
     assert skips[1].startswith("lindblad/capacity dimension=")
 
 
+def test_verify_degenerate_samples_exit_three(tmp_path, monkeypatch, capsys):
+    # the middle of three cat samples falls on Gt = pi, where the tilde
+    # basis vanishes: one skip row each, and the rest of the run completes
+    # (t_stop = 2 pi, the cat default, halves the Lindblad horizon)
+    monkeypatch.chdir(tmp_path)
+    code = cli.entrypoint(["--command", "verify", "--N", "2", "--points", "3",
+                           "--t_stop", repr(2.0 * math.pi)])
+    assert code == 3
+    assert "0 fail, 4 skip" in capsys.readouterr().out
+    _, _, rows = _read_csv(tmp_path / "verify.csv")
+    skips = [row[0] for row in rows if row[5] == "skip"]
+    assert skips == [f"cat/N=2/x={x}/{parity}/Gt=3.141592654/degenerate"
+                     for x in ("0.25", "1") for parity in ("even", "odd")]
+
+
 def test_verify_failures_exit_two(tmp_path, monkeypatch, capsys):
     fake = SuiteResult(
         suite="single_photon",

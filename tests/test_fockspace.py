@@ -18,6 +18,7 @@ from cavshare import (
     DimensionMismatch,
     InvalidParameter,
     LeakageError,
+    NotADensityMatrix,
     NumberBasis,
     PairIndex,
     ParityKind,
@@ -394,6 +395,18 @@ def test_tilde_reduction_guards():
         reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=0.5 * mu))
     with pytest.raises(DegenerateBasis):
         reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=1e-13))
+
+
+def test_pair_reduction_refuses_negative_weight_instead_of_clamping():
+    # MixedState admits eigenvalues down to -1e-8, the pair density only down
+    # to -1e-10: a weight between the two is refused, not lifted to zero
+    basis = build_basis(3, 1)
+    diag = np.zeros(basis.dimension)
+    diag[basis.rank([0, 0, 0])] = 1.0 + 5e-9
+    diag[basis.rank([0, 1, 0])] = -5e-9
+    rho = MixedState(np.diag(diag).astype(complex), basis)
+    with pytest.raises(NotADensityMatrix):
+        reduce_to_qubit_pair(rho, PairIndex(1, 2), NumberBasis())
 
 
 def _reference_reduction(matrix, basis: FockBasis, pair: PairIndex, kets):

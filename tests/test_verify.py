@@ -114,6 +114,21 @@ def test_interior_grid_avoids_degenerate_nodes():
         assert min(abs(gt - k * math.pi) for k in range(0, 4)) > 1e-3
 
 
+def test_degenerate_samples_become_skip_rows():
+    # an odd count puts the middle sample on Gt = pi, where the cat's tilde
+    # basis vanishes; the other samples still run
+    result = cat_suite(n_times=3)
+    assert result.counts() == (8, 0, 4)
+    for case in result.cases:
+        if case.status == "skip":
+            assert case.case_id.endswith(f"/Gt={math.pi:.10g}/degenerate")
+            assert math.isfinite(case.analytic)
+            assert math.isnan(case.oracle) and math.isnan(case.abs_error)
+    assert all(abs(rec.gt - math.pi) > 1.0 for rec in result.pair_records)
+    # without loss v'(t) vanishes at Gt = 2 pi, the one Lindblad sample
+    assert lindblad_suite(gamma_over_g=0.0, n_times=1).counts() == (0, 0, 2)
+
+
 def test_capacity_overflow_becomes_skip():
     result = cat_suite(n=12, n_times=2)
     passed, failed, skipped = result.counts()
