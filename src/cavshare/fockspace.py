@@ -91,6 +91,8 @@ class FockBasis:
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
+        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
+        self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis: the
@@ -184,11 +186,19 @@ class MixedState:
         d = self.basis.dimension
         if mat.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        # `not <=` so that NaN fails here: the Cholesky below may accept it
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
             raise InvalidParameter("matrix", "not Hermitian within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > 1e-8:
+        if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidParameter("matrix", "trace differs from 1 beyond 1e-8")
-        if float(np.linalg.eigvalsh(mat).min()) < -1e-8:
+        # no eigenvalue below -1e-8 exactly when mat + 1e-8 I has a Cholesky
+        # factor (up to rounding there). One copy is shifted and factored in
+        # place through its Fortran-ordered transpose, whose upper triangle
+        # is mat's lower one conjugated, with the same eigenvalues
+        from scipy.linalg.lapack import zpotrf  # only mixed states need it
+        shifted = mat.copy()
+        shifted.reshape(-1)[::d + 1] += 1e-8
+        if zpotrf(shifted.T, clean=0, overwrite_a=1)[1]:
             raise InvalidParameter("matrix", "negative eigenvalue beyond -1e-8")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -355,6 +365,22 @@ def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
     return sp.bmat(grid, format="csr")
 
 
+def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
+    """The generator of chain d from k = d up to the cutoff, built on first
+    use and kept on the basis per (couplings, gamma), the only parameters it
+    depends on. A chain that stops at an earlier top is its leading
+    principal block."""
+    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
+    entry = basis._lindblad_chains.get(key)
+    if entry is None:
+        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
+    h_blocks, jumps, chains = entry
+    if d not in chains:
+        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
+                                     d, basis.max_total)
+    return chains[d]
+
+
 def _expm_action(generator, v: np.ndarray, span: float) -> np.ndarray:
     """exp(span * generator) v (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
     2011). Its norm estimator may draw from numpy's global RNG: a fixed draw,
@@ -375,9 +401,13 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
 
     The generator conserves d = k - l, the row minus column sector excitation
     (loss moves block (k+1, l+1) into (k, l)). Each chain rho[k, k-d], d >= 0,
-    that rho0 populates is propagated exactly between samples; the d < 0
-    blocks are adjoints. Guard: the last sample, recomputed from rho0 in one
-    span (two halves after a one-span run), must agree within 1e-8.
+    that rho0 populates is propagated exactly between samples, one chain at
+    a time, and checked by its guard: its last sample, recomputed from rho0
+    in one span (two halves after a one-span run), must agree within 1e-8.
+    Only the chain vectors are kept until every chain has passed; the dense
+    samples are assembled at the end, the d < 0 blocks as adjoints. The
+    chain generators are built once per basis, couplings and gamma, and
+    reused by every later call on that basis (both cat parities, say).
     """
     basis = rho0.basis
     dim = basis.dimension
@@ -386,41 +416,44 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     if any(t < 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be nonnegative and ascending")
     sectors = basis.sectors
-    h_blocks, jumps = _lindblad_blocks(params, basis)
+    end = times[-1] if times else 0.0
+    n_spans = sum(b > a for a, b in zip([0.0, *times], times))
+    guard = [end] if n_spans > 1 else [0.5 * end] * 2
     at = np.arange(dim)
-    chains = []  # (flat indices into rho, generator) per populated chain
+    chains = []  # (flat indices into rho, vector at each time) per populated chain
+    drift = 0.0
     for d in range(len(sectors)):
         top = max((k for k in range(d, len(sectors))
                    if np.any(rho0.matrix[sectors[k], sectors[k - d]])), default=-1)
-        if top >= d:  # nothing ever flows into an empty chain
-            idx = [(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
-                   for k in range(d, top + 1)]
-            chains.append((np.concatenate(idx), _chain_generator(
-                h_blocks, jumps, params.decay_rate, d, top)))
-    start = [rho0.matrix.ravel()[idx] for idx, _ in chains]
-    snapshots, vectors, prev, n_spans = [], start, 0.0, 0
-    for t in times:
-        if t > prev:
-            vectors = [_expm_action(g, v, t - prev)
-                       for (_, g), v in zip(chains, vectors)]
-            n_spans += 1
-        prev = t
+        if top < d:  # nothing ever flows into an empty chain
+            continue
+        idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
+                              for k in range(d, top + 1)])
+        generator = _cached_chain(params, basis, d)[:len(idx), :len(idx)]
+        v = v0 = rho0.matrix.ravel()[idx]
+        vectors, prev = [], 0.0
+        for t in times:
+            if t > prev:
+                v = _expm_action(generator, v, t - prev)
+            prev = t
+            vectors.append(v)
+        for span in guard:
+            v0 = _expm_action(generator, v0, span)
+        drift = max(drift, float(np.max(np.abs(v0 - v))))
+        chains.append((idx, vectors))
+    if drift > _DRIFT_TOL:
+        raise StepSizeUnstable(drift, _DRIFT_TOL)
+    samples = []
+    for i in range(len(times)):
         rho = np.zeros(dim * dim, dtype=complex)
-        for (idx, _), v in zip(chains, vectors):
-            rho[idx] = v
+        for idx, vectors in chains:
+            rho[idx] = vectors[i]
         rho = rho.reshape(dim, dim)
         rho += rho.conj().T  # the d < 0 blocks are the adjoints
         for s in sectors:
             rho[s, s] *= 0.5  # d = 0: the Hermitian part, scrubbing roundoff
-        snapshots.append(rho)
-    drift = 0.0
-    for (_, g), v0, v in zip(chains, start, vectors):
-        for span in [prev] if n_spans > 1 else [0.5 * prev] * 2:
-            v0 = _expm_action(g, v0, span)
-        drift = max(drift, float(np.max(np.abs(v0 - v))))
-    if drift > _DRIFT_TOL:
-        raise StepSizeUnstable(drift, _DRIFT_TOL)
-    return [MixedState(rho, basis) for rho in snapshots]
+        samples.append(MixedState(rho, basis))
+    return samples
 
 
 def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedState:

@@ -128,6 +128,8 @@ def _run(suite: str, tol: float, preparations) -> SuiteResult:
                     for other in _all_pairs(n)[1:]:
                         rho = fockspace.reduce_to_qubit_pair(state, other, qubit_basis)
                         records.append(PairRecord(suite, n, gt, concurrence(rho)))
+            # let this preparation's states go before the next one propagates
+            samples = state = None
     except CapacityExceeded as exc:
         case_id = f"{suite}/capacity {exc.what}={exc.dimension} limit={exc.limit}"
         return SuiteResult(suite, [_skip(case_id, float("nan"), tol)], [])
@@ -230,9 +232,6 @@ def lindblad_suite(n: int = 2,
             rho0 = fockspace.MixedState(
                 np.outer(psi0.amplitudes, psi0.amplitudes.conj()), basis
             )
-            trajectory = fockspace.lindblad_trajectory(
-                params, rho0, [params.time_from_gt(gt) for gt in grid]
-            )
             yield n, [(
                 f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
                 f"/{parity.name.lower()}/Gt={gt:.10g}",
@@ -241,7 +240,8 @@ def lindblad_suite(n: int = 2,
                     -1j * dissipative.damped_amplitudes(params, gt).v_prime
                     * params.alpha),
                 dissipative.damped_concurrence(params, gt), (),
-            ) for gt, rho in zip(grid, trajectory)]
+            ) for gt, rho in zip(grid, fockspace.lindblad_trajectory(
+                params, rho0, [params.time_from_gt(gt) for gt in grid]))]
 
     return _run("lindblad", _LINDBLAD_TOL, preparations())
 

@@ -1,10 +1,23 @@
 """Shared fixtures: the oracle verification suites are the expensive part of
 the run (the lossy one propagates a master equation over [0, 4pi]), so they
-run once per session and every test reads from the same results."""
+run once per session and every test reads from the same results.
 
-import pytest
+BLAS runs single-threaded unless the caller says otherwise: the oracle's
+matrices are small, so a second thread gains nothing and contends with
+anything else on the host. BLAS reads these variables once, when numpy is
+first imported, so they are set before that import.
+"""
 
-from cavshare import verify
+import os
+import sys
+
+assert "numpy" not in sys.modules, "numpy was imported before the BLAS thread limit"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from cavshare import verify  # noqa: E402
 
 
 @pytest.fixture(scope="session")

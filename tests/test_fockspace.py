@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavshare import (
     CapacityExceeded,
@@ -294,6 +296,44 @@ def test_mixed_state_validation():
         MixedState(matrix=2.0 * eye, basis=basis)
     with pytest.raises(InvalidParameter):
         MixedState(matrix=np.diag([1.1, -0.1, 0.0]).astype(complex), basis=basis)
+
+
+def _with_lowest_eigenvalue(dim: int, lowest: float, seed: int) -> np.ndarray:
+    """A random Hermitian unit-trace matrix whose smallest eigenvalue is
+    lowest: the other eigenvalues share 1 - lowest and each exceeds it."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    eigenvalues = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (q * eigenvalues) @ q.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dim=st.integers(3, 13), seed=st.integers(0, 2**32 - 1),
+       lowest=st.one_of(st.floats(-0.99e-8, 0.0), st.floats(-0.5, -1.01e-8)))
+def test_mixed_state_positivity_matches_eigvalsh(dim, seed, lowest):
+    # the Cholesky test of rho + 1e-8 I and eigvalsh can disagree only within
+    # rounding of lambda_min = -1e-8; the draws stay 1e-10 away from it
+    mat = _with_lowest_eigenvalue(dim, lowest, seed)
+    accepts = lowest >= -1e-8
+    assert (float(np.linalg.eigvalsh(mat).min()) >= -1e-8) == accepts
+    basis = build_basis(dim - 1, 1)
+    if accepts:
+        MixedState(mat, basis)
+    else:
+        with pytest.raises(InvalidParameter, match="negative eigenvalue"):
+            MixedState(mat, basis)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_mixed_state_refuses_nan():
+    basis = build_basis(2, 1)
+    for bad in (np.nan, np.inf):
+        mat = np.eye(3, dtype=complex) / 3.0
+        mat[1, 1] = bad
+        with pytest.raises(InvalidParameter):
+            MixedState(matrix=mat, basis=basis)
 
 
 # --- unitary evolution ---------------------------------------------------------
@@ -608,6 +648,40 @@ def test_lindblad_matches_dense_expm_of_full_generator():
             np.testing.assert_allclose(
                 state.matrix, exact.reshape(rho0.matrix.shape), rtol=0, atol=1e-12
             )
+
+
+def test_lindblad_chain_cache_is_keyed_by_gamma_and_couplings():
+    # a later run on the same basis must not reuse generators built for
+    # another gamma or coupling
+    weights = [1.0, 0.6 + 0.3j, 0.2, 0.1j]
+    times = [0.0, 0.4, 1.3]
+    first = SystemParams(n_crystallites=2, decay_rate=0.13)
+    for other in (SystemParams(n_crystallites=2, decay_rate=0.3),
+                  SystemParams(n_crystallites=2, coupling=1.7, decay_rate=0.13)):
+        shared = build_basis(3, 3)
+        before = lindblad_trajectory(first, _cavity_state(shared, weights), times)
+        reused = lindblad_trajectory(other, _cavity_state(shared, weights), times)
+        fresh_basis = build_basis(3, 3)
+        fresh = lindblad_trajectory(other, _cavity_state(fresh_basis, weights), times)
+        assert not np.allclose(before[-1].matrix, reused[-1].matrix, atol=1e-6)
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_cached_chain_leading_block_is_the_chain_to_its_top():
+    # a state whose chain stops below the cutoff propagates on the leading
+    # principal block of the cached chain: the same matrix, entry order and
+    # all, that the chain built up to that top would be
+    params = SystemParams(n_crystallites=2, decay_rate=0.3)
+    basis = build_basis(3, 4)
+    h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
+    for d in range(basis.max_total + 1):
+        full = fockspace._cached_chain(params, basis, d)
+        for top in range(d, basis.max_total + 1):
+            own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
+            block = full[:own.shape[0], :own.shape[0]]
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, attr), getattr(own, attr))
 
 
 def test_lindblad_is_independent_of_the_global_rng():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cavshare import fockspace
 from cavshare.verify import (
     PairRecord,
     SuiteResult,
@@ -77,6 +78,22 @@ def test_lindblad_small_grid_passes():
     for case in result.cases:
         assert _CASE_PATTERNS["lindblad"].match(case.case_id), case.case_id
         assert case.tolerance == 1e-12
+
+
+def test_lindblad_suite_builds_each_chain_once(monkeypatch):
+    # both cats populate the chains d = 0, 2, ..., 10 of the M = 11 basis;
+    # the second parity reuses the first one's generators
+    built = []
+    build = fockspace._chain_generator
+
+    def counted(*args):
+        built.append(args[3])
+        return build(*args)
+
+    monkeypatch.setattr(fockspace, "_chain_generator", counted)
+    result = lindblad_suite(n_times=1, gt_max=0.1)
+    assert result.counts() == (2, 0, 0)
+    assert sorted(built) == [0, 2, 4, 6, 8, 10]
 
 
 # Worst |closed form - oracle| of each default suite, measured at 1.1e-15
