@@ -2,10 +2,11 @@
 
 Everything here is independent of the closed forms: states are explicit
 occupation vectors (cavity = mode 0, excitons = modes 1..N), unitary
-evolution is exact per total-excitation sector via a dense real symmetric
-eigendecomposition (the couplings are real), and loss, one zero-temperature
-channel per exciton mode, is propagated exactly under the Lindblad
-generator. Times are raw t; multiply by G for Gt.
+evolution is exact per total-excitation sector on the Krylov space the
+state spans there (Lanczos on the real symmetric sector block; the couplings
+are real), and loss, one zero-temperature channel per exciton mode, is
+propagated exactly under the Lindblad generator. Times are raw t; multiply
+by G for Gt.
 """
 
 from __future__ import annotations
@@ -43,9 +44,20 @@ _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
 _LINDBLAD_CAPACITY = 400
 _CAPACITY = 200_000
-# sectors are diagonalised densely: the real float64 eigenvectors of one
-# sector may take at most 128 MiB, which admits up to 4096 states
+# the top sector's real float64 eigenvectors, which
+# SparseHermitian.sector_eigensystems would hold, may take at most 128 MiB:
+# up to 4096 states. Evolution forms no such matrix (unitary_trajectory
+# keeps at most _KRYLOV_VECTORS vectors of a sector, k + 1 for a cat in
+# sector k), so for it the guard is a size limit only
 _SECTOR_BYTES = 128 * 2**20
+# Lanczos breakdown, relative to |H_k|_inf. A cat's basis closes after k + 1
+# vectors: the next off-diagonal there reads 1.4e-16 at N=5, k=9 and
+# 2.3e-14 at N=3, k=27, while every one kept is at least 0.18. Rounding
+# lifts it with k (N=2: 2.4e-12 at k=44, 1.2e-5 at k=89), and a basis that
+# does not close runs on into the whole sector: it is given up after 64
+# vectors
+_BREAKDOWN = 1e-13
+_KRYLOV_VECTORS = 64
 
 
 def _occupations(n_modes: int, max_total: int) -> np.ndarray:
@@ -113,12 +125,24 @@ class FockBasis:
         key = (pair.m, pair.n)
         plan = self._pair_plans.get(key)
         if plan is None:
+            # the rest runs over every configuration of c modes with total
+            # <= M, so its group is its index in ascending lexicographic
+            # order. Appending the slack M - total makes it a state of
+            # sector M of a (c+1)-mode basis, where states run in descending
+            # order, and rank() counts them from C(M - p_j + c-j, c+1-j),
+            # p_j being the prefix totals. Every term is at most C(M+c, c)
+            # <= dimension <= _CAPACITY: int64 is exact
             rest = np.delete(self.occupations, key, axis=1)
-            _, group = np.unique(rest, axis=0, return_inverse=True)
-            group = group.ravel()
+            c, m = rest.shape[1], self.max_total
+            table = np.array([[math.comb(m - p + c - j, c + 1 - j)
+                               for j in range(1, c + 1)] for p in range(m + 1)],
+                             dtype=np.int64).reshape(m + 1, c)
+            n_groups = math.comb(m + c, c)
+            before = table[np.cumsum(rest, axis=1), np.arange(c)].sum(axis=1)
+            group = n_groups - 1 - before
             span = self.max_total + 1
             pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
-            plan = self._pair_plans[key] = (pocc, group, int(group.max()) + 1)
+            plan = self._pair_plans[key] = (pocc, group, n_groups)
         return plan
 
 
@@ -170,7 +194,7 @@ class PureState:
                 f"state length {amp.shape} vs basis dimension {self.basis.dimension}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # `not <=` so that NaN fails
             raise InvalidParameter("amplitudes", f"norm {norm!r} is not 1")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -301,29 +325,73 @@ def _coherent_amplitudes(alpha: complex, max_total: int) -> np.ndarray:
     return out
 
 
+def _krylov_basis(block: sp.csr_matrix, start: np.ndarray):
+    """Orthonormal columns Q spanning the Krylov space of the unit vector
+    start under the real symmetric block, and T = Q^H H Q as its diagonal
+    and off-diagonal: Lanczos, with each new vector orthogonalised twice
+    against all of Q. It stops when the next off-diagonal falls to
+    _BREAKDOWN |H|_inf, where the space is invariant, or the block is full;
+    None if neither happens within _KRYLOV_VECTORS vectors."""
+    floor = _BREAKDOWN * float(abs(block).sum(axis=1).max())
+    q = [start]
+    diag, off = [], []
+    while True:
+        w = block @ q[-1]
+        diag.append(float(np.vdot(q[-1], w).real))
+        rows = np.array(q)
+        for _ in range(2):  # w -= Q Q^H w, without a conjugated copy of Q
+            w -= (rows @ w.conj()).conj() @ rows
+        beta = float(np.linalg.norm(w))
+        if beta <= floor or len(q) == len(start):
+            return rows.T, np.array(diag), np.array(off)
+        if len(q) == _KRYLOV_VECTORS:
+            return None
+        off.append(beta)
+        q.append(w / beta)
+
+
 def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
                        times) -> list[PureState]:
     """psi(t) = exp(-iHt) psi0 at each time, exact per total-excitation sector.
 
-    With the sector block H_k = V diag(lam) V^T, c = V^T psi0 is formed once
-    and every time at once as V [exp(-i lam t) c]. V is real: it multiplies
-    the real and imaginary parts, never a complex copy of itself.
+    Only the sectors psi0 populates are evolved; the rest stay zero. Sector
+    k evolves on the Krylov space of its component psi_k under the block
+    H_k, which exp(-iH_k t) psi_k never leaves (Saad, SIAM J. Numer. Anal.
+    29, 209, 1992): with its basis Q and T = Q^H H_k Q = S diag(theta) S^T,
+    every time at once is |psi_k| (QS) [exp(-i theta t) S[0]]. A cat or a
+    single photon spans k + 1 vectors of the sector, however large it is.
+    A sector whose basis has not closed within _KRYLOV_VECTORS vectors (a
+    cat at N=2 past k of about 35, a random state in a large sector) is
+    stepped through the samples in ascending time by expm_multiply instead.
+    No dense eigensolve runs, and nothing is renormalised: PureState's norm
+    check guards the result.
     """
+    from scipy.linalg import eigh_tridiagonal  # only the oracle needs it
     if hamiltonian.basis is not psi0.basis and (
         hamiltonian.dimension != psi0.basis.dimension
         or hamiltonian.basis.n_modes != psi0.basis.n_modes
     ):
         raise DimensionMismatch("state and Hamiltonian bases differ")
     times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), hamiltonian.dimension), dtype=complex)
-    for s, (lam, vec) in zip(hamiltonian.basis.sectors,
-                             hamiltonian.sector_eigensystems()):
+    out = np.zeros((len(times), hamiltonian.dimension), dtype=complex)
+    full = hamiltonian.to_csr()
+    for s in hamiltonian.basis.sectors:
         psi = psi0.amplitudes[s]
-        coeff = np.exp(-1j * np.outer(lam, times)) * (
-            vec.T @ psi.real + 1j * (vec.T @ psi.imag))[:, None]
-        # one real GEMM on the coefficients viewed as interleaved float64
-        out[:, s] = (vec @ coeff.view(np.float64)).view(complex).T
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+        if not psi.any():
+            continue
+        norm = np.linalg.norm(psi)
+        block = full[s, s]
+        krylov = _krylov_basis(block, psi / norm)
+        if krylov is None:  # from sample to sample instead
+            generator, v, prev = -1j * block, psi, 0.0
+            for i in np.argsort(times):
+                v = out[i, s] = _expm_action(generator, v, times[i] - prev)
+                prev = times[i]
+            continue
+        q, diag, off = krylov
+        theta, vec = eigh_tridiagonal(diag, off)
+        coeff = np.exp(-1j * np.outer(theta, times)) * (norm * vec[0])[:, None]
+        out[:, s] = ((q @ vec) @ coeff).T
     return [PureState(amp, psi0.basis) for amp in out]
 
 

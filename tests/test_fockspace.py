@@ -35,6 +35,7 @@ from cavshare import (
     single_photon_pair_density,
 )
 from cavshare import fockspace
+from cavshare.verify import cat_suite
 from cavshare.fockspace import (
     FockBasis,
     MixedState,
@@ -135,7 +136,7 @@ def test_sector_guard_refuses_from_sizes_alone(monkeypatch):
     assert (info.value.what, info.value.dimension) == ("sector", math.comb(19, 10))
     assert "sector 92378" in str(info.value)
     monkeypatch.undo()
-    # the largest sector the large-sector benchmark diagonalises still fits
+    # the largest sector of the large-sector benchmark's basis still fits
     assert max(s.stop - s.start for s in build_basis(6, 9).sectors) == 2002
 
 
@@ -284,6 +285,11 @@ def test_pure_state_validation():
         PureState(amplitudes=np.array([1.0, 0.0], dtype=complex), basis=basis)
 
 
+def test_pure_state_refuses_nan():
+    with pytest.raises(InvalidParameter):
+        PureState(np.array([np.nan, 0, 0], dtype=complex), build_basis(2, 1))
+
+
 def test_mixed_state_validation():
     basis = build_basis(2, 1)
     eye = np.eye(3, dtype=complex) / 3.0
@@ -373,6 +379,109 @@ def test_unitary_trajectory_matches_dense_expm():
         alone = evolve_unitary(ham, psi0, t)
         np.testing.assert_allclose(psi.amplitudes, alone.amplitudes, rtol=0,
                                    atol=1e-15)
+
+
+@pytest.mark.parametrize("parity", list(ParityKind))
+def test_unitary_trajectory_matches_sector_spectra_for_anisotropic_cat(parity):
+    # a cat with a complex field phase under five unequal couplings, against
+    # V exp(-i lam t) V^T psi0 from the dense spectrum of every sector
+    params = SystemParams(n_crystallites=5, intensity=0.1, parity=parity,
+                          field_phase=0.7)
+    basis = build_basis(6, minimum_truncation(params.intensity))
+    ham = build_hamiltonian(CouplingProfile(couplings=(1.0, 0.4, 2.2, 0.7, 1.5)), basis)
+    psi0 = _cat_state(params, basis)
+    times = [0.0, 0.4, 1.3, 2.9]
+    for t, psi in zip(times, unitary_trajectory(ham, psi0, times)):
+        exact = np.zeros(basis.dimension, dtype=complex)
+        for s, (lam, vec) in zip(basis.sectors, ham.sector_eigensystems()):
+            exact[s] = vec @ (np.exp(-1j * lam * t) * (vec.T @ psi0.amplitudes[s]))
+        np.testing.assert_allclose(psi.amplitudes, exact, rtol=0, atol=1e-13)
+
+
+def _random_state(basis: FockBasis, sectors, seed: int) -> PureState:
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(basis.dimension, dtype=complex)
+    for k in sectors:
+        size = basis.sectors[k].stop - basis.sectors[k].start
+        amps[basis.sectors[k]] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return PureState(amps / np.linalg.norm(amps), basis)
+
+
+def test_unitary_trajectory_leaves_unpopulated_sectors_empty():
+    profile = CouplingProfile(couplings=(1.0, 2.5))
+    basis = build_basis(3, 4)
+    hamiltonian = _dense_hamiltonian(profile, basis)
+    psi0 = _random_state(basis, (1, 3), seed=11)
+    times = [0.0, 0.8, 3.1]
+    states = unitary_trajectory(build_hamiltonian(profile, basis), psi0, times)
+    for t, psi in zip(times, states):
+        exact = scipy.linalg.expm(-1j * hamiltonian * t) @ psi0.amplitudes
+        np.testing.assert_allclose(psi.amplitudes, exact, rtol=0, atol=1e-14)
+        for k in (0, 2, 4):
+            assert not psi.amplitudes[basis.sectors[k]].any()
+
+
+def test_unitary_trajectory_of_no_times_is_empty():
+    basis = build_basis(3, 2)
+    ham = build_hamiltonian(CouplingProfile.isotropic(1.0, 2), basis)
+    assert unitary_trajectory(ham, prepare_initial(SinglePhoton(), basis), []) == []
+
+
+def test_unitary_trajectory_steps_a_sector_whose_basis_does_not_close(monkeypatch):
+    # with room for two Krylov vectors, every wider sector goes from sample
+    # to sample through expm_multiply; the samples come back in their order.
+    # Stepping up to t = 5 agrees with expm to 1.2e-14
+    monkeypatch.setattr(fockspace, "_KRYLOV_VECTORS", 2)
+    profile = CouplingProfile(couplings=(1.0, 2.5))
+    basis = build_basis(3, 3)
+    hamiltonian = _dense_hamiltonian(profile, basis)
+    psi0 = _random_state(basis, range(4), seed=5)
+    times = [1.7, 0.0, 5.0, 0.3, 1.7]
+    states = unitary_trajectory(build_hamiltonian(profile, basis), psi0, times)
+    for t, psi in zip(times, states):
+        exact = scipy.linalg.expm(-1j * hamiltonian * t) @ psi0.amplitudes
+        np.testing.assert_allclose(psi.amplitudes, exact, rtol=0, atol=3e-14)
+
+
+def test_unitary_trajectory_keeps_high_sectors_of_a_large_cat_exact():
+    # at N=2, |alpha|^2 = 12 rounding keeps the top sectors' Krylov bases
+    # from closing, so they take the expm_multiply path. Relative to each
+    # sector's weight both paths agree with its dense spectrum to 1.7e-14
+    params = SystemParams(n_crystallites=2, intensity=12.0, parity=ParityKind.EVEN)
+    basis = build_basis(3, minimum_truncation(params.intensity))
+    ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
+    psi0 = _cat_state(params, basis)
+    times = [0.6, 2.2]
+    states = unitary_trajectory(ham, psi0, times)
+    full = ham.to_csr()
+    paths = []
+    for k in range(30, basis.max_total + 1, 2):
+        s = basis.sectors[k]
+        weight = np.linalg.norm(psi0.amplitudes[s])
+        paths.append(fockspace._krylov_basis(full[s, s], psi0.amplitudes[s] / weight))
+        lam, vec = np.linalg.eigh(full[s, s].toarray())
+        for t, psi in zip(times, states):
+            exact = vec @ (np.exp(-1j * lam * t) * (vec.T @ psi0.amplitudes[s]))
+            np.testing.assert_allclose(psi.amplitudes[s] / weight, exact / weight,
+                                       rtol=0, atol=5e-14)
+    assert paths[-1] is None and paths[0] is not None
+
+
+def test_cat_suite_runs_without_dense_sector_eigensolves(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("dense eigensolve of a sector")
+
+    eigh = np.linalg.eigh
+
+    def two_qubits_only(a, *args, **kwargs):
+        if np.shape(a)[-1] > 4:
+            refuse()
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(SparseHermitian, "sector_eigensystems", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", two_qubits_only)
+    result = cat_suite(n=5, intensities=(0.25,), n_times=2)
+    assert [case.status for case in result.cases] == ["pass"] * 4
 
 
 def test_vacuum_is_stationary():
@@ -518,6 +627,18 @@ def test_pair_reduction_matches_reference_partial_trace():
         expected = _reference_reduction(matrix, basis, pair, kets)
         reduced = reduce_to_qubit_pair(state, pair, qubits)
         np.testing.assert_allclose(reduced.entries, expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_modes, max_total", [(3, 5), (4, 4), (6, 3), (7, 2)])
+def test_pair_plan_groups_rank_the_other_modes_lexicographically(n_modes, max_total):
+    # the groups np.unique gives the rows of the other modes' occupations
+    basis = build_basis(n_modes, max_total)
+    for m, n in itertools.combinations(range(1, n_modes), 2):
+        _, group, n_groups = basis.pair_plan(PairIndex(m, n))
+        rows, expected = np.unique(np.delete(basis.occupations, (m, n), axis=1),
+                                   axis=0, return_inverse=True)
+        np.testing.assert_array_equal(group, expected.ravel())
+        assert n_groups == len(rows)
 
 
 def test_pair_reduction_bounds_check():
