@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import CouplingProfile, PairIndex, ParityKind, SinglePhoton, SystemParams
-from .optimize import _PEAK_GT, optimal_intensity
+from .optimize import _PEAK_GT, OptimumReport, optimal_intensity
 
 _COMMANDS = ("figure", "sweep", "optimize", "verify")
 
@@ -69,62 +69,62 @@ def _axis(cfg: RunConfig, default_start: float, default_stop: float,
     return start, stop, points
 
 
-# Row functions of the figure table: (parity, N, |alpha|^2, grid) -> rows.
-# Each validates the parameters it uses.
+# Column functions of the figure table: (parity, N, |alpha|^2, grid) ->
+# columns. Each validates the parameters it uses.
 
-def _fig1_rows(parity, n, x, gts):
+def _fig1_columns(parity, n, x, gts):
     params = SystemParams(n_crystallites=n)
     profile = CouplingProfile.isotropic(1.0, n)
-    return zip(gts,
-               analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
-               analytic.mean_photon_number(params, gts, SinglePhoton()))
+    return (gts,
+            analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
+            analytic.mean_photon_number(params, gts, SinglePhoton()))
 
 
-def _surface_rows(parity, n, x, gts):
+def _surface_columns(parity, n, x, gts):
     SystemParams(n_crystallites=n, parity=parity)  # validates N
     xs = _grid(*_FIG2_INTENSITY_AXIS)
     surface = analytic.cat_concurrence(n, parity, xs, gts[:, None])
-    return zip(np.repeat(gts, xs.size), np.tile(xs, gts.size), surface.ravel())
+    return np.repeat(gts, xs.size), np.tile(xs, gts.size), surface.ravel()
 
 
-def _peak_rows(parity, n, x, xs):
+def _peak_columns(parity, n, x, xs):
     for end in (xs[0], xs[-1]):  # the grid is monotone: its ends bound it
         SystemParams(n_crystallites=2, intensity=end, parity=parity)
     ns = np.array(_FIG2CD_N)
     curves = analytic.cat_concurrence(ns[:, None], parity, xs, _PEAK_GT)
-    return zip(np.tile(xs, ns.size), curves.ravel(), np.repeat(ns, xs.size))
+    return np.tile(xs, ns.size), curves.ravel(), np.repeat(ns, xs.size)
 
 
-def _fig3_rows(parity, n, x, grid):
+def _fig3_columns(parity, n, x, grid):
     xs = np.array(_FIG3_INTENSITIES)[:, None]
     ns = np.arange(2, 11)
     odd, even = (analytic.cat_concurrence(ns, parity, xs, _PEAK_GT)
                  for parity in (ParityKind.ODD, ParityKind.EVEN))
-    return zip(np.repeat(xs, ns.size), np.tile(ns, xs.size), odd.ravel(),
-               even.ravel(), np.tile(2.0 / ns, xs.size))
+    return (np.repeat(xs, ns.size), np.tile(ns, xs.size), odd.ravel(),
+            even.ravel(), np.tile(2.0 / ns, xs.size))
 
 
-def _fig4_rows(parity, n, x, gts):
+def _fig4_columns(parity, n, x, gts):
     systems = [
         SystemParams(n_crystallites=n, decay_rate=ratio, intensity=x, parity=parity)
         for ratio in (0.13, 0.5)
         for parity in (ParityKind.ODD, ParityKind.EVEN)
     ]
-    return zip(gts, *(dissipative.damped_concurrence(params, gts)
-                      for params in systems))
+    return (gts, *(dissipative.damped_concurrence(params, gts)
+                   for params in systems))
 
 
 @dataclass(frozen=True)
 class _Figure:
     """One figure: the default (start, stop, points) of its grid keys (None:
-    it has no grid), its CSV columns, the metadata keys it writes between
-    the figure name and the grid keys, its parity, and its row function."""
+    it has no grid), its CSV header, the metadata keys it writes between
+    the figure name and the grid keys, its parity, and its column function."""
 
     axis: tuple[float, float, int] | None
     header: tuple[str, ...]
     meta: tuple[str, ...]
     parity: ParityKind | None
-    rows: Callable[..., Iterable]
+    columns: Callable[..., Sequence]
 
 
 _SURFACE = ("Gt", "intensity", "concurrence")
@@ -134,21 +134,21 @@ _PEAKS = ("intensity", "max_concurrence", "N")
 # parities and two decay ratios, in wide columns.
 _FIGURES = {
     "fig1": _Figure(_TIME_AXIS, ("Gt", "concurrence", "mean_photon"),
-                    ("N",), None, _fig1_rows),
+                    ("N",), None, _fig1_columns),
     "fig2a": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.ODD,
-                     _surface_rows),
+                     _surface_columns),
     "fig2b": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.EVEN,
-                     _surface_rows),
+                     _surface_columns),
     "fig2c": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.ODD,
-                     _peak_rows),
+                     _peak_columns),
     "fig2d": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.EVEN,
-                     _peak_rows),
+                     _peak_columns),
     "fig3": _Figure(None, ("intensity", "N", "max_concurrence_odd",
                            "max_concurrence_even", "two_over_N"),
-                    (), None, _fig3_rows),
+                    (), None, _fig3_columns),
     "fig4": _Figure((0.0, 6.0 * math.pi, 2401),
                     ("Gt", "odd_gamma_0.13", "even_gamma_0.13", "odd_gamma_0.5",
-                     "even_gamma_0.5"), ("N", "alpha2"), None, _fig4_rows),
+                     "even_gamma_0.5"), ("N", "alpha2"), None, _fig4_columns),
 }
 
 
@@ -202,29 +202,37 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, ParityKind):
-        return value.name.lower()
-    return str(value)
+def _spec(value) -> str:
+    """%.17g for a float (numpy's included), %s for text and integers."""
+    return "%.17g" if isinstance(value, float) else "%s"
 
 
-def _write_csv(path: str, meta: list[tuple[str, object]], header: list[str],
-               rows) -> int:
+def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
+               columns: Sequence[Sequence]) -> int:
     """Write the metadata line, the header and the rows; return the row count.
 
-    Rows stream to the file one line at a time, so a figure's text never
-    sits in memory whole; callers compute every value before writing.
+    The row format is chosen once per table from the first value of each
+    column; every command writes at least one row. Rows stream to the file
+    one line at a time, so a figure's text never sits in memory whole;
+    callers compute every value before writing.
     """
+    fmt = ",".join(_spec(column[0]) for column in columns) + "\n"
     count = 0
     with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta) + "\n")
+        handle.write("# " + " ".join(f"{k}={_spec(v) % v}" for k, v in meta)
+                     + "\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*columns):
+            handle.write(fmt % row)
             count += 1
     return count
+
+
+def _field_columns(records: list, cls) -> tuple[list[str], list[list]]:
+    """The field names of dataclass cls and a column per field of records."""
+    names = [field.name for field in fields(cls)]
+    return names, [[getattr(record, name) for record in records]
+                   for name in names]
 
 
 def run_figure(cfg: RunConfig) -> tuple[str, int]:
@@ -232,7 +240,7 @@ def run_figure(cfg: RunConfig) -> tuple[str, int]:
     out = cfg.out if cfg.out is not None else f"{cfg.figure}.csv"
     n = cfg.n if cfg.n is not None else 3
     x = cfg.alpha2 if cfg.alpha2 is not None else 1.0
-    values = {"N": n, "alpha2": x, "parity": fig.parity}
+    values = {"N": n, "alpha2": x, "parity": getattr(fig.parity, "value", None)}
     meta = [("command", "figure"), ("figure", cfg.figure)]
     meta += [(key, values[key]) for key in fig.meta]
     grid = None
@@ -240,8 +248,8 @@ def run_figure(cfg: RunConfig) -> tuple[str, int]:
         start, stop, points = _axis(cfg, *fig.axis)
         grid = _grid(start, stop, points)
         meta += [("t_start", start), ("t_stop", stop), ("points", points)]
-    rows = fig.rows(fig.parity, n, x, grid)
-    count = _write_csv(out, meta + [("out", out)], list(fig.header), rows)
+    columns = fig.columns(fig.parity, n, x, grid)
+    count = _write_csv(out, meta + [("out", out)], fig.header, columns)
     return out, count
 
 
@@ -263,9 +271,9 @@ def run_sweep(cfg: RunConfig) -> tuple[str, int]:
     else:
         values = analytic.coherent_concurrence(params, gts)
     meta = [("command", "sweep"), ("N", n), ("g", g), ("gamma_over_g", ratio),
-            ("alpha2", x), ("parity", parity), ("t_start", start),
+            ("alpha2", x), ("parity", parity.value), ("t_start", start),
             ("t_stop", stop), ("points", points), ("out", out)]
-    count = _write_csv(out, meta, ["Gt", "concurrence"], zip(gts, values))
+    count = _write_csv(out, meta, ["Gt", "concurrence"], [gts, values])
     return out, count
 
 
@@ -273,22 +281,13 @@ def run_optimize(cfg: RunConfig) -> tuple[str, int]:
     out = cfg.out if cfg.out is not None else "optimize.csv"
     parity = cfg.parity if cfg.parity is not None else ParityKind.ODD
     n_values = [cfg.n] if cfg.n is not None else list(range(2, 11))
-    rows = []
-    for n in n_values:
-        report = optimal_intensity(n, parity)
-        rows.append((
-            n, parity, report.intensity, report.concurrence, report.method,
-            report.residual, report.iterations,
-        ))
-    meta = [("command", "optimize"), ("parity", parity), ("out", out)]
+    names, columns = _field_columns(
+        [optimal_intensity(n, parity) for n in n_values], OptimumReport)
+    meta = [("command", "optimize"), ("parity", parity.value), ("out", out)]
     if cfg.n is not None:
         meta.insert(1, ("N", cfg.n))
-    count = _write_csv(
-        out, meta,
-        ["N", "parity", "intensity", "concurrence", "method", "residual",
-         "iterations"],
-        rows,
-    )
+    count = _write_csv(out, meta, ["N", "parity", *names],
+                       [n_values, [parity.value] * len(n_values), *columns])
     return out, count
 
 
@@ -308,23 +307,10 @@ def run_verify(cfg: RunConfig) -> int:
         if value is not None:
             meta.append((key, value))
     meta.append(("out", out))
-    rows = (
-        (case.case_id, case.analytic, case.oracle, case.abs_error,
-         case.tolerance, case.status)
-        for result in results
-        for case in result.cases
-    )
-    _write_csv(
-        out, meta,
-        ["case_id", "analytic", "oracle", "abs_error", "tolerance", "status"],
-        rows,
-    )
-    n_pass = n_fail = n_skip = 0
-    for result in results:
-        p, f, s = result.counts()
-        n_pass += p
-        n_fail += f
-        n_skip += s
+    _write_csv(out, meta, *_field_columns(
+        [case for result in results for case in result.cases],
+        verify_mod.VerifyCase))
+    n_pass, n_fail, n_skip = map(sum, zip(*(r.counts() for r in results)))
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skip -> {out}")
     if n_fail:
         return 2

@@ -40,11 +40,12 @@ def _density(entries) -> np.ndarray:
     """A private read-only copy of a 4x4 density matrix, once its hygiene
     (Hermiticity, unit trace, positivity) is checked."""
     mat = _as_matrix(entries).copy()
-    if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
+    # `not <=` so that a NaN entry fails each check
+    if not np.max(np.abs(mat - mat.conj().T)) <= _HERMITICITY_TOL:
         raise NotADensityMatrix("not Hermitian within 1e-12")
-    if abs(np.trace(mat) - 1.0) > _TRACE_TOL:
+    if not abs(np.trace(mat) - 1.0) <= _TRACE_TOL:
         raise NotADensityMatrix("trace differs from 1 beyond 1e-10")
-    if np.linalg.eigvalsh(mat).min() < _EIGENVALUE_FLOOR:
+    if not np.linalg.eigvalsh(mat).min() >= _EIGENVALUE_FLOOR:
         raise NotADensityMatrix("negative eigenvalue beyond -1e-10")
     mat.setflags(write=False)
     return mat

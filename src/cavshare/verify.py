@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, dissipative, fockspace
 from .entanglement import concurrence
-from .errors import CapacityExceeded, DegenerateBasis
+from .errors import CapacityExceeded, DegenerateBasis, InvalidParameter
 from .model import (
     Cat,
     CouplingProfile,
@@ -90,6 +90,10 @@ def _skip(case_id: str, reference: float, tol: float) -> VerifyCase:
 
 
 def _interior_grid(gt_max: float, n_times: int) -> list[float]:
+    if n_times < 1:
+        raise InvalidParameter("points", "verify needs at least 1 sample")
+    if not 0.0 < gt_max < math.inf:
+        raise InvalidParameter("t_stop", "verify needs a finite t_stop > 0")
     return [(k + 0.5) * gt_max / n_times for k in range(n_times)]
 
 

@@ -22,7 +22,7 @@ from cavshare import (
 )
 from cavshare import cli
 from cavshare.dissipative import damped_concurrence
-from cavshare.verify import SuiteResult, VerifyCase
+from cavshare.verify import SuiteResult, VerifyCase, run_all
 
 
 def _read_csv(path):
@@ -291,6 +291,32 @@ def test_verify_small_run_passes(tmp_path, monkeypatch, capsys):
     assert suites == {"single_photon", "cat", "lindblad"}
 
 
+def test_verify_cells_read_back_exactly(tmp_path, monkeypatch):
+    # text columns print as they are, numeric ones at 17 significant
+    # digits, which read back to the same double; a NaN prints as nan
+    monkeypatch.chdir(tmp_path)
+    assert cli.entrypoint(["--command", "verify", "--points", "2",
+                           "--t_stop", "0.8"]) == 0
+    _, header, rows = _read_csv(tmp_path / "verify.csv")
+    cases = [case for result in run_all(n_times=2, gt_max=0.8)
+             for case in result.cases]
+    assert len(rows) == len(cases)
+    numeric = ("analytic", "oracle", "abs_error", "tolerance")
+    for row, case in zip(rows, cases):
+        assert row[0] == case.case_id and row[5] == case.status
+        for name in numeric:
+            cell = float(row[header.index(name)])
+            assert cell.hex() == float(getattr(case, name)).hex()
+    assert cli.entrypoint(["--command", "verify", "--N", "12", "--points", "2",
+                           "--t_stop", "0.8"]) == 3
+    _, header, rows = _read_csv(tmp_path / "verify.csv")
+    skips = [row for row in rows if row[5] == "skip"]
+    assert len(skips) == 2
+    for row in skips:
+        assert row[1:4] == ["nan", "nan", "nan"]
+        assert math.isfinite(float(row[4]))
+
+
 def test_verify_capacity_overflow_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.entrypoint(["--command", "verify", "--N", "12", "--points", "2",
@@ -361,6 +387,13 @@ def test_verify_failures_exit_two(tmp_path, monkeypatch, capsys):
         ["--t_stop", "-1.0"],
         ["--command", "sweep", "--gamma_over_g", "-0.5"],
         ["--not-a-flag"],
+        # verify refuses a grid that samples nothing
+        ["--command", "verify", "--points", "0"],
+        ["--command", "verify", "--points", "-3"],
+        ["--command", "verify", "--t_stop", "0"],
+        ["--command", "verify", "--t_stop", "-1.0"],
+        ["--command", "verify", "--t_stop", "nan"],
+        ["--command", "verify", "--t_stop", "inf"],
     ],
 )
 def test_bad_input_exits_one(tmp_path, monkeypatch, argv, capsys):

@@ -144,6 +144,21 @@ def test_rejects_non_density_inputs():
         concurrence(negative)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entries", [[(0, 0)], [(0, 3), (3, 0)], [(1, 2)]])
+def test_rejects_non_finite_entries(value, entries):
+    # a NaN slips past `>` comparisons; each check must refuse it, not leave
+    # the eigensolver to fail on it
+    rho = 0.8 * _pure(_BELL) + 0.2 * np.eye(4) / 4.0
+    for index in entries:
+        rho[index] = value
+    with pytest.raises(NotADensityMatrix):
+        TwoQubitDensity(entries=rho, basis_tag=NumberBasis())
+    with pytest.raises(NotADensityMatrix):
+        concurrence(rho)
+
+
 def test_tiny_negative_rounding_is_clamped():
     rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
     assert concurrence(rho) == 0.0
