@@ -58,6 +58,20 @@ _SECTOR_BYTES = 128 * 2**20
 # vectors
 _BREAKDOWN = 1e-13
 _KRYLOV_VECTORS = 64
+# theta_m of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 488, 2011): the
+# largest ||tA||_1 at which the degree-m Taylor series of exp(tA) keeps its
+# backward error within 2^-53. Up to m = 30 from Higham and Al-Mohy, Acta
+# Numer. 19, 159, 2010, Table A.3; beyond, from Table 3.1 of the former
+_THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+          6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+          11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+          16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62,
+          22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86,
+          28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5,
+          55: 9.9}
+# condition (3.13) for one vector, m_max = 55, p_max = 8 and ell = 2: below
+# it ||tA||_1 alone picks the degree, above it d_p = ||A^p||_1^(1/p) do
+_NORM_ONLY = 2 * 2 * 8 * (8 + 3) * (_THETA[55] / 55)
 
 
 def _occupations(n_modes: int, max_total: int) -> np.ndarray:
@@ -103,8 +117,12 @@ class FockBasis:
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
-        self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
+        # group-sorted states and group boundaries per pair, for mixed states
+        self._group_blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain
+        # generator}, {(d, populated length): its _ShiftedNorms})
+        self._lindblad_chains: dict[tuple[tuple, float],
+                                    tuple[list, list, dict, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis: the
@@ -144,6 +162,17 @@ class FockBasis:
             pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
             plan = self._pair_plans[key] = (pocc, group, n_groups)
         return plan
+
+    def group_blocks(self, pair: PairIndex) -> tuple[np.ndarray, np.ndarray]:
+        """The pair plan's states sorted by group, and where each group
+        starts and ends in that order: group g is order[bounds[g]:bounds[g+1]]."""
+        key = (pair.m, pair.n)
+        blocks = self._group_blocks.get(key)
+        if blocks is None:
+            _, group, n_groups = self.pair_plan(pair)
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
+            blocks = self._group_blocks[key] = (np.argsort(group, kind="stable"), bounds)
+        return blocks
 
 
 class SparseHermitian:
@@ -210,8 +239,14 @@ class MixedState:
         d = self.basis.dimension
         if mat.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
-        # `not <=` so that NaN fails here: the Cholesky below may accept it
-        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
+        # max |mat - mat^H|^2 over two real temporaries, its real and
+        # imaginary parts squared in place; `not <=` so that NaN fails here:
+        # the Cholesky below may accept it
+        skew, imag = mat.real - mat.real.T, mat.imag + mat.imag.T
+        skew *= skew
+        imag *= imag
+        skew += imag
+        if not np.max(skew) <= 1e-20:
             raise InvalidParameter("matrix", "not Hermitian within 1e-10")
         if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidParameter("matrix", "trace differs from 1 beyond 1e-8")
@@ -362,7 +397,7 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
     single photon spans k + 1 vectors of the sector, however large it is.
     A sector whose basis has not closed within _KRYLOV_VECTORS vectors (a
     cat at N=2 past k of about 35, a random state in a large sector) is
-    stepped through the samples in ascending time by expm_multiply instead.
+    stepped through the samples in ascending time by _expm_step instead.
     No dense eigensolve runs, and nothing is renormalised: PureState's norm
     check guards the result.
     """
@@ -384,8 +419,9 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
         krylov = _krylov_basis(block, psi / norm)
         if krylov is None:  # from sample to sample instead
             generator, v, prev = -1j * block, psi, 0.0
+            norms = _shifted_norms(generator)
             for i in np.argsort(times):
-                v = out[i, s] = _expm_action(generator, v, times[i] - prev)
+                v = out[i, s] = _expm_step(generator, norms, v, times[i] - prev)
                 prev = times[i]
             continue
         q, diag, off = krylov
@@ -401,7 +437,8 @@ def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> P
 
 def _lindblad_blocks(params: SystemParams, basis: FockBasis):
     """Per-sector blocks of H_eff = H - i(gamma/2) sum_j n_j, and per sector
-    k the blocks of each lowering operator b_j from sector k+1 into k."""
+    k the blocks of each lowering operator b_j from sector k+1 into k, all
+    in COO form."""
     h_eff = build_hamiltonian(CouplingProfile.from_params(params), basis).to_csr()
     occ = basis.occupations
     lowerings = []
@@ -414,52 +451,155 @@ def _lindblad_blocks(params: SystemParams, basis: FockBasis):
             lowerings.append(sp.csr_matrix((np.sqrt(occ[src, j]), (dst, src)),
                                            shape=h_eff.shape))
     sectors = basis.sectors
-    jumps = [[b[lo, hi] for b in lowerings] for lo, hi in zip(sectors, sectors[1:])]
-    return [h_eff[s, s] for s in sectors], jumps
+    jumps = [[b[lo, hi].tocoo() for b in lowerings]
+             for lo, hi in zip(sectors, sectors[1:])]
+    return [h_eff[s, s].tocoo() for s in sectors], jumps
+
+
+def _kron_entries(a, b, b_shape, row0: int, col0: int):
+    """Rows, columns and values of kron(A, B), offset by (row0, col0), from
+    the (rows, columns, values) a of A and b of B, and the shape of B."""
+    rows = (a[0][:, None] * b_shape[0] + b[0]).ravel() + row0
+    cols = (a[1][:, None] * b_shape[1] + b[1]).ravel() + col0
+    return rows, cols, (a[2][:, None] * b[2]).ravel()
 
 
 def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
     """Generator on the stacked row-major vecs of rho[k, k-d], k = d..top.
     As vec(A X B) = (A kron B^T) vec(X), block (k, l) evolves by
     -i(H_k kron I - I kron conj(H_l)) and is fed from (k+1, l+1) by
-    gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal."""
-    n = top - d + 1
-    grid = [[None] * n for _ in range(n)]
-    for i, k in enumerate(range(d, top + 1)):
-        grid[i][i] = sp.kronsum(1j * h_blocks[k - d].conj(), -1j * h_blocks[k])
-        if i + 1 < n and jumps[k]:
-            grid[i][i + 1] = gamma * sum(
-                sp.kron(bk, bl.conj()) for bk, bl in zip(jumps[k], jumps[k - d]))
-    return sp.bmat(grid, format="csr")
+    gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal.
+    Every term's entries are listed at their block's offset and summed in
+    one conversion to CSR."""
+    ks = range(d, top + 1)
+    starts = np.cumsum([0] + [h_blocks[k].shape[0] * h_blocks[k - d].shape[0]
+                              for k in ks])
+    entries = []
+    for i, k in enumerate(ks):
+        hk, hl = h_blocks[k], h_blocks[k - d]
+        eye_k, eye_l = ((np.arange(n), np.arange(n), np.ones(n))
+                        for n in (hk.shape[0], hl.shape[0]))
+        at = starts[i]
+        entries.append(_kron_entries((hk.row, hk.col, -1j * hk.data), eye_l,
+                                     hl.shape, at, at))
+        entries.append(_kron_entries(eye_k, (hl.row, hl.col, 1j * hl.data.conj()),
+                                     hl.shape, at, at))
+        if k < top:
+            for bk, bl in zip(jumps[k], jumps[k - d]):
+                rows, cols, vals = _kron_entries((bk.row, bk.col, bk.data),
+                                                 (bl.row, bl.col, bl.data.conj()),
+                                                 bl.shape, at, starts[i + 1])
+                entries.append((rows, cols, gamma * vals))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(starts[-1], starts[-1]))
+
+
+def _chain_cache(params: SystemParams, basis: FockBasis):
+    """The basis's Lindblad cache entry for (couplings, gamma), the only
+    parameters the chains depend on, made on first use: (H_eff blocks, jump
+    blocks, {d: chain generator}, {(d, length): _ShiftedNorms})."""
+    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
+    entry = basis._lindblad_chains.get(key)
+    if entry is None:
+        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {}, {})
+    return entry
 
 
 def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
     """The generator of chain d from k = d up to the cutoff, built on first
-    use and kept on the basis per (couplings, gamma), the only parameters it
-    depends on. A chain that stops at an earlier top is its leading
-    principal block."""
-    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
-    entry = basis._lindblad_chains.get(key)
-    if entry is None:
-        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
-    h_blocks, jumps, chains = entry
+    use and kept on the basis. A chain that stops at an earlier top is its
+    leading principal block."""
+    h_blocks, jumps, chains, _ = _chain_cache(params, basis)
     if d not in chains:
         chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
                                      d, basis.max_total)
     return chains[d]
 
 
-def _expm_action(generator, v: np.ndarray, span: float) -> np.ndarray:
-    """exp(span * generator) v (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-    2011). Its norm estimator may draw from numpy's global RNG: a fixed draw,
-    restored afterwards, keeps the result and the caller's stream apart."""
-    from scipy.sparse.linalg import expm_multiply  # 75 ms; only the oracle needs it
+@dataclass
+class _ShiftedNorms:
+    """What fixes the Taylor degree and step count of _expm_step for one
+    generator A at every span: the trace shift mu = tr(A)/n, the exact
+    ||A - mu I||_1, and d_p = ||(A - mu I)^p||_1^(1/p) for p = 2..9, which
+    only long spans need and which are estimated on first need. Scalars
+    only, so a cache of them holds no matrix."""
+    mu: complex
+    norm1: float
+    d: tuple[float, ...] = ()
+
+
+def _shifted_norms(a: sp.csr_matrix) -> _ShiftedNorms:
+    """mu and ||A - mu I||_1 of a CSR generator A; the d_p wait for a long span."""
+    n = a.shape[0]
+    diag = a.diagonal()
+    mu = diag.sum() / n
+    # the column abs-sums of A - mu I without forming it: only each
+    # column's diagonal entry changes, from |a_jj| to |a_jj - mu|
+    cols = np.bincount(a.indices, weights=np.abs(a.data), minlength=n)
+    return _ShiftedNorms(mu, float(np.max(cols - np.abs(diag) + np.abs(diag - mu))))
+
+
+def _power_norm_roots(a: sp.csr_matrix, mu: complex) -> tuple[float, ...]:
+    """d_p = ||(A - mu I)^p||_1^(1/p), p = 2..9, by onenormest. It draws
+    from numpy's global RNG: a fixed draw, restored afterwards, keeps the
+    estimates and the caller's stream apart."""
+    from scipy.sparse.linalg import aslinearoperator, onenormest  # 75 ms; rarely needed
+    eye = sp.identity(a.shape[0], dtype=a.dtype, format="csr")
+    shifted = aslinearoperator(a) - complex(mu) * aslinearoperator(eye)
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        return expm_multiply(generator * span, v)
+        return tuple(float(onenormest(shifted ** p)) ** (1.0 / p) for p in range(2, 10))
     finally:
         np.random.set_state(state)
+
+
+def _taylor_parameters(a: sp.csr_matrix, norms: _ShiftedNorms, t: float):
+    """(m*, s) of Al-Mohy and Higham's code fragment 3.1 for exp(tA) on one
+    vector: the Taylor degree m and step count s of least cost m s for which
+    |t| ||A - mu I||_1 / s, or past condition (3.13) |t| max(d_p, d_{p+1}) / s,
+    is within theta_m. The first that reaches the least cost wins, as in
+    scipy's expm_multiply."""
+    scale = abs(t)
+    norm = scale * norms.norm1
+    if norm == 0.0:
+        return 0, 1
+    if norm <= _NORM_ONLY:
+        choices = ((m, math.ceil(norm / theta)) for m, theta in _THETA.items())
+    else:
+        if not norms.d:
+            norms.d = _power_norm_roots(a, norms.mu)
+        d = dict(zip(range(2, 10), norms.d))
+        choices = ((m, math.ceil(scale * max(d[p], d[p + 1]) / theta))
+                   for p in range(2, 9) for m, theta in _THETA.items()
+                   if m >= p * (p - 1) - 1)
+    m_star, s = min(choices, key=lambda ms: ms[0] * ms[1])
+    return m_star, max(s, 1)
+
+
+def _expm_step(a: sp.csr_matrix, norms: _ShiftedNorms, v: np.ndarray,
+               t: float) -> np.ndarray:
+    """exp(tA) v by Al-Mohy and Higham's Algorithm 3.2 (SIAM J. Sci. Comput.
+    33, 488, 2011): s steps, each the degree-m* Taylor series of
+    exp(t(A - mu I)/s), cut short once two successive terms fall below
+    2^-53 of the sum, times exp(t mu / s). norms describe a; the shift is
+    applied inside each product, so no shifted copy of a is formed."""
+    m_star, s = _taylor_parameters(a, norms, t)
+    mu = norms.mu
+    eta = np.exp(t * mu / s)
+    f = b = v
+    for _ in range(s):
+        c1 = np.max(np.abs(b))
+        for j in range(m_star):
+            b = (t / (s * (j + 1))) * (a @ b - mu * b)
+            c2 = np.max(np.abs(b))
+            f = f + b
+            if c1 + c2 <= 2.0 ** -53 * np.max(np.abs(f)):
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
 
 
 def lindblad_trajectory(params: SystemParams, rho0: MixedState,
@@ -474,8 +614,10 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     in one span (two halves after a one-span run), must agree within 1e-8.
     Only the chain vectors are kept until every chain has passed; the dense
     samples are assembled at the end, the d < 0 blocks as adjoints. The
-    chain generators are built once per basis, couplings and gamma, and
-    reused by every later call on that basis (both cat parities, say).
+    chain generators, and the scalars that fix _expm_step's parameters for
+    each populated length, are computed once per basis, couplings and
+    gamma, and reused by every later call on that basis (both cat
+    parities, say).
     """
     basis = rho0.basis
     dim = basis.dimension
@@ -488,6 +630,7 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
     guard = [end] if n_spans > 1 else [0.5 * end] * 2
     at = np.arange(dim)
+    scalars = _chain_cache(params, basis)[3]
     chains = []  # (flat indices into rho, vector at each time) per populated chain
     drift = 0.0
     for d in range(len(sectors)):
@@ -497,16 +640,20 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             continue
         idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
                               for k in range(d, top + 1)])
-        generator = _cached_chain(params, basis, d)[:len(idx), :len(idx)]
+        n = len(idx)
+        generator = _cached_chain(params, basis, d)[:n, :n]
+        if (d, n) not in scalars:
+            scalars[d, n] = _shifted_norms(generator)
+        norms = scalars[d, n]
         v = v0 = rho0.matrix.ravel()[idx]
         vectors, prev = [], 0.0
         for t in times:
             if t > prev:
-                v = _expm_action(generator, v, t - prev)
+                v = _expm_step(generator, norms, v, t - prev)
             prev = t
             vectors.append(v)
         for span in guard:
-            v0 = _expm_action(generator, v0, span)
+            v0 = _expm_step(generator, norms, v0, span)
         drift = max(drift, float(np.max(np.abs(v0 - v))))
         chains.append((idx, vectors))
     if drift > _DRIFT_TOL:
@@ -567,8 +714,13 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
         mat = phi @ phi.conj().T
     else:
         # only entries between states of one group survive the partial trace
+        order, bounds = basis.group_blocks(pair)
         q = kets[pocc]
-        mat = q.conj().T @ np.where(group[:, None] == group, state.matrix, 0.0) @ q
+        mat = np.zeros((4, 4), dtype=complex)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            members = order[lo:hi]
+            qg = q[members]
+            mat += qg.conj().T @ state.matrix[np.ix_(members, members)] @ qg
     captured = float(np.trace(mat).real)
     leak = 1.0 - captured
     if leak > _LEAK_TOL:

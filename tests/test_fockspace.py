@@ -304,6 +304,22 @@ def test_mixed_state_validation():
         MixedState(matrix=np.diag([1.1, -0.1, 0.0]).astype(complex), basis=basis)
 
 
+@pytest.mark.parametrize("skew, accepts", [
+    (0.9e-10, True), (1.1e-10, False), (0.9e-10j, True), (1.1e-10j, False),
+    # |0.8e-10 (1 + i)| = 1.13e-10: the deviation is each entry's modulus
+    (0.6e-10 * (1 + 1j), True), (0.8e-10 * (1 + 1j), False), (np.nan, False),
+])
+def test_mixed_state_hermitian_check_is_sharp(skew, accepts):
+    basis = build_basis(2, 1)
+    mat = np.eye(3, dtype=complex) / 3.0
+    mat[0, 1] = skew
+    if accepts:
+        MixedState(mat, basis)
+    else:
+        with pytest.raises(InvalidParameter, match="not Hermitian"):
+            MixedState(mat, basis)
+
+
 def _with_lowest_eigenvalue(dim: int, lowest: float, seed: int) -> np.ndarray:
     """A random Hermitian unit-trace matrix whose smallest eigenvalue is
     lowest: the other eigenvalues share 1 - lowest and each exceeds it."""
@@ -429,8 +445,8 @@ def test_unitary_trajectory_of_no_times_is_empty():
 
 def test_unitary_trajectory_steps_a_sector_whose_basis_does_not_close(monkeypatch):
     # with room for two Krylov vectors, every wider sector goes from sample
-    # to sample through expm_multiply; the samples come back in their order.
-    # Stepping up to t = 5 agrees with expm to 1.2e-14
+    # to sample through _expm_step; the samples come back in their order.
+    # Stepping up to t = 5 agrees with expm to 1.0e-14
     monkeypatch.setattr(fockspace, "_KRYLOV_VECTORS", 2)
     profile = CouplingProfile(couplings=(1.0, 2.5))
     basis = build_basis(3, 3)
@@ -445,7 +461,7 @@ def test_unitary_trajectory_steps_a_sector_whose_basis_does_not_close(monkeypatc
 
 def test_unitary_trajectory_keeps_high_sectors_of_a_large_cat_exact():
     # at N=2, |alpha|^2 = 12 rounding keeps the top sectors' Krylov bases
-    # from closing, so they take the expm_multiply path. Relative to each
+    # from closing, so they take the _expm_step path. Relative to each
     # sector's weight both paths agree with its dense spectrum to 1.7e-14
     params = SystemParams(n_crystallites=2, intensity=12.0, parity=ParityKind.EVEN)
     basis = build_basis(3, minimum_truncation(params.intensity))
@@ -805,8 +821,51 @@ def test_cached_chain_leading_block_is_the_chain_to_its_top():
                 assert np.array_equal(getattr(block, attr), getattr(own, attr))
 
 
+@pytest.mark.parametrize("max_total", [3, 4])
+def test_chain_generator_is_the_liouvillian_on_its_chain(max_total):
+    # every chain to every top is the principal submatrix of the dense
+    # row-major Liouvillian on the vec indices of rho[k, k-d], k = d..top.
+    # Only loss rates on the diagonal, summed in another order, differ: by
+    # at most 1.1e-16
+    params = SystemParams(n_crystallites=2, decay_rate=0.3)
+    basis = build_basis(3, max_total)
+    liouvillian = _dense_lindblad_generator(params, basis)
+    h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
+    at = np.arange(basis.dimension)
+    sectors = basis.sectors
+    for d in range(max_total + 1):
+        for top in range(d, max_total + 1):
+            idx = np.concatenate([
+                (at[sectors[k], None] * basis.dimension + at[sectors[k - d]]).ravel()
+                for k in range(d, top + 1)])
+            own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
+            np.testing.assert_allclose(own.toarray(), liouvillian[np.ix_(idx, idx)],
+                                       rtol=0, atol=1e-15)
+
+
+def test_expm_step_agrees_with_scipy_on_a_chain():
+    # the default Lindblad suite's chain d = 1, stepped once within
+    # condition (3.13) and once over its guard span, beyond it, where the
+    # d_p estimates pick the parameters. Measured: 2.0e-17 and 1.3e-16 on a
+    # unit vector whose image peaks at 0.02; the bounds are ten times that
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    generator = fockspace._cached_chain(params, basis, 1)
+    norms = fockspace._shifted_norms(generator)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=generator.shape[0]) + 1j * rng.normal(size=generator.shape[0])
+    v /= np.linalg.norm(v)
+    short = params.time_from_gt(0.2)
+    guard = params.time_from_gt(24.5 * 4.0 * math.pi / 25.0)
+    assert short * norms.norm1 <= fockspace._NORM_ONLY < guard * norms.norm1
+    for t, bound in ((short, 2e-16), (guard, 1.4e-15)):
+        exact = scipy.sparse.linalg.expm_multiply(generator * t, v)
+        step = fockspace._expm_step(generator, norms, v, t)
+        np.testing.assert_allclose(step, exact, rtol=0, atol=bound)
+
+
 def test_lindblad_is_independent_of_the_global_rng():
-    # expm_multiply estimates norms with numpy's global RNG once a span is
+    # the stepper estimates norms with numpy's global RNG once a span is
     # long; eight samples make the guard's single span long enough
     params = SystemParams(
         n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.EVEN
@@ -826,6 +885,23 @@ def test_lindblad_is_independent_of_the_global_rng():
         assert np.array_equal(first.matrix, second.matrix)
 
 
+def test_norm_estimates_ignore_the_callers_rng():
+    # the test above reuses, in its second run, the estimates its first run
+    # kept on the basis; here each estimate starts from another caller state
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    generator = fockspace._cached_chain(params, basis, 1)
+    mu = fockspace._shifted_norms(generator).mu
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(fockspace._power_norm_roots(generator, mu))
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+    assert runs[0] == runs[1]
+
+
 def test_lindblad_guards(monkeypatch):
     params = SystemParams(
         n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.ODD
@@ -833,21 +909,21 @@ def test_lindblad_guards(monkeypatch):
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     rho0 = _as_mixed(_cat_state(params, basis))
     times = [params.time_from_gt(gt) for gt in (0.5, 1.0)]
-    exact = scipy.sparse.linalg.expm_multiply
+    exact = fockspace._expm_step
     # the guard's limit, 1e-8, sits between the two shifts
     for shift, unstable in ((1e-6, True), (1e-9, False)):
         calls = []
 
-        def perturbed(a, b, shift=shift, calls=calls):
+        def perturbed(a, norms, v, t, shift=shift, calls=calls):
             # shift the vacuum population after the first interval; the
             # vacuum is stationary, so the last sample carries the shift
-            out = exact(a, b)
+            out = exact(a, norms, v, t)
             if not calls:
                 out[0] += shift
             calls.append(1)
             return out
 
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", perturbed)
+        monkeypatch.setattr(fockspace, "_expm_step", perturbed)
         if unstable:
             with pytest.raises(StepSizeUnstable) as info:
                 lindblad_trajectory(params, rho0, times)
