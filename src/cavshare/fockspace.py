@@ -117,12 +117,8 @@ class FockBasis:
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # group-sorted states and group boundaries per pair, for mixed states
-        self._group_blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain
-        # generator}, {(d, populated length): its _ShiftedNorms})
-        self._lindblad_chains: dict[tuple[tuple, float],
-                                    tuple[list, list, dict, dict]] = {}
+        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
+        self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis: the
@@ -162,17 +158,6 @@ class FockBasis:
             pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
             plan = self._pair_plans[key] = (pocc, group, n_groups)
         return plan
-
-    def group_blocks(self, pair: PairIndex) -> tuple[np.ndarray, np.ndarray]:
-        """The pair plan's states sorted by group, and where each group
-        starts and ends in that order: group g is order[bounds[g]:bounds[g+1]]."""
-        key = (pair.m, pair.n)
-        blocks = self._group_blocks.get(key)
-        if blocks is None:
-            _, group, n_groups = self.pair_plan(pair)
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
-            blocks = self._group_blocks[key] = (np.argsort(group, kind="stable"), bounds)
-        return blocks
 
 
 class SparseHermitian:
@@ -494,22 +479,16 @@ def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
     return sp.csr_matrix((vals, (rows, cols)), shape=(starts[-1], starts[-1]))
 
 
-def _chain_cache(params: SystemParams, basis: FockBasis):
-    """The basis's Lindblad cache entry for (couplings, gamma), the only
-    parameters the chains depend on, made on first use: (H_eff blocks, jump
-    blocks, {d: chain generator}, {(d, length): _ShiftedNorms})."""
+def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
+    """The generator of chain d from k = d up to the cutoff, built on first
+    use and kept on the basis per (couplings, gamma), the only parameters it
+    depends on. A chain that stops at an earlier top is its leading
+    principal block."""
     key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
     entry = basis._lindblad_chains.get(key)
     if entry is None:
-        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {}, {})
-    return entry
-
-
-def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
-    """The generator of chain d from k = d up to the cutoff, built on first
-    use and kept on the basis. A chain that stops at an earlier top is its
-    leading principal block."""
-    h_blocks, jumps, chains, _ = _chain_cache(params, basis)
+        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
+    h_blocks, jumps, chains = entry
     if d not in chains:
         chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
                                      d, basis.max_total)
@@ -521,8 +500,7 @@ class _ShiftedNorms:
     """What fixes the Taylor degree and step count of _expm_step for one
     generator A at every span: the trace shift mu = tr(A)/n, the exact
     ||A - mu I||_1, and d_p = ||(A - mu I)^p||_1^(1/p) for p = 2..9, which
-    only long spans need and which are estimated on first need. Scalars
-    only, so a cache of them holds no matrix."""
+    only long spans need and which are estimated on first need."""
     mu: complex
     norm1: float
     d: tuple[float, ...] = ()
@@ -614,10 +592,8 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     in one span (two halves after a one-span run), must agree within 1e-8.
     Only the chain vectors are kept until every chain has passed; the dense
     samples are assembled at the end, the d < 0 blocks as adjoints. The
-    chain generators, and the scalars that fix _expm_step's parameters for
-    each populated length, are computed once per basis, couplings and
-    gamma, and reused by every later call on that basis (both cat
-    parities, say).
+    chain generators are built once per basis, couplings and gamma, and
+    reused by every later call on that basis (both cat parities, say).
     """
     basis = rho0.basis
     dim = basis.dimension
@@ -630,7 +606,6 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
     guard = [end] if n_spans > 1 else [0.5 * end] * 2
     at = np.arange(dim)
-    scalars = _chain_cache(params, basis)[3]
     chains = []  # (flat indices into rho, vector at each time) per populated chain
     drift = 0.0
     for d in range(len(sectors)):
@@ -640,11 +615,8 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             continue
         idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
                               for k in range(d, top + 1)])
-        n = len(idx)
-        generator = _cached_chain(params, basis, d)[:n, :n]
-        if (d, n) not in scalars:
-            scalars[d, n] = _shifted_norms(generator)
-        norms = scalars[d, n]
+        generator = _cached_chain(params, basis, d)[:len(idx), :len(idx)]
+        norms = _shifted_norms(generator)
         v = v0 = rho0.matrix.ravel()[idx]
         vectors, prev = [], 0.0
         for t in times:
@@ -714,7 +686,8 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
         mat = phi @ phi.conj().T
     else:
         # only entries between states of one group survive the partial trace
-        order, bounds = basis.group_blocks(pair)
+        order = np.argsort(group, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
         q = kets[pocc]
         mat = np.zeros((4, 4), dtype=complex)
         for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -885,23 +885,6 @@ def test_lindblad_is_independent_of_the_global_rng():
         assert np.array_equal(first.matrix, second.matrix)
 
 
-def test_norm_estimates_ignore_the_callers_rng():
-    # the test above reuses, in its second run, the estimates its first run
-    # kept on the basis; here each estimate starts from another caller state
-    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
-    basis = build_basis(3, minimum_truncation(0.25, margin=2))
-    generator = fockspace._cached_chain(params, basis, 1)
-    mu = fockspace._shifted_norms(generator).mu
-    runs = []
-    for seed in (1, 2):
-        np.random.seed(seed)
-        before = np.random.get_state()
-        runs.append(fockspace._power_norm_roots(generator, mu))
-        after = np.random.get_state()
-        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
-    assert runs[0] == runs[1]
-
-
 def test_lindblad_guards(monkeypatch):
     params = SystemParams(
         n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.ODD
