@@ -27,16 +27,12 @@ class DimensionMismatch(ValueError):
 
 
 class CapacityExceeded(RuntimeError):
-    """Requested basis, or its largest sector, is larger than the hard limit.
+    """Requested basis has more states than the hard limit."""
 
-    what names the measure: "dimension" (whole basis) or "sector".
-    """
-
-    def __init__(self, dimension: int, limit: int, what: str = "dimension"):
+    def __init__(self, dimension: int, limit: int):
         self.dimension = dimension
         self.limit = limit
-        self.what = what
-        super().__init__(f"basis {what} {dimension} exceeds limit {limit}")
+        super().__init__(f"basis dimension {dimension} exceeds limit {limit}")
 
 
 class TruncationTooSmall(ValueError):

@@ -44,12 +44,6 @@ _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
 _LINDBLAD_CAPACITY = 400
 _CAPACITY = 200_000
-# the top sector's real float64 eigenvectors, which
-# SparseHermitian.sector_eigensystems would hold, may take at most 128 MiB:
-# up to 4096 states. Evolution forms no such matrix (unitary_trajectory
-# keeps at most _KRYLOV_VECTORS vectors of a sector, k + 1 for a cat in
-# sector k), so for it the guard is a size limit only
-_SECTOR_BYTES = 128 * 2**20
 # Lanczos breakdown, relative to |H_k|_inf. A cat's basis closes after k + 1
 # vectors: the next off-diagonal there reads 1.4e-16 at N=5, k=9 and
 # 2.3e-14 at N=3, k=27, while every one kept is at least 0.18. Rounding
@@ -102,9 +96,6 @@ class FockBasis:
         dimension = math.comb(max_total + n_modes, n_modes)
         if dimension > _CAPACITY:
             raise CapacityExceeded(dimension, _CAPACITY)
-        largest = math.comb(max_total + n_modes - 1, n_modes - 1)  # k = max_total
-        if 8 * largest * largest > _SECTOR_BYTES:
-            raise CapacityExceeded(largest, math.isqrt(_SECTOR_BYTES // 8), "sector")
         self.n_modes = n_modes
         self.max_total = max_total
         self.dimension = dimension
@@ -174,7 +165,6 @@ class SparseHermitian:
         self.cols = np.asarray(cols, dtype=np.int64)
         self.values = np.asarray(values.real, dtype=np.float64)
         self._csr = None
-        self._sector_eigs: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def to_csr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -188,12 +178,10 @@ class SparseHermitian:
         return self._csr
 
     def sector_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(eigenvalues, real orthonormal eigenvectors) per sector."""
-        if self._sector_eigs is None:
-            full = self.to_csr()
-            self._sector_eigs = [np.linalg.eigh(full[s, s].toarray())
-                                 for s in self.basis.sectors]
-        return self._sector_eigs
+        """(eigenvalues, real orthonormal eigenvectors) per sector, by dense
+        eigh: a reference for tests; evolution does not use it."""
+        full = self.to_csr()
+        return [np.linalg.eigh(full[s, s].toarray()) for s in self.basis.sectors]
 
 
 @dataclass(frozen=True)
@@ -670,14 +658,16 @@ def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
     pair.check_bounds(basis.n_modes - 1)
     pocc, group, n_groups = basis.pair_plan(pair)
     span = basis.max_total + 1
-    # columns: the four qubit kets in the pair space, indexed by pair occupation
+    # columns: each mode's two qubit kets on Fock levels 0..span-1, and
+    # kron(b, b), the four pair kets indexed by pair occupation, formed as
+    # one broadcast product: np.kron's own overhead is about 30 us a call
     if isinstance(qubit_basis, NumberBasis):
-        kets = np.eye(span * span)[:, [0, 1, span, span + 1]]
+        b = np.eye(span, 2)
     elif isinstance(qubit_basis, TildeBasis):
         b = _cat_pair_projector(qubit_basis.mu, span)
-        kets = np.kron(b, b)
     else:
         raise TypeError(f"unsupported qubit basis {type(qubit_basis).__name__}")
+    kets = (b[:, None, :, None] * b[None, :, None, :]).reshape(span * span, 4)
     if isinstance(state, PureState):
         # psi[pair occupation, group]: the partial trace is psi psi^dagger
         psi = np.zeros((span * span, n_groups), dtype=complex)

@@ -135,7 +135,7 @@ def _run(suite: str, tol: float, preparations) -> SuiteResult:
             # let this preparation's states go before the next one propagates
             samples = state = None
     except CapacityExceeded as exc:
-        case_id = f"{suite}/capacity {exc.what}={exc.dimension} limit={exc.limit}"
+        case_id = f"{suite}/capacity dimension={exc.dimension} limit={exc.limit}"
         return SuiteResult(suite, [_skip(case_id, float("nan"), tol)], [])
     return SuiteResult(suite, cases, records)
 

@@ -327,20 +327,6 @@ def test_verify_capacity_overflow_exits_three(tmp_path, monkeypatch, capsys):
     assert sum(row[5] == "skip" for row in rows) == 2
 
 
-def test_verify_sector_overflow_exits_three(tmp_path, monkeypatch, capsys):
-    # 167 960 states pass the total-dimension limit, but the cat basis's top
-    # sector (92 378 states) would need a dense eigensolve of about 136 GB
-    monkeypatch.chdir(tmp_path)
-    code = cli.entrypoint(["--command", "verify", "--N", "10", "--alpha2", "0.25",
-                           "--points", "2", "--t_stop", "0.8"])
-    assert code == 3
-    assert "0 fail, 2 skip" in capsys.readouterr().out
-    _, _, rows = _read_csv(tmp_path / "verify.csv")
-    skips = [row[0] for row in rows if row[5] == "skip"]
-    assert skips[0] == "cat/capacity sector=92378 limit=4096"
-    assert skips[1].startswith("lindblad/capacity dimension=")
-
-
 def test_verify_degenerate_samples_exit_three(tmp_path, monkeypatch, capsys):
     # the middle of three cat samples falls on Gt = pi, where the tilde
     # basis vanishes: one skip row each, and the rest of the run completes

@@ -119,25 +119,22 @@ def test_basis_sectors_group_total_excitation():
         assert (totals[lo:hi] == k).all()
 
 
-def test_basis_capacity_guard():
-    with pytest.raises(CapacityExceeded):
-        build_basis(13, 22)
-
-
-def test_sector_guard_refuses_from_sizes_alone(monkeypatch):
-    # N=10 at |alpha|^2=0.25 fits the 200 000-state total (167 960) but its
-    # top sector has 92 378 states; refuse before enumerating a single state
+def test_basis_capacity_guard(monkeypatch):
+    # 13 modes up to 22 quanta: C(35, 13) states, refused before a single
+    # one is enumerated
     def no_enumeration(*_args):
         raise AssertionError("basis states enumerated before the guard")
 
     monkeypatch.setattr(fockspace, "_occupations", no_enumeration)
     with pytest.raises(CapacityExceeded) as info:
-        build_basis(11, minimum_truncation(0.25))
-    assert (info.value.what, info.value.dimension) == ("sector", math.comb(19, 10))
-    assert "sector 92378" in str(info.value)
+        build_basis(13, 22)
+    assert (info.value.dimension, info.value.limit) == (math.comb(35, 13), 200_000)
     monkeypatch.undo()
-    # the largest sector of the large-sector benchmark's basis still fits
-    assert max(s.stop - s.start for s in build_basis(6, 9).sectors) == 2002
+    # N=10 at |alpha|^2=0.25 fits the 200 000-state total, and the total is
+    # the only limit: its top sector has 92 378 states
+    basis = build_basis(11, 9)
+    assert basis.dimension == 167_960
+    assert max(s.stop - s.start for s in basis.sectors) == math.comb(19, 10)
 
 
 def test_minimum_truncation_values():
@@ -155,9 +152,9 @@ def test_minimum_truncation_values():
 
 def test_minimum_truncation_admits_every_cat():
     # |alpha|^2 = 0.05, 0.10, ..., 5.00 at N = 2, 3, both parities: 400 cat
-    # preparations, each at the cutoff minimum_truncation returns. At N=3 the
-    # cutoff 28 (|alpha|^2 >= 4.9) has a 4 495-state top sector, which the
-    # sector guard refuses before any state exists.
+    # preparations, each at the cutoff minimum_truncation returns. The
+    # largest basis, N=3 at cutoff 28, has 35 960 states, well within the
+    # capacity
     refused = []
     for i in range(1, 101):
         x = i / 20
@@ -181,7 +178,7 @@ def test_minimum_truncation_admits_every_cat():
             except TruncationTooSmall:
                 rejected += 1
         assert rejected > 0, x
-    assert refused == [(3, 4.9), (3, 4.95), (3, 5.0)]
+    assert refused == []
 
 
 # --- Hamiltonian -------------------------------------------------------------
@@ -407,9 +404,10 @@ def test_unitary_trajectory_matches_sector_spectra_for_anisotropic_cat(parity):
     ham = build_hamiltonian(CouplingProfile(couplings=(1.0, 0.4, 2.2, 0.7, 1.5)), basis)
     psi0 = _cat_state(params, basis)
     times = [0.0, 0.4, 1.3, 2.9]
+    spectra = ham.sector_eigensystems()
     for t, psi in zip(times, unitary_trajectory(ham, psi0, times)):
         exact = np.zeros(basis.dimension, dtype=complex)
-        for s, (lam, vec) in zip(basis.sectors, ham.sector_eigensystems()):
+        for s, (lam, vec) in zip(basis.sectors, spectra):
             exact[s] = vec @ (np.exp(-1j * lam * t) * (vec.T @ psi0.amplitudes[s]))
         np.testing.assert_allclose(psi.amplitudes, exact, rtol=0, atol=1e-13)
 

@@ -69,6 +69,16 @@ def test_cat_small_grid_passes():
         assert case.tolerance == 1e-6
 
 
+def test_cat_suite_reaches_ten_crystallites():
+    # fig3's N=10 column at |alpha|^2 = 0.1: a 31 824-state basis whose top
+    # sector has 19 448 states, within the one size limit
+    result = cat_suite(n=10, intensities=(0.1,), n_times=2)
+    assert result.counts() == (4, 0, 0)
+    assert {rec.n_crystallites for rec in result.pair_records} == {10}
+    for rec in result.pair_records:
+        assert rec.concurrence <= 2.0 / 10 + 1e-9  # monogamy at N = 10
+
+
 def test_lindblad_small_grid_passes():
     result = lindblad_suite(n_times=2, gt_max=0.8)
     assert result.suite == "lindblad"
