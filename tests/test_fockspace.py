@@ -119,20 +119,27 @@ def test_basis_sectors_group_total_excitation():
         assert (totals[lo:hi] == k).all()
 
 
-def test_basis_capacity_guard(monkeypatch):
-    # 13 modes up to 22 quanta: C(35, 13) states, refused before a single
-    # one is enumerated
+def test_basis_capacity_guard():
+    # 13 modes up to 22 quanta: C(35, 13) states against the 200 000 limit
+    with pytest.raises(CapacityExceeded) as info:
+        build_basis(13, 22)
+    assert (info.value.dimension, info.value.limit) == (math.comb(35, 13), 200_000)
+
+
+def test_sector_guard_refuses_from_sizes_alone(monkeypatch):
+    # The size guard reads the basis dimension from the sector sizes and
+    # refuses before enumerating a single state
     def no_enumeration(*_args):
         raise AssertionError("basis states enumerated before the guard")
 
     monkeypatch.setattr(fockspace, "_occupations", no_enumeration)
     with pytest.raises(CapacityExceeded) as info:
         build_basis(13, 22)
-    assert (info.value.dimension, info.value.limit) == (math.comb(35, 13), 200_000)
+    assert info.value.dimension == math.comb(35, 13)
     monkeypatch.undo()
     # N=10 at |alpha|^2=0.25 fits the 200 000-state total, and the total is
     # the only limit: its top sector has 92 378 states
-    basis = build_basis(11, 9)
+    basis = build_basis(11, minimum_truncation(0.25))
     assert basis.dimension == 167_960
     assert max(s.stop - s.start for s in basis.sectors) == math.comb(19, 10)
 
