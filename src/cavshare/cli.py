@@ -360,7 +360,7 @@ def main(argv: list[str]) -> int:
 def entrypoint(argv: list[str] | None = None) -> int:
     try:
         return main(sys.argv[1:] if argv is None else argv)
-    except (ParseError, UnknownKey, InvalidParameter, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StepSizeUnstable as exc:

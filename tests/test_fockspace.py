@@ -849,10 +849,11 @@ def test_chain_generator_is_the_liouvillian_on_its_chain(max_total):
 
 
 def test_expm_step_agrees_with_scipy_on_a_chain():
-    # the default Lindblad suite's chain d = 1, stepped once within
-    # condition (3.13) and once over its guard span, beyond it, where the
-    # d_p estimates pick the parameters. Measured: 2.0e-17 and 1.3e-16 on a
-    # unit vector whose image peaks at 0.02; the bounds are ten times that
+    # the default Lindblad suite's chain d = 1, stepped once over a short
+    # span and once over its guard span, where ||tA||_1 is 299 and
+    # expm_multiply picks its parameters from estimates of ||A^p||_1 that
+    # the stepper does without. Measured: 2.0e-17 and 1.3e-16 on a unit
+    # vector whose image peaks at 0.02; the bounds are ten times that
     params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     generator = fockspace._cached_chain(params, basis, 1)
@@ -862,7 +863,6 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
     v /= np.linalg.norm(v)
     short = params.time_from_gt(0.2)
     guard = params.time_from_gt(24.5 * 4.0 * math.pi / 25.0)
-    assert short * norms.norm1 <= fockspace._NORM_ONLY < guard * norms.norm1
     for t, bound in ((short, 2e-16), (guard, 1.4e-15)):
         exact = scipy.sparse.linalg.expm_multiply(generator * t, v)
         step = fockspace._expm_step(generator, norms, v, t)
@@ -870,8 +870,9 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
 
 
 def test_lindblad_is_independent_of_the_global_rng():
-    # the stepper estimates norms with numpy's global RNG once a span is
-    # long; eight samples make the guard's single span long enough
+    # no path of the stepper may draw from numpy's global RNG, or change
+    # its state: eight samples give the guard one long span, where scipy's
+    # expm_multiply would estimate norms from random draws
     params = SystemParams(
         n_crystallites=2, intensity=0.25, decay_rate=0.13, parity=ParityKind.EVEN
     )
@@ -931,3 +932,52 @@ def test_lindblad_guards(monkeypatch):
     )
     with pytest.raises(CapacityExceeded):
         lindblad_trajectory(big, flat, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lindblad_refuses_non_finite_times(bad, monkeypatch):
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    rho0 = _as_mixed(_cat_state(params, basis))
+    # refused before any chain is built or stepped
+    monkeypatch.setattr(fockspace, "_cached_chain", None)
+    for times in ([bad], [0.1, bad]):
+        with pytest.raises(InvalidParameter) as info:
+            lindblad_trajectory(params, rho0, times)
+        assert info.value.name == "times"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("krylov_vectors", [64, 2])
+def test_unitary_refuses_non_finite_times(bad, krylov_vectors, monkeypatch):
+    # with room for two Krylov vectors the wider sectors would take the
+    # _expm_step fallback; both paths refuse before any evolution.
+    # Negative times stay legal
+    monkeypatch.setattr(fockspace, "_KRYLOV_VECTORS", krylov_vectors)
+    basis = build_basis(3, 3)
+    ham = build_hamiltonian(CouplingProfile(couplings=(1.0, 2.5)), basis)
+    psi0 = _random_state(basis, range(4), seed=5)
+    assert len(unitary_trajectory(ham, psi0, [-1.0, 0.5])) == 2
+    for times in ([bad], [0.5, -bad]):
+        with pytest.raises(InvalidParameter) as info:
+            unitary_trajectory(ham, psi0, times)
+        assert info.value.name == "times"
+
+
+def test_taylor_parameters_pick_the_cheapest_admissible_pair():
+    # every span, short or long, takes the (m*, s) of least cost m s with
+    # ||tA||_1 / s <= theta_m, the first to reach it winning; the norms run
+    # across 63.36, past which condition (3.13) fails and scipy's
+    # expm_multiply picks by another rule
+    thetas = list(fockspace._THETA.items())
+    assert fockspace._taylor_parameters(0.0, 1.0) == (0, 1)
+    assert fockspace._taylor_parameters(5.0, 0.0) == (0, 1)
+    norms = [1e-3, 0.5, 4.85, 9.9, 9.900001, 63.0, 63.36, 63.4, 64.0, 298.6,
+             1e3, 1.2e4, *np.geomspace(1e-2, 1e4, 60)]
+    for norm in norms:
+        for t in (1.0, -1.0):
+            m_star, s = fockspace._taylor_parameters(norm, t)
+            assert s >= 1 and norm / s <= fockspace._THETA[m_star]
+            costs = [m * math.ceil(norm / theta) for m, theta in thetas]
+            assert m_star * s == min(costs)
+            assert m_star == thetas[costs.index(min(costs))][0]
