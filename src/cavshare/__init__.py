@@ -41,24 +41,6 @@ from .errors import (
     TruncationTooSmall,
     UnknownKey,
 )
-from .fockspace import (
-    FockBasis,
-    MixedState,
-    PureState,
-    SparseHermitian,
-    build_basis,
-    build_hamiltonian,
-    evolve_lindblad,
-    evolve_unitary,
-    lindblad_trajectory,
-    minimum_truncation,
-    observable_mean_photon,
-    prepare_initial,
-    reduce_to_qubit_pair,
-    total_excitation,
-    unitary_trajectory,
-    w_state_fidelity,
-)
 from .model import (
     Cat,
     Coherent,
@@ -71,6 +53,34 @@ from .model import (
 from .optimize import OptimumReport, lambert_w0, optimal_intensity, threshold_intensity
 
 __version__ = "0.1.0"
+
+# The Fock oracle's names load fockspace, and scipy.sparse with it, on first
+# use (PEP 562), so the closed-form commands never import either
+_FOCKSPACE_NAMES = frozenset({
+    "FockBasis",
+    "MixedState",
+    "PureState",
+    "SparseHermitian",
+    "build_basis",
+    "build_hamiltonian",
+    "evolve_lindblad",
+    "evolve_unitary",
+    "lindblad_trajectory",
+    "minimum_truncation",
+    "observable_mean_photon",
+    "prepare_initial",
+    "reduce_to_qubit_pair",
+    "total_excitation",
+    "unitary_trajectory",
+    "w_state_fidelity",
+})
+
+
+def __getattr__(name: str):
+    if name in _FOCKSPACE_NAMES:
+        from . import fockspace
+        return getattr(fockspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Cat",

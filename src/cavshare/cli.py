@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import analytic, dissipative
-from . import verify as verify_mod
 from .errors import (
     CapacityExceeded,
     InvalidParameter,
@@ -292,8 +291,10 @@ def run_optimize(cfg: RunConfig) -> tuple[str, int]:
 
 
 def run_verify(cfg: RunConfig) -> int:
+    from . import verify  # the Fock oracle loads only for this command
+
     out = cfg.out if cfg.out is not None else "verify.csv"
-    results = verify_mod.run_all(
+    results = verify.run_all(
         n_times=cfg.points,
         gt_max=cfg.t_stop,
         n_override=cfg.n,
@@ -309,7 +310,7 @@ def run_verify(cfg: RunConfig) -> int:
     meta.append(("out", out))
     _write_csv(out, meta, *_field_columns(
         [case for result in results for case in result.cases],
-        verify_mod.VerifyCase))
+        verify.VerifyCase))
     n_pass, n_fail, n_skip = map(sum, zip(*(r.counts() for r in results)))
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skip -> {out}")
     if n_fail:

@@ -221,14 +221,15 @@ class MixedState:
         if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidParameter("matrix", "trace differs from 1 beyond 1e-8")
         # no eigenvalue below -1e-8 exactly when mat + 1e-8 I has a Cholesky
-        # factor (up to rounding there). One copy is shifted and factored in
-        # place through its Fortran-ordered transpose, whose upper triangle
-        # is mat's lower one conjugated, with the same eigenvalues
-        from scipy.linalg.lapack import zpotrf  # only mixed states need it
+        # factor (up to rounding there). The shift goes on a copy, so the
+        # caller's array is never written
         shifted = mat.copy()
         shifted.reshape(-1)[::d + 1] += 1e-8
-        if zpotrf(shifted.T, clean=0, overwrite_a=1)[1]:
-            raise InvalidParameter("matrix", "negative eigenvalue beyond -1e-8")
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise InvalidParameter("matrix",
+                                   "negative eigenvalue beyond -1e-8") from None
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -368,10 +369,10 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
     A sector whose basis has not closed within _KRYLOV_VECTORS vectors (a
     cat at N=2 past k of about 35, a random state in a large sector) is
     stepped through the samples in ascending time by _expm_step instead.
-    No dense eigensolve runs, and nothing is renormalised: PureState's norm
-    check guards the result.
+    The only dense eigensolve is numpy's eigh of T, at most _KRYLOV_VECTORS
+    rows; none of a sector block runs. Nothing is renormalised: PureState's
+    norm check guards the result.
     """
-    from scipy.linalg import eigh_tridiagonal  # only the oracle needs it
     if hamiltonian.basis is not psi0.basis and (
         hamiltonian.dimension != psi0.basis.dimension
         or hamiltonian.basis.n_modes != psi0.basis.n_modes
@@ -397,7 +398,8 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
                 prev = times[i]
             continue
         q, diag, off = krylov
-        theta, vec = eigh_tridiagonal(diag, off)
+        tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        theta, vec = np.linalg.eigh(tri)
         coeff = np.exp(-1j * np.outer(theta, times)) * (norm * vec[0])[:, None]
         out[:, s] = ((q @ vec) @ coeff).T
     return [PureState(amp, psi0.basis) for amp in out]

@@ -351,7 +351,7 @@ def test_verify_failures_exit_two(tmp_path, monkeypatch, capsys):
         pair_records=[],
     )
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli.verify_mod, "run_all", lambda **kw: [fake])
+    monkeypatch.setattr("cavshare.verify.run_all", lambda **kw: [fake])
     assert cli.entrypoint(["--command", "verify"]) == 2
     assert "1 fail" in capsys.readouterr().out
 

@@ -308,6 +308,21 @@ def test_mixed_state_validation():
         MixedState(matrix=np.diag([1.1, -0.1, 0.0]).astype(complex), basis=basis)
 
 
+@pytest.mark.parametrize("diagonal, accepts", [
+    ([0.5, 0.3, 0.2], True), ([1.1, -0.1, 0.0], False)])
+def test_mixed_state_leaves_the_callers_matrix_unchanged(diagonal, accepts):
+    # off-diagonal coherences make the lower and upper triangles differ
+    mat = np.diag(diagonal).astype(complex)
+    mat[0, 1], mat[1, 0] = 0.1 + 0.05j, 0.1 - 0.05j
+    before = mat.copy()
+    if accepts:
+        MixedState(mat, build_basis(2, 1))
+    else:
+        with pytest.raises(InvalidParameter, match="negative eigenvalue"):
+            MixedState(mat, build_basis(2, 1))
+    assert mat.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("skew, accepts", [
     (0.9e-10, True), (1.1e-10, False), (0.9e-10j, True), (1.1e-10j, False),
     # |0.8e-10 (1 + i)| = 1.13e-10: the deviation is each entry's modulus
@@ -494,13 +509,27 @@ def test_cat_suite_runs_without_dense_sector_eigensolves(monkeypatch):
 
     eigh = np.linalg.eigh
 
-    def two_qubits_only(a, *args, **kwargs):
-        if np.shape(a)[-1] > 4:
+    def two_qubits_or_lanczos(a, *args, **kwargs):
+        # above 4 x 4, only a Lanczos T: real, symmetric, tridiagonal and at
+        # most _KRYLOV_VECTORS rows
+        a = np.asarray(a)
+        rows = a.shape[-1]
+        if rows > 4 and not (np.isrealobj(a) and a.ndim == 2
+                             and rows <= fockspace._KRYLOV_VECTORS
+                             and np.array_equal(a, a.T) and not np.triu(a, 2).any()):
             refuse()
         return eigh(a, *args, **kwargs)
 
+    # the suite's N = 5 basis: every sector block above 4 states is refused
+    basis = build_basis(6, minimum_truncation(0.25))
+    full = build_hamiltonian(CouplingProfile.isotropic(1.0, 5), basis).to_csr()
+    large = [s for s in basis.sectors if s.stop - s.start > 4]
+    assert len(large) == 9
+    for s in large:
+        with pytest.raises(AssertionError, match="dense eigensolve"):
+            two_qubits_or_lanczos(full[s, s].toarray())
     monkeypatch.setattr(SparseHermitian, "sector_eigensystems", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", two_qubits_only)
+    monkeypatch.setattr(np.linalg, "eigh", two_qubits_or_lanczos)
     result = cat_suite(n=5, intensities=(0.25,), n_times=2)
     assert [case.status for case in result.cases] == ["pass"] * 4
 

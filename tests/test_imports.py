@@ -1,0 +1,65 @@
+"""Each command imports only what it runs: the closed-form commands load no
+scipy at all, and the Fock oracle loads scipy.sparse but no scipy.linalg.
+
+Every case runs in a fresh interpreter, since this process has long since
+imported everything the other tests use.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _scipy_modules(code: str, cwd: Path) -> list[str]:
+    """The scipy modules loaded after code runs in a fresh interpreter."""
+    report = "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code + report], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()  # below what the code prints
+
+
+@pytest.mark.parametrize("suite", [
+    "single_photon_suite(n_values=(2,), n_times=2)",
+    "cat_suite(n=2, intensities=(0.25,), n_times=2)",
+    "lindblad_suite(n_times=1, gt_max=0.1)",
+], ids=["single_photon", "cat", "lindblad"])
+def test_oracle_suites_load_no_scipy_linalg(suite, tmp_path):
+    loaded = _scipy_modules(
+        f"from cavshare import verify\nassert verify.{suite}.counts()[1] == 0",
+        tmp_path)
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--figure", "fig1"],
+    ["--command", "optimize", "--N", "3"],
+    ["--command", "sweep", "--points", "3"],
+])
+def test_closed_form_commands_load_no_scipy(argv, tmp_path):
+    loaded = _scipy_modules(
+        f"from cavshare import cli\nassert cli.main({argv!r}) == 0", tmp_path)
+    assert loaded == []
+
+
+def test_package_exports_the_oracle_on_first_use(tmp_path):
+    loaded = _scipy_modules(
+        "import sys\n"
+        "import cavshare\n"
+        "assert 'cavshare.fockspace' not in sys.modules\n"
+        "from cavshare import build_basis, MixedState\n"
+        "from cavshare.fockspace import FockBasis\n"
+        "assert isinstance(build_basis(2, 1), FockBasis)\n"
+        "assert MixedState is cavshare.fockspace.MixedState\n"
+        "for name in cavshare.__all__:\n"
+        "    getattr(cavshare, name)\n",
+        tmp_path)
+    assert "scipy.sparse" in loaded
