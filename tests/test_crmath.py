@@ -122,12 +122,44 @@ def test_kernels_match_mpmath_on_edge_values(name):
 
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_mpmath_only_path_gives_the_same_bits(name, monkeypatch):
-    # what a platform without an extended long double computes
+    # stages 1-3, stages 2-3 (a platform without an extended long double)
+    # and stage 3 alone
     args = np.linspace(-20.0, 13.0, 97)
-    fast = getattr(crmath, name)(args)
+    kernel = getattr(crmath, name)
+    results = [kernel(args)]
     monkeypatch.setattr(crmath, "_FAST", False)
-    assert getattr(crmath, name)(args).tobytes() == fast.tobytes()
-    assert same_bits(getattr(crmath, name)(0.3), reference(name, 0.3))
+    results.append(kernel(args))
+    monkeypatch.setattr(crmath, "_stage2", lambda name, x: None)
+    results.append(kernel(args))
+    assert len({r.tobytes() for r in results}) == 1
+    assert same_bits(kernel(0.3), reference(name, 0.3))
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_fixed_point_stage_decides_without_mpmath(name, figure_arguments,
+                                                  monkeypatch):
+    reached = []
+    stage2 = crmath._stage2
+    monkeypatch.setattr(crmath, "_stage2",
+                        lambda name, x: reached.append(x) or stage2(name, x))
+    getattr(crmath, name)(figure_arguments[name])
+    assert reached  # the figures do leave some arguments to stage 2
+    monkeypatch.setattr(crmath, "_stage2", stage2)
+
+    def refuse(name, x):
+        raise AssertionError(f"stage 2 left {name}({x!r}) undecided")
+
+    monkeypatch.setattr(crmath, "_mp_nearest", refuse)
+    monkeypatch.setattr(crmath, "_FAST", False)  # every argument to stage 2
+    draw = np.random.default_rng(1991).uniform(-20.0, 20.0, 2000)
+    check(name, np.concatenate([reached, draw, EDGES, np.negative(EDGES)]))
+
+
+def test_fixed_point_constants_match_mpmath():
+    with mpmath.workprec(400):
+        for const, exact in ((crmath._LN2, mpmath.ln2),
+                             (crmath._PI_2, mpmath.pi / 2)):
+            assert const == int(mpmath.floor(exact * 2 ** crmath._CONST_BITS))
 
 
 def test_special_values_follow_the_math_module():

@@ -1,5 +1,7 @@
 """Each command imports only what it runs: the closed-form commands load no
-scipy at all, and the Fock oracle loads scipy.sparse but no scipy.linalg.
+scipy at all, the Fock oracle loads scipy.sparse but no scipy.linalg, and
+neither the default figures nor the default verify suites load mpmath
+(crmath's fixed-point stage decides all of their arguments).
 
 Every case runs in a fresh interpreter, since this process has long since
 imported everything the other tests use.
@@ -15,9 +17,10 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _scipy_modules(code: str, cwd: Path) -> list[str]:
-    """The scipy modules loaded after code runs in a fresh interpreter."""
-    report = "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _modules(code: str, cwd: Path, package: str = "scipy") -> list[str]:
+    """The modules of package loaded after code runs in a fresh interpreter."""
+    report = ("\nimport sys\nprint(*sorted(m for m in sys.modules"
+              f" if m.split('.')[0] == {package!r}))")
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code + report], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path},
@@ -32,7 +35,7 @@ def _scipy_modules(code: str, cwd: Path) -> list[str]:
     "lindblad_suite(n_times=1, gt_max=0.1)",
 ], ids=["single_photon", "cat", "lindblad"])
 def test_oracle_suites_load_no_scipy_linalg(suite, tmp_path):
-    loaded = _scipy_modules(
+    loaded = _modules(
         f"from cavshare import verify\nassert verify.{suite}.counts()[1] == 0",
         tmp_path)
     assert "scipy.sparse" in loaded
@@ -45,13 +48,13 @@ def test_oracle_suites_load_no_scipy_linalg(suite, tmp_path):
     ["--command", "sweep", "--points", "3"],
 ])
 def test_closed_form_commands_load_no_scipy(argv, tmp_path):
-    loaded = _scipy_modules(
+    loaded = _modules(
         f"from cavshare import cli\nassert cli.main({argv!r}) == 0", tmp_path)
     assert loaded == []
 
 
 def test_package_exports_the_oracle_on_first_use(tmp_path):
-    loaded = _scipy_modules(
+    loaded = _modules(
         "import sys\n"
         "import cavshare\n"
         "assert 'cavshare.fockspace' not in sys.modules\n"
@@ -63,3 +66,12 @@ def test_package_exports_the_oracle_on_first_use(tmp_path):
         "    getattr(cavshare, name)\n",
         tmp_path)
     assert "scipy.sparse" in loaded
+
+
+@pytest.mark.parametrize("code", [
+    "from cavshare import cli\nassert cli.main(['--figure', 'fig2a']) == 0",
+    "from cavshare import verify\nassert verify.single_photon_suite().counts()[1] == 0",
+    "from cavshare import verify\nassert verify.cat_suite().counts()[1] == 0",
+], ids=["fig2a", "single_photon", "cat"])
+def test_default_runs_load_no_mpmath(code, tmp_path):
+    assert _modules(code, tmp_path, "mpmath") == []
