@@ -33,6 +33,7 @@ _TIME_AXIS = (0.0, 2.0 * math.pi, 801)  # 400 points per pi-period
 _FIG2_INTENSITY_AXIS = (0.0, 6.0, 61)
 _FIG3_INTENSITIES = (0.01, 0.1, 1.0, 2.0)
 _FIG2CD_N = (2, 3, 5, 10)
+_CHUNK_ROWS = 512  # rows turned into text and written at a time
 
 
 @dataclass(frozen=True)
@@ -206,25 +207,39 @@ def _spec(value) -> str:
     return "%.17g" if isinstance(value, float) else "%s"
 
 
+def _cells(chunk, spec: str) -> list[str]:
+    """Each value of a column chunk as text; %.17g formats each distinct bit
+    pattern once (the int64 view keeps -0.0 apart from 0.0)."""
+    if spec == "%s":
+        return list(map(str, chunk))
+    bits = np.asarray(chunk, dtype=np.float64).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[index].tolist()
+
+
 def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
                columns: Sequence[Sequence]) -> int:
     """Write the metadata line, the header and the rows; return the row count.
 
-    The row format is chosen once per table from the first value of each
-    column; every command writes at least one row. Rows stream to the file
-    one line at a time, so a figure's text never sits in memory whole;
-    callers compute every value before writing.
+    A header and columns of unequal lengths are refused (ValueError). Each
+    column's format follows its first value; every command writes at least
+    one row. Rows stream out _CHUNK_ROWS at a time, each chunk's text made
+    column by column (_cells) and written at once, so a figure's text never
+    sits in memory whole; callers compute every value before writing.
     """
-    fmt = ",".join(_spec(column[0]) for column in columns) + "\n"
-    count = 0
+    lengths = [len(column) for column in columns]
+    if len(header) != len(columns) or len(set(lengths)) > 1:
+        raise ValueError(f"CSV header of {len(header)} names, column lengths {lengths}")
     with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write("# " + " ".join(f"{k}={_spec(v) % v}" for k, v in meta)
                      + "\n")
         handle.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            handle.write(fmt % row)
-            count += 1
-    return count
+        for start in range(0, lengths[0], _CHUNK_ROWS):
+            cells = [_cells(column[start:start + _CHUNK_ROWS], _spec(column[0]))
+                     for column in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return lengths[0]
 
 
 def _field_columns(records: list, cls) -> tuple[list[str], list[list]]:

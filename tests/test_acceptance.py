@@ -214,33 +214,28 @@ def test_criterion_8_monogamy(single_photon_result, cat_result,
 
 
 def test_criterion_9_figure_regression(tmp_path, monkeypatch):
+    # every golden is committed: a missing one fails, nothing is recorded here
     figures = ("fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4")
-    _GOLDEN_DIR.mkdir(exist_ok=True)
     first = tmp_path / "a"
     second = tmp_path / "b"
-    results = []
     for directory in (first, second):
         directory.mkdir()
         monkeypatch.chdir(directory)
         for figure in figures:
             assert cli.entrypoint(["--figure", figure]) == 0
-    fresh = []
+    missing, differ = [], []
     for figure in figures:
         name = f"{figure}.csv"
         assert filecmp.cmp(first / name, second / name, shallow=False)
         digest = hashlib.sha256((first / name).read_bytes()).hexdigest()
         stored = _GOLDEN_DIR / f"{figure}.sha256"
-        if stored.exists():
-            results.append(stored.read_text().strip() == digest)
-        else:
-            stored.write_text(digest + "\n")
-            fresh.append(figure)
-            results.append(True)
-    ok = all(results)
-    note = f", golden recorded for {', '.join(fresh)}" if fresh else ""
-    differ = [figure for figure, same in zip(figures, results) if not same]
-    verdict = (f"golden hash differs for {', '.join(differ)}" if differ
-               else "all matching golden hashes")
+        if not stored.exists():
+            missing.append(figure)
+        elif stored.read_text().strip() != digest:
+            differ.append(figure)
+    notes = [f"golden hash {what} for {', '.join(names)}"
+             for what, names in (("missing", missing), ("differs", differ)) if names]
     detail = (f"{len(figures)} figures byte-identical across runs, "
-              f"{verdict}{note}")
+              f"{'; '.join(notes) or 'all matching golden hashes'}")
+    ok = not notes
     _verdict(9, ok, detail)
