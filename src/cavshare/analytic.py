@@ -21,7 +21,7 @@ import numpy as np
 
 from . import crmath
 from .entanglement import TwoQubitDensity
-from .errors import DegenerateBasis
+from .errors import DegenerateBasis, InvalidParameter
 from .model import (
     DEGENERACY_THRESHOLD,
     Cat,
@@ -218,11 +218,15 @@ def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
     """
     x = np.asarray(intensity, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 is the limit
-        numerator = crmath.expm1(4.0 * mu_sq)
-        if parity is ParityKind.EVEN:
-            denominator = crmath.exp(2.0 * x) + 1.0
-        else:
-            denominator = crmath.expm1(2.0 * x)
+        try:
+            numerator = crmath.expm1(4.0 * mu_sq)
+            if parity is ParityKind.EVEN:
+                denominator = crmath.exp(2.0 * x) + 1.0
+            else:
+                denominator = crmath.expm1(2.0 * x)
+        except OverflowError:  # 4 mu_sq <= 2 |alpha|^2: the intensity is why
+            raise InvalidParameter("intensity", "e^(2|alpha|^2) overflows a "
+                                   "double above |alpha|^2 = 354.89") from None
         ratio = np.minimum(np.maximum(np.divide(numerator, denominator), 0.0), 1.0)
     limit = 2.0 * v_sq if parity is ParityKind.ODD else 0.0 * v_sq
     value = np.where(x == 0.0, limit, ratio)

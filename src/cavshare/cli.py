@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
@@ -56,6 +57,9 @@ class RunConfig:
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
     if points < 2:
         raise InvalidParameter("points", "grid needs at least 2 points")
+    for key, value in (("t_start", start), ("t_stop", stop)):
+        if not math.isfinite(value):
+            raise InvalidParameter(key, "grid bounds must be finite")
     if not stop > start:
         raise InvalidParameter("t_stop", "grid stop must exceed start")
     return np.linspace(start, stop, points)
@@ -338,6 +342,9 @@ def run_verify(cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we own codes
         raise ParseError(0, message)
+
+    def _parse_optional(self, arg):  # "-1e-05", as metadata writes it, is a value
+        return None if re.match(r"-\.?\d", arg) else super()._parse_optional(arg)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

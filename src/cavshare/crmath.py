@@ -1,45 +1,46 @@
 """Correctly rounded exp, expm1, sin and cos over float64 arrays.
 
 The figure and sweep CSVs print 17 significant digits, so they show the last
-bit of every value. The C library behind ``math`` and numpy does not round
-these four functions correctly (glibc misses the nearest double on up to 10 %
-of some figures' arguments), so the bytes of a figure used to depend on the
-platform. Each kernel here returns the float64 nearest to the exact value
-(ties cannot occur: the results are transcendental for nonzero finite
-arguments), which no platform can change. The scheme is the one of CORE-MATH
-(Sibidanov, Zimmermann and Glondu, ARITH 2022), in three stages:
+bit of every value, and the C library behind ``math`` and numpy does not
+round these four functions correctly (glibc misses the nearest double on up
+to 10 % of some figures' arguments). Each kernel here returns the float64
+nearest to the exact value, which no platform can change, in the two stages
+of CORE-MATH (Sibidanov, Zimmermann and Glondu, ARITH 2022):
 
 1. evaluate the whole array in ``np.longdouble`` (x87 extended with a 64-bit
    mantissa, or IEEE quad) and keep each result whose error interval rounds
-   to a single float64 (Ziv's rounding test), which is all but about one in
-   a hundred;
-2. evaluate each argument left with |x| <= 512 in Python-integer fixed point
-   with 160 fraction bits: reduce it by k·ln 2 or k·π/2, sum the Taylor
-   series, and apply the same rounding test to that value and its error
-   bound;
-3. evaluate what stage 2 cannot decide with mpmath at 256 bits and round
-   that exactly. No argument of the default figures or verify suites gets
-   here, so those runs never import mpmath.
+   to a single float64 (Ziv's rounding test): all but about one in a hundred;
+2. evaluate each argument left in Python-integer fixed point with p = 160
+   fraction bits: reduce it by k·ln 2 or k·π/2, sum the Taylor series, and
+   apply the same test to that value and its error bound, again with p
+   doubled while the test fails. Where ``long double`` is no wider than
+   double (or is a double-double), every argument starts here.
 
-Where ``long double`` is no wider than double (or is a double-double),
-every argument starts at stage 2: slower, still correct.
+Stage 2's error bound at p bits is p + 11 units of 2^-p, times 2^k for exp
+and expm1 (e^x = 2^k e^r) and 1 for sin and cos. The reduced r (|r| <=
+ln2/2 or π/4) is within 2.3 units: |x| is rounded down at c = p + 2 +
+(integer bits of |x|) fraction bits, and the constant in k·ln 2 or k·π/2 is
+less than 2 units of 2^-c off. Each series term t_j = floor(floor(t_(j-1)·z)
+/ d_j) is less than 1.52 units off (z = r or -r², d_1 >= 2, then d_j >= 3
+for exp and >= 12 for sin and cos), and as |z| / d_j <= 0.31 the terms end
+within 0.59p + 3.7 steps, so the sum is within 0.9p + 6.3 units. r's error,
+through e^r <= 1.42 or the series' slopes (<= 0.56 in -r²), and the last
+product's floor add 4.2 units: 0.9p + 10.5 < p + 11 in all.
 
-Stage 2's error bound is 256 units of 2^-160, times a scale: |x| for expm1
-and sin when no reduction applies (k = 0), 2^k for exp and the rest of
-expm1 (e^x = 2^k e^r with |r| <= ln2/2), and 1 for cos and the rest of
-sin. Summing the truncation errors of the reduction and the series gives
-at most 60 units. Measured against mpmath at 400 bits or more, on every figure argument and
-per function on 10^5 random arguments in [-20, 20], 10^4 in [-512, 512] and
-10^4 of random magnitude in [2^-1074, 2^-1], the worst error was 19.6 units
-(expm1 at 0.324), a factor of 13 below the bound.
+Against mpmath, on 7 000 random arguments per function (|x| from 2^-1074 up,
+past 2^1000 for sin and cos), the worst error was 13.2 units at p = 160 and
+20.6 at p = 320: a margin of 13. The loop ends: at nonzero finite x each
+value is transcendental (Lindemann-Weierstrass), so it is no rounding
+boundary (a midpoint of two doubles or the overflow threshold), and the test
+decides it once 2^-p (p + 11) is below its distance to the nearest one.
 
-Arguments and results outside the finite range follow the ``math`` module:
-nan gives nan, sin and cos of an infinity raise ValueError, and a finite
-argument whose result overflows raises OverflowError.
+Zero and non-finite arguments go to ``math``, which is exact there (nan gives
+nan, sin and cos of inf raise ValueError); an overflow raises OverflowError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,119 +48,103 @@ import numpy as np
 _LD = np.finfo(np.longdouble)
 _FAST = _LD.nmant in (63, 112)
 # Error bound of stage 1: 7 long double epsilons, relative to the result.
-# Measured against mpmath on this package's figure arguments and on 10^5
-# random arguments in [-20, 20], glibc's x86-64 long double exp, expm1, sin
-# and cos stay within 1.44 epsilons, so the bound leaves a factor of 4.8;
-# for IEEE quad it is assumed, not measured. tests/test_crmath.py checks the
-# kernels bit for bit against mpmath. The rounding test widens the result
-# by one more epsilon, which covers the rounding of the interval ends it
-# forms in long double.
+# Against mpmath on this package's figure arguments and on 10^5 random
+# arguments in [-20, 20], glibc's x86-64 long double exp, expm1, sin and cos
+# stay within 1.44 epsilons, a factor of 4.8 below; for IEEE quad it is
+# assumed. One more epsilon covers the rounding of the interval's ends.
 _SLACK = np.longdouble(8) * _LD.eps
-# Stage 2: an integer v stands for v / 2^_P. ln 2 and π/2 are rounded down
-# at 2^-192, so that k times either is within 2^-182 for |k| <= 739.
-_P = 160
-_ONE = 1 << _P
-_CONST_BITS = 192
-_LN2 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d
-_PI_2 = 0x1921fb54442d18469898cc51701b839a252049c1114cf98e8
-_ERR = 256  # the bound in the module docstring, in units of 2^-_P
-_REACH = 512.0
-# The hardest double arguments known for these functions (Lefevre and
-# Muller, ARITH 2001) lie about 2^-120 from a rounding boundary; 256 bits
-# decides them with a wide margin.
-_MP_BITS = 256
+_P = 160  # stage 2's first precision, in fraction bits
 
 
-def _nearest_double(v) -> float:
-    """The float64 nearest to the mpmath number v, subnormals included."""
-    sign, man, exp, bc = v._mpf_
-    if not man:
-        return float(v)  # zero, infinity or nan
-    # weight of the last bit a double keeps at this magnitude
-    shift = max(exp + bc - 53, -1074) - exp
-    if shift > 0:
-        man, rem = divmod(man, 1 << shift)
-        half = 1 << (shift - 1)
-        if rem > half or (rem == half and man & 1):
-            man += 1
-        exp += shift
-    try:
-        value = math.ldexp(man, exp)
-    except OverflowError:
-        value = math.inf
-    return -value if sign else value
+@functools.cache
+def _summed(name: str, width: int) -> int:
+    """ln 2 (the sum of 1/(k·2^k)) or π/2 (Machin: 8·atan(1/5) -
+    2·atan(1/239)) at 2^-width; 64 guard bits take the terms' floors."""
+    one, total = 1 << width + 64, 0
+    if name == "ln2":
+        return sum((one >> k) // k for k in range(1, width + 65)) >> 64
+    for n, weight in ((5, 8), (239, -2)):
+        power, j = one // n, 1  # one / n^j
+        while power:
+            total += weight * (power // j if j % 4 == 1 else -(power // j))
+            power, j = power // (n * n), j + 2
+    return total >> 64
 
 
-def _mp_nearest(name: str, x: float) -> float:
-    import mpmath  # only what stage 2 cannot decide needs it
+@functools.lru_cache(maxsize=1024)
+def _constant(name: str, bits: int) -> int:
+    """_summed at 2^-bits (less than 2 units off), from the next power of two."""
+    width = 1 << (bits - 1).bit_length()
+    return _summed(name, width) >> width - bits
 
-    with mpmath.workprec(_MP_BITS):
-        return _nearest_double(getattr(mpmath, name)(x))
 
-
-def _series(z: int, n: int, step: int) -> int:
-    """The sum of t_0 = 1 and t_j = t_(j-1)·z / d_j in fixed point, where
-    d_j multiplies the step integers that follow n + (j - 1)·step."""
-    total = t = _ONE
+def _series(z: int, n: int, step: int, p: int) -> int:
+    """The sum of t_0 = 1 and t_j = t_(j-1)·z / d_j at 2^-p, where d_j
+    multiplies the step integers that follow n + (j - 1)·step."""
+    total = t = 1 << p
     while t:  # ends: a term -1 needs z < 0, and then the next term is 0
         n += step
-        t = (t * z >> _P) // (n * (n - 1) if step == 2 else n)
+        t = (t * z >> p) // (n * (n - 1) if step == 2 else n)
         total += t
     return total
 
 
 def _decide(v: int, err: int, q: int) -> float | None:
-    """The double nearest to v / 2^q, if all of (v ± err) / 2^q round to it.
-
-    int / int and float(int) round correctly, so this is Ziv's test done
-    exactly.
-    """
-    if q >= 0:
+    """The double nearest to v / 2^q, if all of (v ± err) / 2^q round to it:
+    Ziv's test, done exactly, as int / int rounds correctly (and raises
+    OverflowError where the result rounds past the largest double)."""
+    v, err, q = (v << -q, err << -q, 0) if q < 0 else (v, err, q)
+    try:
         lo, hi = (v - err) / (1 << q), (v + err) / (1 << q)
-    else:
-        lo, hi = float((v - err) << -q), float((v + err) << -q)
+    except OverflowError:  # inf if the lower end rounds past it too
+        return math.inf if v - err >= (1 << 1024 + q) - (1 << 970 + q) else None
     return lo if lo == hi else None
 
 
-def _stage2(name: str, x: float) -> float | None:
-    """The double nearest to name(x) from fixed point, or None if undecided."""
-    if not abs(x) <= _REACH:
-        return None
-    if x == 0.0:
-        return 1.0 if name in ("exp", "cos") else x  # keeps the sign of -0.0
+def _fixed(name: str, x: float, p: int) -> float | None:
+    """The double nearest to name(x) from fixed point at 2^-p, or None if
+    undecided there; x is nonzero, and |x| <= 800 for exp and expm1."""
+    err, exp = p + 11, name in ("exp", "expm1")  # err: the bound, in units
     m, d = abs(x).as_integer_ratio()
     q = d.bit_length() - 1  # |x| = m / 2^q
-    ax = m << (_P - q) if q <= _P else m >> (q - _P)  # |x|, rounded down
-    if name in ("exp", "expm1"):
-        k = round(x * 1.4426950408889634)
-        r = (ax if x > 0 else -ax) - (k * _LN2 >> _CONST_BITS - _P)
-        s = _series(r, 1, 1)  # (e^r - 1) / r
-        if name == "expm1" and k == 0:
-            # keep x exact, so tiny arguments keep their relative precision
-            return _decide(m * s if x > 0 else -m * s, m * _ERR, q + _P)
-        e = _ONE + (r * s >> _P)  # e^r, and e^x = e^r 2^k
+    c = p + max(m.bit_length() - q, 0) + 2  # 2 bits past |x|'s integer bits
+    ax = m << c - q if q <= c else m >> q - c  # |x| at 2^-c, rounded down
+    ax = -ax if exp and x < 0 else ax
+    h = _constant("ln2" if exp else "pi/2", c)
+    k = (2 * ax + h) // (2 * h)  # the integer nearest ax / h
+    r = ax - k * h >> c - p
+    if exp:
+        e = (1 << p) + (r * _series(r, 1, 1, p) >> p)  # e^r; e^x = e^r 2^k
         if name == "exp":
-            return _decide(e, _ERR, _P - k)
+            return _decide(e, err, p - k)
         up, down = max(k, 0), max(-k, 0)
-        return _decide((e << up) - (_ONE << down), _ERR << up, _P + down)
-    k = round(abs(x) * 0.6366197723675814)
-    r = ax - (k * _PI_2 >> _CONST_BITS - _P)
-    z = -(r * r >> _P)
+        return _decide((e << up) - (1 << p + down), err << up, p + down)
+    z = -(r * r >> p)
     quadrant = (k + (name == "cos")) % 4  # name(|x|) = ±sin r or ±cos r
     if quadrant % 2:
-        v, err, q = _series(z, 0, 2), _ERR, _P  # cos r
-    elif k:
-        v, err, q = r * _series(z, 1, 2), _ERR << _P, 2 * _P  # sin r
+        v, err, q = _series(z, 0, 2, p), err, p  # cos r
     else:
-        v, err, q = m * _series(z, 1, 2), m * _ERR, q + _P  # sin |x|, exact |x|
+        v, err, q = r * _series(z, 1, 2, p), err << p, 2 * p  # sin r
     if (quadrant >= 2) != (name == "sin" and x < 0):
         v = -v
     return _decide(v, err, q)
 
 
+def _stage2(name: str, x: float) -> float:
+    """The double nearest to name(x): fixed point at _P fraction bits, and
+    twice as many each time Ziv's test leaves it undecided."""
+    if x == 0.0 or not math.isfinite(x):
+        return getattr(math, name)(x)  # exact at these arguments
+    if name in ("exp", "expm1"):  # past ±800 the result stays 0, -1 or inf
+        x = min(max(x, -800.0), 800.0)
+    p = _P
+    while (y := _fixed(name, x, p)) is None:
+        p *= 2
+    return y
+
+
 def _kernel(name: str):
     fast = getattr(np, name)
-    periodic = name in ("sin", "cos")
 
     def kernel(x):
         if isinstance(x, float) or np.ndim(x) == 0:
@@ -172,8 +157,6 @@ def _kernel(name: str):
                     return float(y)
             return float(kernel(np.array([x]))[0])
         x = np.asarray(x, dtype=np.float64)
-        if periodic and np.isinf(x).any():
-            raise ValueError("math domain error")
         out = np.zeros(x.shape)
         settled = np.zeros(x.shape, dtype=bool)
         if _FAST:
@@ -184,9 +167,7 @@ def _kernel(name: str):
                 settled = ((y - slack).astype(np.float64)
                            == (y + slack).astype(np.float64))
         for i in np.flatnonzero(~settled):
-            xi = float(x.flat[i])
-            yi = _stage2(name, xi)
-            out.flat[i] = _mp_nearest(name, xi) if yi is None else yi
+            out.flat[i] = _stage2(name, float(x.flat[i]))
         if np.isinf(out[np.isfinite(x)]).any():
             raise OverflowError("math range error")
         return out

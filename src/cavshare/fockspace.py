@@ -195,6 +195,7 @@ class PureState:
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= 1e-10:  # `not <=` so that NaN fails
             raise InvalidParameter("amplitudes", f"norm {norm!r} is not 1")
+        amp = amp.copy() if amp.flags.writeable else amp  # the caller's stays its own
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -230,6 +231,7 @@ class MixedState:
         except np.linalg.LinAlgError:
             raise InvalidParameter("matrix",
                                    "negative eigenvalue beyond -1e-8") from None
+        mat = mat.copy() if mat.flags.writeable else mat  # the caller's stays its own
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -402,6 +404,7 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
         theta, vec = np.linalg.eigh(tri)
         coeff = np.exp(-1j * np.outer(theta, times)) * (norm * vec[0])[:, None]
         out[:, s] = ((q @ vec) @ coeff).T
+    out.setflags(write=False)  # so the states take its rows uncopied
     return [PureState(amp, psi0.basis) for amp in out]
 
 
@@ -604,6 +607,7 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
         rho += rho.conj().T  # the d < 0 blocks are the adjoints
         for s in sectors:
             rho[s, s] *= 0.5  # d = 0: the Hermitian part, scrubbing roundoff
+        rho.setflags(write=False)  # so the sample takes it uncopied
         samples.append(MixedState(rho, basis))
     return samples
 

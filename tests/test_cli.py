@@ -383,12 +383,44 @@ def test_verify_failures_exit_two(tmp_path, monkeypatch, capsys):
         ["--command", "verify", "--t_stop", "-1.0"],
         ["--command", "verify", "--t_stop", "nan"],
         ["--command", "verify", "--t_stop", "inf"],
+        # a grid bound that is not finite
+        ["--figure", "fig1", "--t_stop", "inf"],
+        ["--figure", "fig2c", "--t_stop", "inf"],
+        ["--command", "sweep", "--t_start", "-inf"],
     ],
 )
 def test_bad_input_exits_one(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.entrypoint(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--figure", "fig1", "--t_stop", "inf"], "t_stop: grid bounds"),
+    (["--figure", "fig2c", "--t_stop", "inf"], "t_stop: grid bounds"),
+    (["--command", "sweep", "--t_start", "nan"], "t_start: grid bounds"),
+    # e^(2|alpha|^2) overflows a double above |alpha|^2 = 354.89...
+    (["--command", "sweep", "--alpha2", "400"], "intensity: e^(2|alpha|^2)"),
+    (["--command", "sweep", "--alpha2", "354.8913564466921", "--parity",
+      "even"], "intensity: e^(2|alpha|^2)"),
+    (["--figure", "fig4", "--alpha2", "400"], "intensity: e^(2|alpha|^2)"),
+    (["--figure", "fig2c", "--t_stop", "400"], "intensity: e^(2|alpha|^2)"),
+], ids=["fig1_inf", "fig2c_inf", "sweep_nan", "sweep_400", "sweep_even_edge",
+        "fig4_400", "fig2c_400"])
+def test_bad_input_names_its_cause(tmp_path, monkeypatch, argv, cause, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.entrypoint(argv + ["--points", "3"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {cause}")
+
+
+def test_largest_intensity_still_runs(tmp_path, monkeypatch):
+    # ...and not at or below it, for either parity
+    monkeypatch.chdir(tmp_path)
+    for parity in ("odd", "even"):
+        assert cli.entrypoint(["--command", "sweep", "--alpha2",
+                               "354.891356446692", "--parity", parity,
+                               "--points", "3"]) == 0
 
 
 def test_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
@@ -415,8 +447,10 @@ def test_metadata_line_reruns_the_command(tmp_path, monkeypatch):
     # every key=value in the header is a valid flag assignment
     monkeypatch.chdir(tmp_path)
     assert cli.entrypoint(["--command", "sweep", "--N", "5", "--points", "11",
-                           "--out", "first.csv"]) == 0
+                           "--t_start", "-0.00001", "--out", "first.csv"]) == 0
     meta, _, _ = _read_csv(tmp_path / "first.csv")
+    # argparse alone would take this value for an option
+    assert meta["t_start"] == "-1.0000000000000001e-05"
     argv = []
     for key, value in meta.items():
         if key == "out":

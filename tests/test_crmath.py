@@ -8,6 +8,7 @@ double's two neighbours; it shares no code with the kernels' own rounding.
 
 import hashlib
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -122,14 +123,14 @@ def test_kernels_match_mpmath_on_edge_values(name):
 
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_mpmath_only_path_gives_the_same_bits(name, monkeypatch):
-    # stages 1-3, stages 2-3 (a platform without an extended long double)
-    # and stage 3 alone
+    # stages 1-2, stage 2 alone (a platform without an extended long double)
+    # and stage 2 started at 24 bits, which makes it double its precision
     args = np.linspace(-20.0, 13.0, 97)
     kernel = getattr(crmath, name)
     results = [kernel(args)]
     monkeypatch.setattr(crmath, "_FAST", False)
     results.append(kernel(args))
-    monkeypatch.setattr(crmath, "_stage2", lambda name, x: None)
+    monkeypatch.setattr(crmath, "_P", 24)
     results.append(kernel(args))
     assert len({r.tobytes() for r in results}) == 1
     assert same_bits(kernel(0.3), reference(name, 0.3))
@@ -145,21 +146,76 @@ def test_fixed_point_stage_decides_without_mpmath(name, figure_arguments,
     getattr(crmath, name)(figure_arguments[name])
     assert reached  # the figures do leave some arguments to stage 2
     monkeypatch.setattr(crmath, "_stage2", stage2)
-
-    def refuse(name, x):
-        raise AssertionError(f"stage 2 left {name}({x!r}) undecided")
-
-    monkeypatch.setattr(crmath, "_mp_nearest", refuse)
     monkeypatch.setattr(crmath, "_FAST", False)  # every argument to stage 2
     draw = np.random.default_rng(1991).uniform(-20.0, 20.0, 2000)
-    check(name, np.concatenate([reached, draw, EDGES, np.negative(EDGES)]))
+    args = np.concatenate([reached, draw, EDGES, np.negative(EDGES)])
+    with monkeypatch.context() as blocked:
+        blocked.setitem(sys.modules, "mpmath", None)  # importing it fails
+        getattr(crmath, name)(args)
+    check(name, args)
 
 
-def test_fixed_point_constants_match_mpmath():
-    with mpmath.workprec(400):
-        for const, exact in ((crmath._LN2, mpmath.ln2),
-                             (crmath._PI_2, mpmath.pi / 2)):
-            assert const == int(mpmath.floor(exact * 2 ** crmath._CONST_BITS))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_doubling_matches_mpmath_across_the_double_range(name, monkeypatch):
+    # Stage 2 alone from 24 bits, where Ziv's test decides no argument, so
+    # every one goes through the doubling. Magnitudes are log-uniform from
+    # 2^-1074 up; exp and expm1 also run into their saturated ends, and up
+    # to the last argument whose result is finite.
+    monkeypatch.setattr(crmath, "_FAST", False)
+    monkeypatch.setattr(crmath, "_P", 24)
+    precisions = set()
+    fixed = crmath._fixed
+    monkeypatch.setattr(crmath, "_fixed", lambda name, x, p: precisions.add(p)
+                        or fixed(name, x, p))
+    rng = np.random.default_rng(2022)
+    top = 1024.0 if name in ("sin", "cos") else 0.0
+    tiny = rng.choice([-1.0, 1.0], 200) * 2.0 ** rng.uniform(-1074.0, top, 200)
+    wide = [*rng.uniform(-800.0, 709.78, 100), 709.782712893384] if top == 0.0 else []
+    check(name, np.concatenate([tiny, wide]))
+    assert {24, 48, 96} <= precisions <= {24 << i for i in range(12)}
+    if top == 0.0:
+        with pytest.raises(OverflowError):
+            getattr(crmath, name)(math.nextafter(709.782712893384, math.inf))
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_fixed_point_error_stays_within_its_bound(name, monkeypatch):
+    # The module docstring's p + 11 units, times the scale _fixed passes
+    # on, against mpmath at precisions low enough to show the error itself.
+    seen = []
+    decide = crmath._decide
+    monkeypatch.setattr(crmath, "_decide", lambda v, err, q: seen.append(
+        (v, err, q)) or decide(v, err, q))
+    rng = np.random.default_rng(2001)
+    args = [*rng.uniform(-20.0, 20.0, 100), *2.0 ** rng.uniform(-60.0, 0.0, 20)]
+    if name in ("sin", "cos"):
+        args += list(2.0 ** rng.uniform(0.0, 1000.0, 20))
+    for p in (24, 48, 96):
+        for x in args:
+            seen.clear()
+            crmath._fixed(name, x, p)
+            [(v, err, q)] = seen
+            with mpmath.workprec(3 * p + 1200):
+                exact = getattr(mpmath, name)(mpmath.mpf(x)) * mpmath.mpf(2) ** q
+                assert abs(v - exact) <= err, (x, p)
+
+
+def test_fixed_point_constants_match_mpmath(monkeypatch):
+    # at the precisions sin(2^1000) asks for (its 1001 integer bits plus the
+    # working precision), and at a few others
+    asked = []
+    constant = crmath._constant
+    monkeypatch.setattr(crmath, "_constant",
+                        lambda name, bits: asked.append(bits)
+                        or constant(name, bits))
+    assert same_bits(crmath._stage2("sin", 2.0 ** 1000),
+                     reference("sin", 2.0 ** 1000))
+    assert min(asked) > 1000 + crmath._P
+    for bits in (24, 172, 256, 333, 2100, *asked):
+        with mpmath.workprec(bits + 64):
+            for name, exact in (("ln2", mpmath.ln2), ("pi/2", mpmath.pi / 2)):
+                assert constant(name, bits) == int(
+                    mpmath.floor(exact * mpmath.mpf(2) ** bits)), bits
 
 
 def test_special_values_follow_the_math_module():

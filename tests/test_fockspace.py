@@ -316,11 +316,26 @@ def test_mixed_state_leaves_the_callers_matrix_unchanged(diagonal, accepts):
     mat[0, 1], mat[1, 0] = 0.1 + 0.05j, 0.1 - 0.05j
     before = mat.copy()
     if accepts:
-        MixedState(mat, build_basis(2, 1))
+        state = MixedState(mat, build_basis(2, 1))
+        assert not state.matrix.flags.writeable
+        assert not np.shares_memory(state.matrix, mat)
     else:
         with pytest.raises(InvalidParameter, match="negative eigenvalue"):
             MixedState(mat, build_basis(2, 1))
     assert mat.tobytes() == before.tobytes()
+    assert mat.flags.writeable
+
+
+def test_pure_state_leaves_the_callers_amplitudes_unchanged():
+    amp = np.array([0.6, 0.8j, 0.0, 0.0])
+    state = PureState(amp, build_basis(3, 1))
+    assert not state.amplitudes.flags.writeable
+    assert not np.shares_memory(state.amplitudes, amp)
+    assert amp.flags.writeable
+    # the oracle's own rows are read-only already, and taken uncopied
+    ham = build_hamiltonian(CouplingProfile.isotropic(1.0, 2), state.basis)
+    first, second = unitary_trajectory(ham, state, [0.1, 0.2])
+    assert first.amplitudes.base is second.amplitudes.base is not None
 
 
 @pytest.mark.parametrize("skew, accepts", [

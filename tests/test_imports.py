@@ -1,7 +1,7 @@
 """Each command imports only what it runs: the closed-form commands load no
 scipy at all, the Fock oracle loads scipy.sparse but no scipy.linalg, and
-neither the default figures nor the default verify suites load mpmath
-(crmath's fixed-point stage decides all of their arguments).
+no run loads mpmath, which only the tests use as a reference (crmath's
+fixed-point stage decides every argument, however large).
 
 Every case runs in a fresh interpreter, since this process has long since
 imported everything the other tests use.
@@ -68,10 +68,16 @@ def test_package_exports_the_oracle_on_first_use(tmp_path):
     assert "scipy.sparse" in loaded
 
 
+_SWEEP = "from cavshare import cli\nassert cli.main(['--command', 'sweep', {}]) == 0"
+
+
 @pytest.mark.parametrize("code", [
     "from cavshare import cli\nassert cli.main(['--figure', 'fig2a']) == 0",
     "from cavshare import verify\nassert verify.single_photon_suite().counts()[1] == 0",
     "from cavshare import verify\nassert verify.cat_suite().counts()[1] == 0",
-], ids=["fig2a", "single_photon", "cat"])
+    # sin and cos arguments far past |x| = 512
+    _SWEEP.format("'--t_stop', '1000', '--points', '2001'"),
+    _SWEEP.format("'--gamma_over_g', '0.13', '--t_stop', '1e6', '--points', '2001'"),
+], ids=["fig2a", "single_photon", "cat", "sweep_1000", "damped_sweep_1e6"])
 def test_default_runs_load_no_mpmath(code, tmp_path):
     assert _modules(code, tmp_path, "mpmath") == []
