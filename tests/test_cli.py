@@ -443,14 +443,22 @@ def test_identical_config_gives_identical_bytes(tmp_path, monkeypatch):
                        shallow=False)
 
 
-def test_metadata_line_reruns_the_command(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    *(["--figure", fig, "--points", "3"]
+      for fig in ("fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig4")),
+    ["--figure", "fig3"],
+    ["--command", "optimize", "--N", "3"],
+    ["--command", "sweep", "--N", "5", "--points", "11", "--t_start", "-0.00001"],
+], ids=["fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig4", "fig3",
+        "optimize", "sweep"])
+def test_metadata_line_reruns_the_command(tmp_path, monkeypatch, argv):
     # every key=value in the header is a valid flag assignment
     monkeypatch.chdir(tmp_path)
-    assert cli.entrypoint(["--command", "sweep", "--N", "5", "--points", "11",
-                           "--t_start", "-0.00001", "--out", "first.csv"]) == 0
+    assert cli.entrypoint(argv + ["--out", "first.csv"]) == 0
     meta, _, _ = _read_csv(tmp_path / "first.csv")
-    # argparse alone would take this value for an option
-    assert meta["t_start"] == "-1.0000000000000001e-05"
+    if "--t_start" in argv:
+        # argparse alone would take this value for an option
+        assert meta["t_start"] == "-1.0000000000000001e-05"
     argv = []
     for key, value in meta.items():
         if key == "out":
@@ -462,6 +470,44 @@ def test_metadata_line_reruns_the_command(tmp_path, monkeypatch):
     with open(tmp_path / "second.csv", encoding="ascii") as f:
         body_b = f.read().splitlines()[1:]
     assert body_a == body_b
+
+
+_PASSING = SuiteResult(
+    suite="single_photon",
+    cases=[VerifyCase(case_id="single_photon/N=2/Gt=0.4/law", analytic=0.5,
+                      oracle=0.5, abs_error=0.0, tolerance=1e-8,
+                      status="pass")],
+    pair_records=[],
+)
+
+
+@pytest.mark.parametrize("argv, out, line", [
+    (["--command", "optimize", "--N", "4", "--parity", "even"], "optimize.csv",
+     "command=optimize N=4 parity=even out=optimize.csv"),
+    (["--command", "sweep", "--N", "5", "--g", "2", "--gamma_over_g", "0.1",
+      "--alpha2", "0.5", "--parity", "even", "--t_start", "0.5", "--t_stop",
+      "2", "--points", "3"], "sweep.csv",
+     "command=sweep N=5 g=2 gamma_over_g=0.10000000000000001 alpha2=0.5 "
+     "parity=even t_start=0.5 t_stop=2 points=3 out=sweep.csv"),
+    (["--figure", "fig2c", "--t_stop", "3", "--points", "5"], "fig2c.csv",
+     "command=figure figure=fig2c parity=odd t_start=0 t_stop=3 points=5 "
+     "out=fig2c.csv"),
+    (["--figure", "fig4", "--N", "4", "--alpha2", "0.5", "--points", "3"],
+     "fig4.csv",
+     "command=figure figure=fig4 N=4 alpha2=0.5 t_start=0 "
+     "t_stop=18.849555921538759 points=3 out=fig4.csv"),
+    (["--command", "verify", "--N", "2", "--alpha2", "0.25", "--gamma_over_g",
+      "0.2", "--t_stop", "0.8", "--points", "1"], "verify.csv",
+     "command=verify N=2 alpha2=0.25 gamma_over_g=0.20000000000000001 "
+     "t_stop=0.80000000000000004 points=1 out=verify.csv"),
+], ids=["optimize_even", "sweep_every_key", "fig2c_grid", "fig4_keys", "verify"])
+def test_metadata_line_is_pinned(tmp_path, monkeypatch, argv, out, line):
+    # invocations no golden covers; verify runs a stand-in suite, no oracle
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("cavshare.verify.run_all", lambda **kw: [_PASSING])
+    assert cli.entrypoint(argv) == 0
+    with open(tmp_path / out, encoding="ascii") as handle:
+        assert handle.readline() == f"# {line}\n"
 
 
 # --- CSV writer ---------------------------------------------------------------------
