@@ -28,8 +28,7 @@ from .errors import (
 from .model import CouplingProfile, PairIndex, ParityKind, SinglePhoton, SystemParams
 from .optimize import _PEAK_GT, OptimumReport, optimal_intensity
 
-_COMMANDS = ("figure", "sweep", "optimize", "verify")
-
+_GRID_KEYS = ("t_start", "t_stop", "points")
 _TIME_AXIS = (0.0, 2.0 * math.pi, 801)  # 400 points per pi-period
 _FIG2_INTENSITY_AXIS = (0.0, 6.0, 61)
 _FIG3_INTENSITIES = (0.01, 0.1, 1.0, 2.0)
@@ -42,7 +41,7 @@ class RunConfig:
     """Effective run settings; None means "use the command's default"."""
 
     command: str = "figure"
-    figure: str = "fig1"
+    figure: str | None = None
     n: int | None = None
     g: float | None = None
     gamma_over_g: float | None = None
@@ -65,33 +64,31 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _axis(cfg: RunConfig, default_start: float, default_stop: float,
-          default_points: int) -> tuple[float, float, int]:
-    start = cfg.t_start if cfg.t_start is not None else default_start
-    stop = cfg.t_stop if cfg.t_stop is not None else default_stop
-    points = cfg.points if cfg.points is not None else default_points
-    return start, stop, points
+def _field_columns(records: list, cls) -> list[list]:
+    """A column per field of dataclass cls, in field order, over records."""
+    return [[getattr(record, field.name) for record in records]
+            for field in fields(cls)]
 
 
-# Column functions of the figure table: (parity, N, |alpha|^2, grid) ->
-# columns. Each validates the parameters it uses.
+# Column functions of the table: (grid, keys by name) -> columns. Each
+# validates the parameters it uses.
 
-def _fig1_columns(parity, n, x, gts):
-    params = SystemParams(n_crystallites=n)
-    profile = CouplingProfile.isotropic(1.0, n)
+def _fig1_columns(gts, N):
+    params = SystemParams(n_crystallites=N)
+    profile = CouplingProfile.isotropic(1.0, N)
     return (gts,
             analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
             analytic.mean_photon_number(params, gts, SinglePhoton()))
 
 
-def _surface_columns(parity, n, x, gts):
-    SystemParams(n_crystallites=n, parity=parity)  # validates N
+def _surface_columns(gts, N, parity):
+    SystemParams(n_crystallites=N, parity=parity)  # validates N
     xs = _grid(*_FIG2_INTENSITY_AXIS)
-    surface = analytic.cat_concurrence(n, parity, xs, gts[:, None])
+    surface = analytic.cat_concurrence(N, parity, xs, gts[:, None])
     return np.repeat(gts, xs.size), np.tile(xs, gts.size), surface.ravel()
 
 
-def _peak_columns(parity, n, x, xs):
+def _peak_columns(xs, parity):
     for end in (xs[0], xs[-1]):  # the grid is monotone: its ends bound it
         SystemParams(n_crystallites=2, intensity=end, parity=parity)
     ns = np.array(_FIG2CD_N)
@@ -99,7 +96,7 @@ def _peak_columns(parity, n, x, xs):
     return np.tile(xs, ns.size), curves.ravel(), np.repeat(ns, xs.size)
 
 
-def _fig3_columns(parity, n, x, grid):
+def _fig3_columns(grid):
     xs = np.array(_FIG3_INTENSITIES)[:, None]
     ns = np.arange(2, 11)
     odd, even = (analytic.cat_concurrence(ns, parity, xs, _PEAK_GT)
@@ -108,9 +105,9 @@ def _fig3_columns(parity, n, x, grid):
             even.ravel(), np.tile(2.0 / ns, xs.size))
 
 
-def _fig4_columns(parity, n, x, gts):
+def _fig4_columns(gts, N, alpha2):
     systems = [
-        SystemParams(n_crystallites=n, decay_rate=ratio, intensity=x, parity=parity)
+        SystemParams(n_crystallites=N, decay_rate=ratio, intensity=alpha2, parity=parity)
         for ratio in (0.13, 0.5)
         for parity in (ParityKind.ODD, ParityKind.EVEN)
     ]
@@ -118,42 +115,80 @@ def _fig4_columns(parity, n, x, gts):
                    for params in systems))
 
 
+def _sweep_columns(gts, N, g, gamma_over_g, alpha2, parity):
+    params = SystemParams(n_crystallites=N, coupling=g, decay_rate=gamma_over_g * g,
+                          intensity=alpha2, parity=parity)
+    if gamma_over_g > 0.0:
+        return gts, dissipative.damped_concurrence(params, gts)
+    return gts, analytic.coherent_concurrence(params, gts)
+
+
+def _optimize_columns(grid, N, parity):
+    n_values = [N] if N is not None else list(range(2, 11))
+    reports = [optimal_intensity(n, parity) for n in n_values]
+    return (n_values, [parity.value] * len(n_values),
+            *_field_columns(reports, OptimumReport))
+
+
+def _verify_columns(grid, N, alpha2, gamma_over_g, t_stop, points):
+    from . import verify  # the Fock oracle loads only for this command
+
+    results = verify.run_all(n_times=points, gt_max=t_stop, n_override=N,
+                             intensity_override=alpha2,
+                             gamma_override=gamma_over_g)
+    return _field_columns([case for result in results for case in result.cases],
+                          verify.VerifyCase)
+
+
 @dataclass(frozen=True)
-class _Figure:
-    """One figure: the default (start, stop, points) of its grid keys (None:
-    it has no grid), its CSV header, the metadata keys it writes between
-    the figure name and the grid keys, its parity, and its column function."""
+class _Entry:
+    """One output of the table. keys: the (key, default) pairs it reads, in
+    metadata-line order (a None default is written only when set); grid: the
+    defaults of the grid keys (None: no grid); header and columns: its CSV;
+    fixed: (key, value) pairs it writes after keys but never reads."""
 
-    axis: tuple[float, float, int] | None
+    keys: tuple[tuple[str, object], ...]
+    grid: tuple[float, float, int] | None
     header: tuple[str, ...]
-    meta: tuple[str, ...]
-    parity: ParityKind | None
     columns: Callable[..., Sequence]
+    fixed: tuple[tuple[str, object], ...] = ()
 
 
+_N3 = (("N", 3),)
+_ODD = (("parity", ParityKind.ODD),)
+_EVEN = (("parity", ParityKind.EVEN),)
 _SURFACE = ("Gt", "intensity", "concurrence")
 _PEAKS = ("intensity", "max_concurrence", "N")
 # fig2c/d have no time axis (the peak is taken at Gt = pi/2): their grid keys
-# drive the intensity axis instead. fig4 is damped evolution for both
-# parities and two decay ratios, in wide columns.
+# drive the intensity axis instead. fig2a-d write their own parity and never
+# read the parity key. fig4 is damped evolution for both parities and two
+# decay ratios, in wide columns.
 _FIGURES = {
-    "fig1": _Figure(_TIME_AXIS, ("Gt", "concurrence", "mean_photon"),
-                    ("N",), None, _fig1_columns),
-    "fig2a": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.ODD,
-                     _surface_columns),
-    "fig2b": _Figure(_TIME_AXIS, _SURFACE, ("N", "parity"), ParityKind.EVEN,
-                     _surface_columns),
-    "fig2c": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.ODD,
-                     _peak_columns),
-    "fig2d": _Figure((0.0, 6.0, 601), _PEAKS, ("parity",), ParityKind.EVEN,
-                     _peak_columns),
-    "fig3": _Figure(None, ("intensity", "N", "max_concurrence_odd",
-                           "max_concurrence_even", "two_over_N"),
-                    (), None, _fig3_columns),
-    "fig4": _Figure((0.0, 6.0 * math.pi, 2401),
-                    ("Gt", "odd_gamma_0.13", "even_gamma_0.13", "odd_gamma_0.5",
-                     "even_gamma_0.5"), ("N", "alpha2"), None, _fig4_columns),
+    "fig1": _Entry(_N3, _TIME_AXIS, ("Gt", "concurrence", "mean_photon"),
+                   _fig1_columns),
+    "fig2a": _Entry(_N3, _TIME_AXIS, _SURFACE, _surface_columns, _ODD),
+    "fig2b": _Entry(_N3, _TIME_AXIS, _SURFACE, _surface_columns, _EVEN),
+    "fig2c": _Entry((), (0.0, 6.0, 601), _PEAKS, _peak_columns, _ODD),
+    "fig2d": _Entry((), (0.0, 6.0, 601), _PEAKS, _peak_columns, _EVEN),
+    "fig3": _Entry((), None, ("intensity", "N", "max_concurrence_odd",
+                              "max_concurrence_even", "two_over_N"),
+                   _fig3_columns),
+    "fig4": _Entry(_N3 + (("alpha2", 1.0),), (0.0, 6.0 * math.pi, 2401),
+                   ("Gt", "odd_gamma_0.13", "even_gamma_0.13", "odd_gamma_0.5",
+                    "even_gamma_0.5"), _fig4_columns),
 }
+_SWEEP = _Entry(_N3 + (("g", 1.0), ("gamma_over_g", 0.0), ("alpha2", 1.0))
+                + _ODD, _TIME_AXIS, ("Gt", "concurrence"), _sweep_columns)
+_OPTIMIZE = _Entry((("N", None),) + _ODD, None,
+                   ("N", "parity", *(field.name for field in fields(OptimumReport))),
+                   _optimize_columns)
+_VERIFY = _Entry(tuple((key, None) for key in ("N", "alpha2", "gamma_over_g",
+                                               "t_stop", "points")), None,
+                 ("case_id", "analytic", "oracle", "abs_error", "tolerance",
+                  "status"), _verify_columns)
+# command -> the entries it may run
+_COMMANDS = {"figure": tuple(_FIGURES.values()), "sweep": (_SWEEP,),
+             "optimize": (_OPTIMIZE,), "verify": (_VERIFY,)}
 
 
 def _one_of(options):
@@ -180,7 +215,7 @@ _KEYS = {
 }
 
 
-def _set(cfg: RunConfig, key: str, raw: str, lineno: int) -> RunConfig:
+def _set(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> RunConfig:
     field, parse, expected = _KEYS[key]
     try:
         value = parse(raw)
@@ -246,102 +281,65 @@ def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
     return lengths[0]
 
 
-def _field_columns(records: list, cls) -> tuple[list[str], list[list]]:
-    """The field names of dataclass cls and a column per field of records."""
-    names = [field.name for field in fields(cls)]
-    return names, [[getattr(record, name) for record in records]
-                   for name in names]
+def _value(cfg: RunConfig, key: str, default):
+    value = getattr(cfg, _KEYS[key][0])
+    return default if value is None else value
 
 
-def run_figure(cfg: RunConfig) -> tuple[str, int]:
-    fig = _FIGURES[cfg.figure]
-    out = cfg.out if cfg.out is not None else f"{cfg.figure}.csv"
-    n = cfg.n if cfg.n is not None else 3
-    x = cfg.alpha2 if cfg.alpha2 is not None else 1.0
-    values = {"N": n, "alpha2": x, "parity": getattr(fig.parity, "value", None)}
-    meta = [("command", "figure"), ("figure", cfg.figure)]
-    meta += [(key, values[key]) for key in fig.meta]
-    grid = None
-    if fig.axis is not None:
-        start, stop, points = _axis(cfg, *fig.axis)
-        grid = _grid(start, stop, points)
-        meta += [("t_start", start), ("t_stop", stop), ("points", points)]
-    columns = fig.columns(fig.parity, n, x, grid)
-    count = _write_csv(out, meta + [("out", out)], fig.header, columns)
-    return out, count
+def _run(cfg: RunConfig, command: str, entry: _Entry,
+         figure: str | None = None) -> tuple[str, Sequence]:
+    """Resolve entry's keys from cfg, build its grid and write its CSV under
+    the metadata line: command, figure (if any), each set key in declared
+    order, the grid keys, out. Return the output path and the columns."""
+    values = {key: _value(cfg, key, default) for key, default in entry.keys}
+    values.update(entry.fixed)
+    axis = [(key, _value(cfg, key, default))
+            for key, default in zip(_GRID_KEYS, entry.grid or ())]
+    grid = _grid(*(value for _, value in axis)) if axis else None
+    columns = entry.columns(grid, **values)
+    out = _value(cfg, "out", f"{figure or command}.csv")
+    meta = [("command", command), *([("figure", figure)] if figure else []),
+            *((key, getattr(value, "value", value))  # a ParityKind as its value
+              for key, value in values.items() if value is not None),
+            *axis, ("out", out)]
+    _write_csv(out, meta, entry.header, columns)
+    return out, columns
 
 
-def run_sweep(cfg: RunConfig) -> tuple[str, int]:
-    out = cfg.out if cfg.out is not None else "sweep.csv"
-    n = cfg.n if cfg.n is not None else 3
-    g = cfg.g if cfg.g is not None else 1.0
-    ratio = cfg.gamma_over_g if cfg.gamma_over_g is not None else 0.0
-    x = cfg.alpha2 if cfg.alpha2 is not None else 1.0
-    parity = cfg.parity if cfg.parity is not None else ParityKind.ODD
-    start, stop, points = _axis(cfg, *_TIME_AXIS)
-    params = SystemParams(
-        n_crystallites=n, coupling=g, decay_rate=ratio * g, intensity=x,
-        parity=parity,
-    )
-    gts = _grid(start, stop, points)
-    if ratio > 0.0:
-        values = dissipative.damped_concurrence(params, gts)
-    else:
-        values = analytic.coherent_concurrence(params, gts)
-    meta = [("command", "sweep"), ("N", n), ("g", g), ("gamma_over_g", ratio),
-            ("alpha2", x), ("parity", parity.value), ("t_start", start),
-            ("t_stop", stop), ("points", points), ("out", out)]
-    count = _write_csv(out, meta, ["Gt", "concurrence"], [gts, values])
-    return out, count
+def run_figure(cfg: RunConfig) -> tuple[str, Sequence]:
+    name = _value(cfg, "figure", "fig1")
+    return _run(cfg, "figure", _FIGURES[name], name)
 
 
-def run_optimize(cfg: RunConfig) -> tuple[str, int]:
-    out = cfg.out if cfg.out is not None else "optimize.csv"
-    parity = cfg.parity if cfg.parity is not None else ParityKind.ODD
-    n_values = [cfg.n] if cfg.n is not None else list(range(2, 11))
-    names, columns = _field_columns(
-        [optimal_intensity(n, parity) for n in n_values], OptimumReport)
-    meta = [("command", "optimize"), ("parity", parity.value), ("out", out)]
-    if cfg.n is not None:
-        meta.insert(1, ("N", cfg.n))
-    count = _write_csv(out, meta, ["N", "parity", *names],
-                       [n_values, [parity.value] * len(n_values), *columns])
-    return out, count
+def run_sweep(cfg: RunConfig) -> tuple[str, Sequence]:
+    return _run(cfg, "sweep", _SWEEP)
+
+
+def run_optimize(cfg: RunConfig) -> tuple[str, Sequence]:
+    return _run(cfg, "optimize", _OPTIMIZE)
 
 
 def run_verify(cfg: RunConfig) -> int:
-    from . import verify  # the Fock oracle loads only for this command
-
-    out = cfg.out if cfg.out is not None else "verify.csv"
-    results = verify.run_all(
-        n_times=cfg.points,
-        gt_max=cfg.t_stop,
-        n_override=cfg.n,
-        intensity_override=cfg.alpha2,
-        gamma_override=cfg.gamma_over_g,
-    )
-    meta: list[tuple[str, object]] = [("command", "verify")]
-    for key, value in (("N", cfg.n), ("alpha2", cfg.alpha2),
-                       ("gamma_over_g", cfg.gamma_over_g),
-                       ("t_stop", cfg.t_stop), ("points", cfg.points)):
-        if value is not None:
-            meta.append((key, value))
-    meta.append(("out", out))
-    _write_csv(out, meta, *_field_columns(
-        [case for result in results for case in result.cases],
-        verify.VerifyCase))
-    n_pass, n_fail, n_skip = map(sum, zip(*(r.counts() for r in results)))
+    out, columns = _run(cfg, "verify", _VERIFY)
+    n_pass, n_fail, n_skip = map(columns[-1].count, ("pass", "fail", "skip"))
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skip -> {out}")
-    if n_fail:
-        return 2
-    if n_skip:
-        return 3
-    return 0
+    return 2 if n_fail else 3 if n_skip else 0
+
+
+def _refuse_unread(cfg: RunConfig) -> None:
+    """A set key that no entry of the command declares is an error."""
+    accepted = {"command", "out"} | ({"figure"} if cfg.command == "figure" else set())
+    for entry in _COMMANDS[cfg.command]:
+        accepted.update(key for key, _ in entry.keys + entry.fixed)
+        accepted.update(_GRID_KEYS if entry.grid is not None else ())
+    for key, (field, _, _) in _KEYS.items():
+        if key not in accepted and getattr(cfg, field) is not None:
+            raise InvalidParameter(key, f"not read by the {cfg.command} command")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we own codes
-        raise ParseError(0, message)
+        raise ParseError(None, message)
 
     def _parse_optional(self, arg):  # "-1e-05", as metadata writes it, is a value
         return None if re.match(r"-\.?\d", arg) else super()._parse_optional(arg)
@@ -370,13 +368,14 @@ def main(argv: list[str]) -> int:
     for key in _KEYS:
         raw = getattr(ns, key)
         if raw is not None:
-            cfg = _set(cfg, key, raw, 0)
+            cfg = _set(cfg, key, raw, None)
+    _refuse_unread(cfg)
     if cfg.command == "verify":
         return run_verify(cfg)
     # looked up per call, so a wrapped run_* is the one that runs
     run = {"figure": run_figure, "sweep": run_sweep, "optimize": run_optimize}
-    path, count = run[cfg.command](cfg)
-    print(f"{cfg.command}: wrote {count} rows -> {path}")
+    path, columns = run[cfg.command](cfg)
+    print(f"{cfg.command}: wrote {len(columns[0])} rows -> {path}")
     return 0
 
 

@@ -75,12 +75,12 @@ class DomainError(ValueError):
 
 
 class ParseError(ValueError):
-    """A config line could not be parsed."""
+    """A config line or a flag could not be parsed (line is None for a flag)."""
 
-    def __init__(self, line: int, reason: str):
+    def __init__(self, line: int | None, reason: str):
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(reason if line is None else f"line {line}: {reason}")
 
 
 class UnknownKey(ValueError):

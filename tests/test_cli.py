@@ -405,13 +405,57 @@ def test_bad_input_exits_one(tmp_path, monkeypatch, argv, capsys):
       "even"], "intensity: e^(2|alpha|^2)"),
     (["--figure", "fig4", "--alpha2", "400"], "intensity: e^(2|alpha|^2)"),
     (["--figure", "fig2c", "--t_stop", "400"], "intensity: e^(2|alpha|^2)"),
+    # a key the command never reads
+    (["--figure", "fig1", "--g", "2"], "g: not read by the figure command"),
+    (["--figure", "fig4", "--gamma_over_g", "0.5"],
+     "gamma_over_g: not read by the figure command"),
+    (["--command", "verify", "--figure", "fig1"],
+     "figure: not read by the verify command"),
+    (["--command", "verify", "--t_start", "0.5"],
+     "t_start: not read by the verify command"),
+    (["--command", "verify", "--g", "2"], "g: not read by the verify command"),
+    (["--command", "verify", "--parity", "even"],
+     "parity: not read by the verify command"),
+    (["--command", "optimize", "--figure", "fig1"],
+     "figure: not read by the optimize command"),
+    (["--command", "optimize", "--g", "2"], "g: not read by the optimize command"),
+    (["--command", "optimize", "--gamma_over_g", "0.1"],
+     "gamma_over_g: not read by the optimize command"),
+    (["--command", "optimize", "--alpha2", "0.5"],
+     "alpha2: not read by the optimize command"),
+    (["--command", "optimize", "--t_start", "0"],
+     "t_start: not read by the optimize command"),
+    (["--command", "optimize", "--t_stop", "2"],
+     "t_stop: not read by the optimize command"),
+    (["--command", "optimize", "--N", "3"],
+     "points: not read by the optimize command"),
+    (["--command", "sweep", "--figure", "fig2a"],
+     "figure: not read by the sweep command"),
+    # a flag error carries no line number; only config-file lines have one
+    (["--figure", "fig1", "--N", "2.5"],
+     "bad value for N: '2.5' (expected an integer)"),
+    (["--not-a-flag"], "unrecognized arguments: --not-a-flag"),
 ], ids=["fig1_inf", "fig2c_inf", "sweep_nan", "sweep_400", "sweep_even_edge",
-        "fig4_400", "fig2c_400"])
+        "fig4_400", "fig2c_400", "figure_g", "figure_gamma_over_g",
+        "verify_figure", "verify_t_start", "verify_g", "verify_parity",
+        "optimize_figure", "optimize_g", "optimize_gamma_over_g",
+        "optimize_alpha2", "optimize_t_start", "optimize_t_stop",
+        "optimize_points", "sweep_figure", "flag_value", "argparse"])
 def test_bad_input_names_its_cause(tmp_path, monkeypatch, argv, cause, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.entrypoint(argv + ["--points", "3"]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {cause}")
+
+
+def test_refused_key_from_a_config_file_is_named(tmp_path, monkeypatch, capsys):
+    # a file shared across commands fails on another command's keys
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text("figure = fig1\nN = 4\n")
+    assert cli.entrypoint(["--config", "run.conf", "--command", "sweep"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: figure: not read by the sweep command"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_largest_intensity_still_runs(tmp_path, monkeypatch):
@@ -500,7 +544,12 @@ _PASSING = SuiteResult(
       "0.2", "--t_stop", "0.8", "--points", "1"], "verify.csv",
      "command=verify N=2 alpha2=0.25 gamma_over_g=0.20000000000000001 "
      "t_stop=0.80000000000000004 points=1 out=verify.csv"),
-], ids=["optimize_even", "sweep_every_key", "fig2c_grid", "fig4_keys", "verify"])
+    # a figure keeps its own parity whatever the parity key says
+    (["--figure", "fig2a", "--parity", "even", "--points", "2"], "fig2a.csv",
+     "command=figure figure=fig2a N=3 parity=odd t_start=0 "
+     "t_stop=6.2831853071795862 points=2 out=fig2a.csv"),
+], ids=["optimize_even", "sweep_every_key", "fig2c_grid", "fig4_keys", "verify",
+        "fig2a_own_parity"])
 def test_metadata_line_is_pinned(tmp_path, monkeypatch, argv, out, line):
     # invocations no golden covers; verify runs a stand-in suite, no oracle
     monkeypatch.chdir(tmp_path)
