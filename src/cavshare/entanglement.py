@@ -31,21 +31,21 @@ _FLIP = np.array(
 
 def _as_matrix(rho) -> np.ndarray:
     mat = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    if mat.shape != (4, 4):
-        raise NotADensityMatrix(f"expected a 4x4 matrix, got shape {mat.shape}")
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
+        raise NotADensityMatrix(f"expected 4x4 matrices, got shape {mat.shape}")
     return mat
 
 
 def _density(entries) -> np.ndarray:
-    """A private read-only copy of a 4x4 density matrix, once its hygiene
-    (Hermiticity, unit trace, positivity) is checked."""
+    """A private read-only copy of a 4x4 density matrix or (S, 4, 4) stack,
+    once each one's hygiene (Hermiticity, unit trace, positivity) is checked."""
     mat = _as_matrix(entries).copy()
-    # `not <=` so that a NaN entry fails each check
-    if not np.max(np.abs(mat - mat.conj().T)) <= _HERMITICITY_TOL:
+    # `not (... <= ...).all()` so that a NaN entry of any matrix fails each check
+    if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= _HERMITICITY_TOL).all():
         raise NotADensityMatrix("not Hermitian within 1e-12")
-    if not abs(np.trace(mat) - 1.0) <= _TRACE_TOL:
+    if not (np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0) <= _TRACE_TOL).all():
         raise NotADensityMatrix("trace differs from 1 beyond 1e-10")
-    if not np.linalg.eigvalsh(mat).min() >= _EIGENVALUE_FLOOR:
+    if not (np.linalg.eigvalsh(mat) >= _EIGENVALUE_FLOOR).all():
         raise NotADensityMatrix("negative eigenvalue beyond -1e-10")
     mat.setflags(write=False)
     return mat
@@ -53,7 +53,8 @@ def _density(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """Validated 4x4 density matrix in basis order {|00>, |01>, |10>, |11>}.
+    """Validated 4x4 density matrix in basis order {|00>, |01>, |10>, |11>},
+    or a (S, 4, 4) stack of them with a tuple of S tags.
 
     entries is a read-only copy: the caller's array stays its own.
     basis_tag is an analytic.NumberBasis or analytic.TildeBasis.
@@ -70,14 +71,14 @@ def spin_flip(rho) -> np.ndarray:
     """Return (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y).
 
     Complex conjugation is taken entrywise in the standard product basis.
-    Accepts a TwoQubitDensity or a bare 4x4 array.
+    Accepts a TwoQubitDensity or a bare 4x4 array, or a stack of either.
     """
     mat = _as_matrix(rho)
     return _FLIP @ mat.conj() @ _FLIP
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit density matrix (an array for a stack).
 
     Computed as max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly
     sorted square roots of the eigenvalues of rho * spin_flip(rho). Those are
@@ -89,13 +90,19 @@ def concurrence(rho) -> float:
     sqrt(eps). A rounding-level eigenpair of rho is dropped, not kept: its
     column, of size sqrt(eps), would otherwise pair with a large one under
     the flip and bring sqrt(eps) back. A bare array is checked for hygiene
-    first; a TwoQubitDensity already was.
+    first; a TwoQubitDensity already was. A stack takes one eigh and one
+    SVD per kept rank r, on r x r: each matrix meets its LAPACK calls alone.
     """
     mat = rho.entries if isinstance(rho, TwoQubitDensity) else _density(rho)
-    w, u = np.linalg.eigh(mat)
-    keep = w > _RANK_TOL * w[-1]
-    x = u[:, keep] * np.sqrt(w[keep])
-    lam = np.zeros(4)
-    lam[:x.shape[1]] = np.linalg.svd(x.T @ _FLIP @ x, compute_uv=False)
-    value = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(value, 0.0), 1.0))
+    w, u = np.linalg.eigh(mat.reshape(-1, 4, 4))
+    rank = (w > _RANK_TOL * w[:, -1:]).sum(axis=1)  # the kept are the top r
+    lam = np.zeros((len(w), 4))
+    for r in set(rank.tolist()):
+        members = np.flatnonzero(rank == r)
+        x = u[members, :, 4 - r:] * np.sqrt(w[members, 4 - r:])[:, None, :]
+        tau = x.transpose(0, 2, 1) @ _FLIP @ x
+        lam[members, :r] = np.linalg.svd(tau, compute_uv=False)
+    value = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    value[value < 0.0] = 0.0  # min(max(value, 0), 1), down to the sign of zero
+    value[value > 1.0] = 1.0
+    return float(value[0]) if mat.ndim == 2 else value

@@ -292,20 +292,17 @@ def _cavity_weights(kind: SinglePhoton | Coherent | Cat, max_total: int) -> np.n
     if isinstance(kind, SinglePhoton):
         return np.eye(1, max_total + 1, 1, dtype=complex)[0]
     if isinstance(kind, Coherent):
-        return _coherent_amplitudes(complex(kind.alpha), max_total)
+        return _coherent_levels([complex(kind.alpha)], max_total + 1)[:, 0]
     if not isinstance(kind, Cat):
         raise TypeError(f"unsupported preparation {type(kind).__name__}")
     if kind.alpha is None:
         raise InvalidParameter("alpha", "Cat preparation needs an amplitude")
     alpha = complex(kind.alpha)
-    x = abs(alpha) ** 2
-    sign = kind.parity.sign
-    if sign < 0 and x == 0.0:
-        raise InvalidParameter("alpha", "odd superposition of vacuum is void")
-    norm = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * x) if sign > 0
-                           else -2.0 * math.expm1(-2.0 * x))
-    return norm * (_coherent_amplitudes(alpha, max_total)
-                   + sign * _coherent_amplitudes(-alpha, max_total))
+    if abs(alpha) ** 2 == 0.0:  # the even cat is the vacuum; there is no odd one
+        if kind.parity.sign < 0:
+            raise InvalidParameter("alpha", "odd superposition of vacuum is void")
+        return np.eye(1, max_total + 1, dtype=complex)[0]
+    return _cat_levels([alpha], max_total + 1)[0, :, 0 if kind.parity.sign > 0 else 1]
 
 
 def _captured(weights: np.ndarray) -> float:
@@ -325,12 +322,31 @@ def prepare_initial(kind: SinglePhoton | Coherent | Cat, basis: FockBasis) -> Pu
     return PureState(amp, basis)
 
 
-def _coherent_amplitudes(alpha: complex, max_total: int) -> np.ndarray:
-    out = np.zeros(max_total + 1, dtype=complex)
-    out[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, max_total + 1):
-        out[n] = out[n - 1] * alpha / math.sqrt(n)
+def _coherent_levels(alphas: list[complex], span: int) -> np.ndarray:
+    """Columns: each amplitude's coherent state on Fock levels 0..span-1,
+    tail not yet removed, as c_n = c_{n-1} alpha / sqrt(n) for all at once.
+    The complex product is taken in real arithmetic, as numpy's scalar loop
+    takes it (its vector loop fuses it): each column has one-amplitude bits."""
+    amp = np.array(alphas, dtype=complex)
+    out = np.empty((span, len(alphas)), dtype=complex)
+    out[0] = [math.exp(-abs(alpha) ** 2 / 2.0) for alpha in alphas]
+    re, im = out.real, out.imag
+    for n in range(1, span):
+        re[n] = re[n - 1] * amp.real - im[n - 1] * amp.imag
+        im[n] = re[n - 1] * amp.imag + im[n - 1] * amp.real
+        out[n] /= math.sqrt(n)
     return out
+
+
+def _cat_levels(alphas: list[complex], span: int) -> np.ndarray:
+    """(len(alphas), span, 2): the even and odd cats norm (|a> + sign |-a>)
+    of each nonzero amplitude on Fock levels 0..span-1, tail not removed."""
+    norms = np.array([[1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * x)),
+                       1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * x))]
+                      for x in (abs(alpha) ** 2 for alpha in alphas)])
+    levels = _coherent_levels(alphas + [-alpha for alpha in alphas], span)[:, :, None]
+    plus, minus = levels[:, :len(alphas)], levels[:, len(alphas):]
+    return (norms * (plus + np.array([1.0, -1.0]) * minus)).transpose(1, 0, 2)
 
 
 def _krylov_basis(block: sp.csr_matrix, start: np.ndarray):
@@ -616,62 +632,72 @@ def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedSt
     return lindblad_trajectory(params, rho0, [t])[-1]
 
 
-def _cat_pair_projector(mu: complex, span: int) -> np.ndarray:
-    """Columns: even and odd cat states of amplitude mu on Fock levels 0..span-1."""
-    x = abs(mu) ** 2
-    if x < DEGENERACY_THRESHOLD:
-        raise DegenerateBasis(f"|mu|^2 = {x:.3e} below 1e-12")
-    return np.column_stack([_cavity_weights(Cat(parity, mu), span - 1)
-                            for parity in (ParityKind.EVEN, ParityKind.ODD)])
-
-
-def reduce_to_qubit_pair(state: PureState | MixedState, pair: PairIndex,
-                         qubit_basis: NumberBasis | TildeBasis) -> TwoQubitDensity:
-    """Two-qubit density of the pair in the requested basis.
+def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
+    """Two-qubit density of the pair in the requested basis, for one state
+    and its qubit basis (DegenerateBasis if that has none) or a trajectory:
+    states on one basis, one qubit basis each, giving the TwoQubitDensity
+    stack of the samples that are not degenerate and the degenerate mask.
 
     NumberBasis keeps Fock levels {0,1} of each mode; TildeBasis(mu)
-    projects onto the orthonormal even/odd superpositions of |+-mu>. Weight
-    outside the qubit plane beyond 1e-8 raises LeakageError; smaller
-    deficits are renormalized away. Nothing is clamped: an eigenvalue of the
-    pair density below -1e-10 raises NotADensityMatrix.
+    projects onto the orthonormal even/odd superpositions of |+-mu>, none
+    for |mu|^2 < 1e-12. Weight outside the qubit plane beyond 1e-8 in any
+    sample raises LeakageError; smaller deficits are renormalized away.
+    Nothing is clamped: an eigenvalue below -1e-10 raises NotADensityMatrix.
     """
-    basis = state.basis
+    single = isinstance(states, (PureState, MixedState))
+    if single:
+        states, qubit_bases = [states], [qubit_bases]
+    if not all(isinstance(q, (NumberBasis, TildeBasis)) for q in qubit_bases):
+        raise TypeError("unsupported qubit basis")
+    basis = states[0].basis
     pair.check_bounds(basis.n_modes - 1)
     pocc, group, n_groups = basis.pair_plan(pair)
     span = basis.max_total + 1
-    # columns: each mode's two qubit kets on Fock levels 0..span-1, and
+    degenerate = np.array([isinstance(q, TildeBasis) and abs(complex(q.mu)) ** 2
+                           < DEGENERACY_THRESHOLD for q in qubit_bases])
+    if single and degenerate[0]:
+        raise DegenerateBasis(f"|mu|^2 = {abs(qubit_bases[0].mu) ** 2:.3e} below 1e-12")
+    (kept,) = np.nonzero(~degenerate)
+    # each sample's two qubit kets: Fock levels 0 and 1, or the cats of mu
+    b = np.zeros((len(kept), span, 2), dtype=complex)
+    b[:, 0, 0] = b[:, 1, 1] = 1.0
+    tilde = [j for j, i in enumerate(kept) if isinstance(qubit_bases[i], TildeBasis)]
+    if tilde:
+        b[tilde] = _cat_levels([complex(qubit_bases[kept[j]].mu) for j in tilde], span)
     # kron(b, b), the four pair kets indexed by pair occupation, formed as
     # one broadcast product: np.kron's own overhead is about 30 us a call
-    if isinstance(qubit_basis, NumberBasis):
-        b = np.eye(span, 2)
-    elif isinstance(qubit_basis, TildeBasis):
-        b = _cat_pair_projector(qubit_basis.mu, span)
-    else:
-        raise TypeError(f"unsupported qubit basis {type(qubit_basis).__name__}")
-    kets = (b[:, None, :, None] * b[None, :, None, :]).reshape(span * span, 4)
-    if isinstance(state, PureState):
-        # psi[pair occupation, group]: the partial trace is psi psi^dagger
-        psi = np.zeros((span * span, n_groups), dtype=complex)
-        psi[pocc, group] = state.amplitudes
-        phi = kets.conj().T @ psi
-        mat = phi @ phi.conj().T
+    kets = (b[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, span * span, 4)
+    mats = np.zeros((len(kept), 4, 4), dtype=complex)
+    if isinstance(states[0], PureState):
+        # psi[pair occupation, group]: the partial trace is psi psi^dagger.
+        # A chunk of samples keeps the psi stack near 1 MiB; each sample
+        # fills the same entries, so one stack serves every chunk
+        chunk = max(1, (1 << 20) // (span * span * n_groups * 16))
+        psi = np.zeros((min(chunk, len(kept)), span * span, n_groups), dtype=complex)
+        for lo in range(0, len(kept), chunk):
+            members = kept[lo:lo + chunk]
+            for j, i in enumerate(members):
+                psi[j, pocc, group] = states[i].amplitudes
+            phi = kets[lo:lo + chunk].conj().transpose(0, 2, 1) @ psi[:len(members)]
+            mats[lo:lo + chunk] = phi @ phi.conj().transpose(0, 2, 1)
     else:
         # only entries between states of one group survive the partial trace
         order = np.argsort(group, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
-        q = kets[pocc]
-        mat = np.zeros((4, 4), dtype=complex)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            members = order[lo:hi]
-            qg = q[members]
-            mat += qg.conj().T @ state.matrix[np.ix_(members, members)] @ qg
-    captured = float(np.trace(mat).real)
+        for mat, i, q in zip(mats, kept, kets[:, pocc]):
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                members = order[lo:hi]
+                qg = q[members]
+                mat += qg.conj().T @ states[i].matrix[np.ix_(members, members)] @ qg
+    captured = mats.trace(axis1=1, axis2=2).real
     leak = 1.0 - captured
-    if leak > _LEAK_TOL:
-        raise LeakageError(leak, _LEAK_TOL)
-    mat = mat / captured
-    mat = 0.5 * (mat + mat.conj().T)
-    return TwoQubitDensity(entries=mat, basis_tag=qubit_basis)
+    if (leak > _LEAK_TOL).any():
+        raise LeakageError(float(leak[leak > _LEAK_TOL].max()), _LEAK_TOL)
+    mats /= captured[:, None, None]
+    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    if single:
+        return TwoQubitDensity(entries=mats[0], basis_tag=qubit_bases[0])
+    return TwoQubitDensity(mats, tuple(qubit_bases[i] for i in kept)), degenerate
 
 
 def w_state_fidelity(psi: PureState) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, dissipative, fockspace
 from .entanglement import concurrence
-from .errors import CapacityExceeded, DegenerateBasis, InvalidParameter
+from .errors import CapacityExceeded, InvalidParameter
 from .model import (
     Cat,
     CouplingProfile,
@@ -103,37 +103,44 @@ def _all_pairs(n: int) -> list[PairIndex]:
     ]
 
 
+def _concurrences(states, pair: PairIndex, qubit_bases) -> list[float | None]:
+    """The pair's oracle concurrence per sample, None where it degenerates."""
+    rho, degenerate = fockspace.reduce_to_qubit_pair(states, pair, qubit_bases)
+    values = iter(concurrence(rho).tolist())
+    return [None if d else next(values) for d in degenerate]
+
+
 def _run(suite: str, tol: float, preparations) -> SuiteResult:
     """The sample loop every suite shares.
 
     preparations yields, per prepared state, N and its samples in grid
-    order: (case id, Gt, state, qubit basis, closed form, extra rows). Each
-    sample reduces pair (1, 2), writes its row and then its extra rows, and
-    on every tenth sample also records every other pair for the monogamy
-    check. A sample whose qubit basis degenerates becomes one skip row with
-    no record; a basis over capacity turns the whole suite into one skip row.
+    order: (case id, Gt, state, qubit basis, closed form, extra rows). Pair
+    (1, 2) is reduced and scored for all samples at once, every other pair,
+    for the monogamy check, for every tenth; then each sample writes its
+    rows and records. A sample whose qubit basis degenerates becomes one
+    skip row with no record; a basis over capacity turns the whole suite
+    into one skip row.
     """
     cases: list[VerifyCase] = []
     records: list[PairRecord] = []
     try:
         for n, samples in preparations:
-            for k, (case_id, gt, state, qubit_basis, reference,
-                    extra) in enumerate(samples):
-                try:
-                    c_oracle = concurrence(fockspace.reduce_to_qubit_pair(
-                        state, PairIndex(1, 2), qubit_basis))
-                except DegenerateBasis:
+            states, bases = [s[2] for s in samples], [s[3] for s in samples]
+            c_pair = _concurrences(states, PairIndex(1, 2), bases)
+            c_others = [_concurrences(states[::10], other, bases[::10])
+                        for other in _all_pairs(n)[1:]]
+            for k, (case_id, gt, _, _, reference, extra) in enumerate(samples):
+                if c_pair[k] is None:
                     cases.append(_skip(f"{case_id}/degenerate", reference, tol))
                     continue
-                records.append(PairRecord(suite, n, gt, c_oracle))
-                cases.append(_case(case_id, reference, c_oracle, tol))
+                records.append(PairRecord(suite, n, gt, c_pair[k]))
+                cases.append(_case(case_id, reference, c_pair[k], tol))
                 cases.extend(extra)
                 if k % 10 == 0:
-                    for other in _all_pairs(n)[1:]:
-                        rho = fockspace.reduce_to_qubit_pair(state, other, qubit_basis)
-                        records.append(PairRecord(suite, n, gt, concurrence(rho)))
+                    records.extend(PairRecord(suite, n, gt, c[k // 10])
+                                   for c in c_others)
             # let this preparation's states go before the next one propagates
-            samples = state = None
+            samples = states = None
     except CapacityExceeded as exc:
         case_id = f"{suite}/capacity dimension={exc.dimension} limit={exc.limit}"
         return SuiteResult(suite, [_skip(case_id, float("nan"), tol)], [])

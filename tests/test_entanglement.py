@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cavshare import (NotADensityMatrix, NumberBasis, TwoQubitDensity,
                       concurrence, spin_flip)
+from cavshare.entanglement import _RANK_TOL
 
 _BELL = np.zeros(4, dtype=complex)
 _BELL[0] = _BELL[3] = 1.0 / math.sqrt(2.0)
@@ -181,3 +182,67 @@ def test_validated_density_is_checked_once(monkeypatch):
     assert calls == []
     assert concurrence(rho) == value
     assert calls == [(4, 4)]
+
+
+# --- stacks -----------------------------------------------------------------------
+
+def _of_rank(rank: int, rng) -> np.ndarray:
+    v = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = v @ v.conj().T
+    rho /= np.trace(rho).real
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_stacked_concurrence_matches_one_call_per_matrix():
+    # ranks 1 to 4 interleaved, so each rank group is gathered from across
+    # the stack; eigh returns a diagonal's entries exactly, so the last two
+    # put their smallest eigenvalue exactly at _RANK_TOL times the largest
+    # (dropped) and one step above it (kept)
+    rng = np.random.default_rng(3)
+    edge = _RANK_TOL * 0.5
+    stack = [_of_rank(r, rng) for r in (4, 1, 3, 2, 1, 4, 2, 3)]
+    stack += [np.diag([t, 0.3, 0.2 - t, 0.5]).astype(complex)
+              for t in (edge, np.nextafter(edge, 1.0))]
+    stack.append(0.8 * _pure(_BELL) + 0.2 * np.eye(4) / 4.0)
+    stack = np.array(stack)
+    assert [np.linalg.eigvalsh(m)[0] for m in stack[-3:-1]] == [
+        edge, np.nextafter(edge, 1.0)]
+    one = np.array([concurrence(m) for m in stack])
+    assert one[-1] > 0.5 and np.count_nonzero(one) >= 8
+    np.testing.assert_array_equal(_bits(concurrence(stack)), _bits(one))
+    density = TwoQubitDensity(entries=stack, basis_tag=(NumberBasis(),) * len(stack))
+    np.testing.assert_array_equal(_bits(concurrence(density)), _bits(one))
+    assert concurrence(stack[:0]).shape == (0,)
+
+
+def _skew(stack):
+    stack[2, 0, 1] += 0.1
+
+
+def _negative(stack):
+    stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+
+
+def _nan(stack):
+    stack[1, 2, 2] = math.nan
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("corrupt, message", [
+    (_skew, "not Hermitian"), (_negative, "negative eigenvalue"),
+    (_nan, "not Hermitian"),
+])
+def test_one_bad_matrix_fails_the_stack(corrupt, message):
+    # each check runs on every matrix of a stack, not on the first alone
+    rng = np.random.default_rng(5)
+    stack = np.array([_of_rank(r, rng) for r in (1, 2, 3, 4, 2)])
+    concurrence(stack)
+    corrupt(stack)
+    with pytest.raises(NotADensityMatrix, match=message):
+        concurrence(stack)
+    with pytest.raises(NotADensityMatrix, match=message):
+        TwoQubitDensity(entries=stack, basis_tag=(NumberBasis(),) * len(stack))

@@ -694,6 +694,106 @@ def test_pair_reduction_matches_reference_partial_trace():
         np.testing.assert_allclose(reduced.entries, expected, rtol=0, atol=1e-13)
 
 
+def _bits(a) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array: equal words mean
+    equal values down to the sign of zero."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_coherent_levels_keep_the_scalar_recursion_bits():
+    # the one-amplitude loop the vectorised build replaced is the reference;
+    # purely real and imaginary amplitudes put signed zeros in the levels
+    alphas = [0.5, 0.3 - 0.2j, -0.7j, 1e-3 + 2.1j, -1.3 + 0.0j, complex(0.0, -0.0)]
+    span = 20
+    expected = np.zeros((span, len(alphas)), dtype=complex)
+    for k, alpha in enumerate(alphas):
+        expected[0, k] = math.exp(-abs(alpha) ** 2 / 2.0)
+        for n in range(1, span):
+            expected[n, k] = expected[n - 1, k] * alpha / math.sqrt(n)
+    levels = fockspace._coherent_levels(alphas, span)
+    np.testing.assert_array_equal(_bits(levels), _bits(expected))
+    for k, alpha in enumerate(alphas):
+        one = fockspace._coherent_levels([alpha], span)[:, 0]
+        np.testing.assert_array_equal(_bits(one), _bits(expected[:, k]))
+
+
+def _chunked_trajectory(kind, times, n: int = 3, max_total: int = 14):
+    """A trajectory on a basis whose dense psi takes over a third of the
+    1 MiB chunk, so the stacked reduction runs it in chunks of at most two."""
+    basis = build_basis(n + 1, max_total)
+    _, _, n_groups = basis.pair_plan(PairIndex(1, 2))
+    assert 3 * (max_total + 1) ** 2 * n_groups * 16 > 2 ** 20
+    ham = build_hamiltonian(CouplingProfile.isotropic(1.0, n), basis)
+    return unitary_trajectory(ham, prepare_initial(kind, basis), times)
+
+
+def _cat_trajectory():
+    """Seven samples of an odd N=3 cat with their tilde bases, chunked."""
+    params = SystemParams(n_crystallites=3, intensity=1.0, parity=ParityKind.ODD)
+    gts = np.linspace(0.3, 2.9, 7).tolist()
+    states = _chunked_trajectory(Cat(ParityKind.ODD, params.alpha),
+                                 [params.time_from_gt(gt) for gt in gts])
+    return states, [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha)
+                    for gt in gts]
+
+
+@pytest.mark.parametrize("pair", [PairIndex(1, 2), PairIndex(2, 3)])
+def test_stacked_number_reduction_matches_one_call_per_sample(pair):
+    # a single photon never leaves levels {0, 1}, whatever the cutoff
+    states = _chunked_trajectory(SinglePhoton(), np.linspace(0.1, 3.0, 7))
+    bases = [NumberBasis()] * len(states)
+    rho, degenerate = reduce_to_qubit_pair(states, pair, bases)
+    assert not degenerate.any() and rho.entries.shape == (len(states), 4, 4)
+    assert rho.basis_tag == tuple(bases)
+    one = [reduce_to_qubit_pair(psi, pair, NumberBasis()).entries for psi in states]
+    assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
+    values = concurrence(rho)
+    assert np.array_equal(values, [concurrence(m) for m in one])
+
+
+@pytest.mark.parametrize("pair", [PairIndex(1, 2), PairIndex(1, 3)])
+def test_stacked_tilde_reduction_matches_one_call_per_sample(pair):
+    states, bases = _cat_trajectory()
+    rho, degenerate = reduce_to_qubit_pair(states, pair, bases)
+    assert not degenerate.any()
+    one = [reduce_to_qubit_pair(psi, pair, q).entries for psi, q in zip(states, bases)]
+    assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
+    assert np.array_equal(concurrence(rho), [concurrence(m) for m in one])
+
+
+def test_stacked_reduction_leaves_degenerate_samples_out():
+    states, bases = _cat_trajectory()
+    bases[3] = TildeBasis(mu=1e-13)
+    rho, degenerate = reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+    assert degenerate.tolist() == [False] * 3 + [True] + [False] * 3
+    kept = [k for k in range(len(states)) if k != 3]
+    one = [reduce_to_qubit_pair(states[k], PairIndex(1, 2), bases[k]).entries
+           for k in kept]
+    assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
+    assert rho.basis_tag == tuple(bases[k] for k in kept)
+
+
+def test_one_leaking_sample_fails_the_stack():
+    states, bases = _cat_trajectory()
+    reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+    bases[5] = TildeBasis(mu=0.5 * bases[5].mu)
+    with pytest.raises(LeakageError):
+        reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+
+
+def test_stacked_mixed_reduction_matches_one_call_per_sample():
+    params = SystemParams(n_crystallites=2, intensity=1.0, parity=ParityKind.ODD)
+    basis = build_basis(3, minimum_truncation(1.0))
+    ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
+    gts = [0.4, 0.9, 2.0]
+    states = [_as_mixed(psi) for psi in unitary_trajectory(
+        ham, _cat_state(params, basis), [params.time_from_gt(gt) for gt in gts])]
+    bases = [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha) for gt in gts]
+    rho, _ = reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+    one = [reduce_to_qubit_pair(s, PairIndex(1, 2), q).entries for s, q in zip(states, bases)]
+    assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
+
+
 @pytest.mark.parametrize("n_modes, max_total", [(3, 5), (4, 4), (6, 3), (7, 2)])
 def test_pair_plan_groups_rank_the_other_modes_lexicographically(n_modes, max_total):
     # the groups np.unique gives the rows of the other modes' occupations

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cavshare import fockspace
+from cavshare import (Cat, CouplingProfile, PairIndex, ParityKind, SystemParams,
+                      TildeBasis, concurrence, fockspace, isotropic_amplitudes)
 from cavshare.verify import (
     PairRecord,
     SuiteResult,
@@ -143,7 +144,8 @@ def test_interior_grid_avoids_degenerate_nodes():
 
 def test_degenerate_samples_become_skip_rows():
     # an odd count puts the middle sample on Gt = pi, where the cat's tilde
-    # basis vanishes; the other samples still run
+    # basis vanishes; the other samples still run, and the stacked reduction
+    # gives each of them the bits of a reduction of its own
     result = cat_suite(n_times=3)
     assert result.counts() == (8, 0, 4)
     for case in result.cases:
@@ -152,6 +154,22 @@ def test_degenerate_samples_become_skip_rows():
             assert math.isfinite(case.analytic)
             assert math.isnan(case.oracle) and math.isnan(case.abs_error)
     assert all(abs(rec.gt - math.pi) > 1.0 for rec in result.pair_records)
+    oracle = {case.case_id: case.oracle for case in result.cases}
+    grid = [(k + 0.5) * 2.0 * math.pi / 3 for k in range(3)]
+    for x in (0.25, 1.0):
+        basis = fockspace.build_basis(4, fockspace.minimum_truncation(x))
+        ham = fockspace.build_hamiltonian(CouplingProfile.isotropic(1.0, 3), basis)
+        for parity in (ParityKind.EVEN, ParityKind.ODD):
+            params = SystemParams(n_crystallites=3, intensity=x, parity=parity)
+            states = fockspace.unitary_trajectory(
+                ham, fockspace.prepare_initial(Cat(parity, params.alpha), basis),
+                [params.time_from_gt(gt) for gt in grid])
+            for gt, psi in zip(grid[::2], states[::2]):
+                mu = isotropic_amplitudes(params, gt).v * params.alpha
+                alone = concurrence(fockspace.reduce_to_qubit_pair(
+                    psi, PairIndex(1, 2), TildeBasis(mu)))
+                case_id = f"cat/N=3/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}"
+                assert oracle[case_id] == alone
     # without loss v'(t) vanishes at Gt = 2 pi, the one Lindblad sample
     assert lindblad_suite(gamma_over_g=0.0, n_times=1).counts() == (0, 0, 2)
 
