@@ -170,15 +170,19 @@ def coherent_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
     mu = v(t) alpha. Raises DegenerateBasis when |mu|^2 < 1e-12 (the basis
     collapses as the modes return to vacuum).
     """
-    x = params.intensity
-    n = params.n_crystallites
     s = crmath.sin(gt)
     s2 = s * s
-    mu_sq = x * s2 / n
+    mu_sq = params.intensity * s2 / params.n_crystallites
+    return _cat_pair_density(params, mu_sq,
+                             isotropic_amplitudes(params, gt).v * params.alpha)
+
+
+def _cat_pair_density(params: SystemParams, mu_sq: float, mu: complex) -> TwoQubitDensity:
+    """The X-shaped cat pair density in the tilde basis of mu, |mu|^2 = mu_sq
+    as the caller forms it; DegenerateBasis when that is below 1e-12."""
     if mu_sq < DEGENERACY_THRESHOLD:
-        raise DegenerateBasis(f"|v(t) alpha|^2 = {mu_sq:.3e} below 1e-12")
-    mu = isotropic_amplitudes(params, gt).v * params.alpha
-    mat = _tilde_x_matrix(x, 2.0 * mu_sq, params.parity)
+        raise DegenerateBasis(f"|mu|^2 = {mu_sq:.3e} below 1e-12")
+    mat = _tilde_x_matrix(params.intensity, 2.0 * mu_sq, params.parity)
     return TwoQubitDensity(entries=mat, basis_tag=TildeBasis(mu=mu))
 
 

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import crmath
-from .analytic import TildeBasis, _tilde_x_matrix, cat_ratio
+from .analytic import _cat_pair_density, cat_ratio
 from .entanglement import TwoQubitDensity
-from .errors import DegenerateBasis, OverdampedRegime
-from .model import DEGENERACY_THRESHOLD, SystemParams
+from .errors import OverdampedRegime
+from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,7 @@ def damped_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
     decayed below threshold.
     """
     v = damped_amplitudes(params, gt).v_prime
-    x = params.intensity
-    mu_sq = x * v * v
-    if mu_sq < DEGENERACY_THRESHOLD:
-        raise DegenerateBasis(f"|v'(t) alpha|^2 = {mu_sq:.3e} below 1e-12")
-    mu = -1j * v * params.alpha
-    mat = _tilde_x_matrix(x, 2.0 * mu_sq, params.parity)
-    return TwoQubitDensity(entries=mat, basis_tag=TildeBasis(mu=mu))
+    return _cat_pair_density(params, params.intensity * v * v, -1j * v * params.alpha)
 
 
 def damped_concurrence(params: SystemParams, gt):

@@ -9,10 +9,6 @@ import numpy as np
 
 from .errors import NotADensityMatrix
 
-# Tolerances for density-matrix hygiene.
-_HERMITICITY_TOL = 1e-12
-_TRACE_TOL = 1e-10
-_EIGENVALUE_FLOOR = -1e-10
 # eigenvalues of rho up to this fraction of the largest are rounding, below
 # what eigh resolves: the concurrence treats them as zero
 _RANK_TOL = 8.0 * np.finfo(float).eps
@@ -36,17 +32,34 @@ def _as_matrix(rho) -> np.ndarray:
     return mat
 
 
-def _density(entries) -> np.ndarray:
-    """A private read-only copy of a 4x4 density matrix or (S, 4, 4) stack,
-    once each one's hygiene (Hermiticity, unit trace, positivity) is checked."""
-    mat = _as_matrix(entries).copy()
-    # `not (... <= ...).all()` so that a NaN entry of any matrix fails each check
-    if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= _HERMITICITY_TOL).all():
-        raise NotADensityMatrix("not Hermitian within 1e-12")
-    if not (np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0) <= _TRACE_TOL).all():
-        raise NotADensityMatrix("trace differs from 1 beyond 1e-10")
-    if not (np.linalg.eigvalsh(mat) >= _EIGENVALUE_FLOOR).all():
-        raise NotADensityMatrix("negative eigenvalue beyond -1e-10")
+def check_density(mat: np.ndarray, tol: float) -> np.ndarray:
+    """The package's one density-matrix validator, for a complex (d, d)
+    matrix or a stack of them: each must be Hermitian within tol/100 by
+    modulus, have a real trace within tol of 1 and no eigenvalue below -tol,
+    or NotADensityMatrix is raised. Every check is a `not (... <= ...)`, so
+    a NaN anywhere fails it. Returns mat read-only, copied first if it was
+    writeable, so the caller's array stays its own."""
+    # max |mat - mat^H|^2 over two real temporaries, its real and imaginary
+    # parts squared in place
+    skew = mat.real - mat.real.swapaxes(-1, -2)
+    imag = mat.imag + mat.imag.swapaxes(-1, -2)
+    skew *= skew
+    imag *= imag
+    skew += imag
+    if not skew.max(initial=0.0) <= (tol / 100.0) ** 2:
+        raise NotADensityMatrix(f"not Hermitian within {tol / 100.0:.0e}")
+    if not (np.abs(mat.trace(axis1=-2, axis2=-1).real - 1.0) <= tol).all():
+        raise NotADensityMatrix(f"trace differs from 1 beyond {tol:.0e}")
+    # no eigenvalue below -tol exactly when mat + tol I has a Cholesky factor
+    # (up to rounding there); the shift goes on a copy
+    d = mat.shape[-1]
+    shifted = mat.copy()
+    shifted.reshape(-1, d * d)[:, ::d + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise NotADensityMatrix(f"negative eigenvalue beyond {-tol:.0e}") from None
+    mat = mat.copy() if mat.flags.writeable else mat
     mat.setflags(write=False)
     return mat
 
@@ -64,7 +77,7 @@ class TwoQubitDensity:
     basis_tag: object
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _density(self.entries))
+        object.__setattr__(self, "entries", check_density(_as_matrix(self.entries), 1e-10))
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -89,11 +102,12 @@ def concurrence(rho):
     of the near-zero eigenvalues of rho * spin_flip(rho) would carry
     sqrt(eps). A rounding-level eigenpair of rho is dropped, not kept: its
     column, of size sqrt(eps), would otherwise pair with a large one under
-    the flip and bring sqrt(eps) back. A bare array is checked for hygiene
-    first; a TwoQubitDensity already was. A stack takes one eigh and one
+    the flip and bring sqrt(eps) back. A bare array goes through check_density
+    first; a TwoQubitDensity already did. A stack takes one eigh and one
     SVD per kept rank r, on r x r: each matrix meets its LAPACK calls alone.
     """
-    mat = rho.entries if isinstance(rho, TwoQubitDensity) else _density(rho)
+    mat = (rho.entries if isinstance(rho, TwoQubitDensity)
+           else check_density(_as_matrix(rho), 1e-10))
     w, u = np.linalg.eigh(mat.reshape(-1, 4, 4))
     rank = (w > _RANK_TOL * w[:, -1:]).sum(axis=1)  # the kept are the top r
     lam = np.zeros((len(w), 4))

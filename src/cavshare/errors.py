@@ -18,8 +18,11 @@ class OverdampedRegime(ValueError):
     """Decay too strong for oscillatory normal modes: N g^2 <= (gamma/4)^2."""
 
 
-class NotADensityMatrix(ValueError):
+class NotADensityMatrix(InvalidParameter):
     """Hermiticity, trace, or positivity violated beyond tolerance."""
+
+    def __init__(self, reason: str):
+        super().__init__("matrix", reason)
 
 
 class DimensionMismatch(ValueError):

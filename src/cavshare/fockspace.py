@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytic import NumberBasis, TildeBasis
-from .entanglement import TwoQubitDensity
+from .entanglement import TwoQubitDensity, check_density
 from .errors import (
     CapacityExceeded,
     DegenerateBasis,
@@ -210,30 +210,7 @@ class MixedState:
         d = self.basis.dimension
         if mat.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
-        # max |mat - mat^H|^2 over two real temporaries, its real and
-        # imaginary parts squared in place; `not <=` so that NaN fails here:
-        # the Cholesky below may accept it
-        skew, imag = mat.real - mat.real.T, mat.imag + mat.imag.T
-        skew *= skew
-        imag *= imag
-        skew += imag
-        if not np.max(skew) <= 1e-20:
-            raise InvalidParameter("matrix", "not Hermitian within 1e-10")
-        if not abs(np.trace(mat).real - 1.0) <= 1e-8:
-            raise InvalidParameter("matrix", "trace differs from 1 beyond 1e-8")
-        # no eigenvalue below -1e-8 exactly when mat + 1e-8 I has a Cholesky
-        # factor (up to rounding there). The shift goes on a copy, so the
-        # caller's array is never written
-        shifted = mat.copy()
-        shifted.reshape(-1)[::d + 1] += 1e-8
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise InvalidParameter("matrix",
-                                   "negative eigenvalue beyond -1e-8") from None
-        mat = mat.copy() if mat.flags.writeable else mat  # the caller's stays its own
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", check_density(mat, 1e-8))
 
 
 def build_basis(n_modes: int, max_total: int) -> FockBasis:
@@ -637,6 +614,8 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     and its qubit basis (DegenerateBasis if that has none) or a trajectory:
     states on one basis, one qubit basis each, giving the TwoQubitDensity
     stack of the samples that are not degenerate and the degenerate mask.
+    An empty trajectory, pure and mixed states together, two bases or a
+    qubit-basis count other than the state count are refused.
 
     NumberBasis keeps Fock levels {0,1} of each mode; TildeBasis(mu)
     projects onto the orthonormal even/odd superpositions of |+-mu>, none
@@ -647,9 +626,19 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     single = isinstance(states, (PureState, MixedState))
     if single:
         states, qubit_bases = [states], [qubit_bases]
+    if len(states) != len(qubit_bases):
+        raise DimensionMismatch(f"{len(states)} states vs {len(qubit_bases)} qubit bases")
     if not all(isinstance(q, (NumberBasis, TildeBasis)) for q in qubit_bases):
         raise TypeError("unsupported qubit basis")
+    if not states:
+        raise InvalidParameter("states", "empty trajectory")
+    kind = type(states[0])
+    if kind not in (PureState, MixedState) or any(type(s) is not kind for s in states):
+        raise InvalidParameter("states", "not all PureState or all MixedState")
     basis = states[0].basis
+    if any((s.basis.n_modes, s.basis.max_total) != (basis.n_modes, basis.max_total)
+           for s in states):
+        raise DimensionMismatch("states on different bases")
     pair.check_bounds(basis.n_modes - 1)
     pocc, group, n_groups = basis.pair_plan(pair)
     span = basis.max_total + 1
@@ -668,7 +657,7 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     # one broadcast product: np.kron's own overhead is about 30 us a call
     kets = (b[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, span * span, 4)
     mats = np.zeros((len(kept), 4, 4), dtype=complex)
-    if isinstance(states[0], PureState):
+    if kind is PureState:
         # psi[pair occupation, group]: the partial trace is psi psi^dagger.
         # A chunk of samples keeps the psi stack near 1 MiB; each sample
         # fills the same entries, so one stack serves every chunk

@@ -5,8 +5,7 @@ and positive, and dynamics is expressed in the frame rotating at the common
 mode frequency, so the frequency enters only as a reconstructable phase.
 Public time arguments of the closed-form modules are dimensionless (Gt with
 G = g sqrt(N), or G't for anisotropic profiles). The Fock-space oracle takes
-raw time t: ``SystemParams.time_from_gt`` converts, and for a profile
-t = G't / ``collective_rate``.
+raw time t: ``SystemParams.time_from_gt`` converts.
 """
 
 from __future__ import annotations

@@ -162,12 +162,13 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
 
     def preparations():
         for n in n_values:
-            profile = CouplingProfile.isotropic(1.0, n)
+            params = SystemParams(n_crystallites=n)
+            profile = CouplingProfile.from_params(params)
             basis = fockspace.build_basis(n + 1, 1)
             trajectory = fockspace.unitary_trajectory(
                 fockspace.build_hamiltonian(profile, basis),
                 fockspace.prepare_initial(SinglePhoton(), basis),
-                [gt / profile.collective_rate for gt in grid],
+                [params.time_from_gt(gt) for gt in grid],
             )
             samples = []
             for gt, psi in zip(grid, trajectory):
@@ -263,24 +264,16 @@ def run_all(n_times: int | None = None,
             intensity_override: float | None = None,
             gamma_override: float | None = None) -> list[SuiteResult]:
     """The three suites with optional uniform overrides (None keeps defaults)."""
-    sp_kwargs: dict = {}
-    cat_kwargs: dict = {}
-    lb_kwargs: dict = {}
-    if n_times is not None:
-        sp_kwargs["n_times"] = cat_kwargs["n_times"] = lb_kwargs["n_times"] = n_times
-    if gt_max is not None:
-        sp_kwargs["gt_max"] = cat_kwargs["gt_max"] = lb_kwargs["gt_max"] = gt_max
-    if n_override is not None:
-        sp_kwargs["n_values"] = (n_override,)
-        cat_kwargs["n"] = n_override
-        lb_kwargs["n"] = n_override
-    if intensity_override is not None:
-        cat_kwargs["intensities"] = (intensity_override,)
-        lb_kwargs["intensity"] = intensity_override
-    if gamma_override is not None:
-        lb_kwargs["gamma_over_g"] = gamma_override
+    def given(**kwargs) -> dict:
+        return {k: v for k, v in kwargs.items() if v is not None}
+
+    common = given(n_times=n_times, gt_max=gt_max)
     return [
-        single_photon_suite(**sp_kwargs),
-        cat_suite(**cat_kwargs),
-        lindblad_suite(**lb_kwargs),
+        single_photon_suite(**common, **given(
+            n_values=None if n_override is None else (n_override,))),
+        cat_suite(**common, **given(
+            n=n_override,
+            intensities=None if intensity_override is None else (intensity_override,))),
+        lindblad_suite(**common, **given(
+            n=n_override, intensity=intensity_override, gamma_over_g=gamma_override)),
     ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cavshare import (NotADensityMatrix, NumberBasis, TwoQubitDensity,
                       concurrence, spin_flip)
+from cavshare import entanglement, fockspace
 from cavshare.entanglement import _RANK_TOL
 
 _BELL = np.zeros(4, dtype=complex)
@@ -167,21 +168,22 @@ def test_tiny_negative_rounding_is_clamped():
 
 def test_validated_density_is_checked_once(monkeypatch):
     # a TwoQubitDensity was checked when it was built; a bare array is
-    # checked by concurrence itself, through the same function
+    # checked by concurrence itself, through the validator MixedState shares
+    assert fockspace.check_density is entanglement.check_density
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    check_density = entanglement.check_density
 
-    def counting(mat):
-        calls.append(mat.shape)
-        return eigvalsh(mat)
+    def counting(mat, tol):
+        calls.append((mat.shape, tol))
+        return check_density(mat, tol)
 
     rho = 0.8 * _pure(_BELL) + 0.2 * np.eye(4) / 4.0
     density = TwoQubitDensity(entries=rho, basis_tag=NumberBasis())
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(entanglement, "check_density", counting)
     value = concurrence(density)
     assert calls == []
     assert concurrence(rho) == value
-    assert calls == [(4, 4)]
+    assert calls == [((4, 4), 1e-10)]
 
 
 # --- stacks -----------------------------------------------------------------------

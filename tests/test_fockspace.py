@@ -29,6 +29,7 @@ from cavshare import (
     SystemParams,
     TildeBasis,
     TruncationTooSmall,
+    TwoQubitDensity,
     coherent_concurrence,
     concurrence,
     isotropic_amplitudes,
@@ -365,21 +366,27 @@ def _with_lowest_eigenvalue(dim: int, lowest: float, seed: int) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+@pytest.mark.parametrize("tol, dims, build", [
+    (1e-8, (3, 13), lambda mat: MixedState(mat, build_basis(len(mat) - 1, 1))),
+    (1e-10, (4, 4), lambda mat: TwoQubitDensity(mat, NumberBasis())),
+], ids=["MixedState", "TwoQubitDensity"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(dim=st.integers(3, 13), seed=st.integers(0, 2**32 - 1),
-       lowest=st.one_of(st.floats(-0.99e-8, 0.0), st.floats(-0.5, -1.01e-8)))
-def test_mixed_state_positivity_matches_eigvalsh(dim, seed, lowest):
-    # the Cholesky test of rho + 1e-8 I and eigvalsh can disagree only within
-    # rounding of lambda_min = -1e-8; the draws stay 1e-10 away from it
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       ratio=st.one_of(st.floats(-0.99, 0.0), st.floats(-5e7, -1.01)))
+def test_mixed_state_positivity_matches_eigvalsh(tol, dims, build, data, seed, ratio):
+    # both users of the shared validator: the Cholesky test of rho + tol I
+    # and eigvalsh can disagree only within rounding of lambda_min = -tol;
+    # the draws stay 0.01 tol away from it
+    dim = data.draw(st.integers(*dims), label="dim")
+    lowest = ratio * tol
     mat = _with_lowest_eigenvalue(dim, lowest, seed)
-    accepts = lowest >= -1e-8
-    assert (float(np.linalg.eigvalsh(mat).min()) >= -1e-8) == accepts
-    basis = build_basis(dim - 1, 1)
+    accepts = lowest >= -tol
+    assert (float(np.linalg.eigvalsh(mat).min()) >= -tol) == accepts
     if accepts:
-        MixedState(mat, basis)
+        build(mat)
     else:
         with pytest.raises(InvalidParameter, match="negative eigenvalue"):
-            MixedState(mat, basis)
+            build(mat)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
@@ -778,6 +785,27 @@ def test_one_leaking_sample_fails_the_stack():
     reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
     bases[5] = TildeBasis(mu=0.5 * bases[5].mu)
     with pytest.raises(LeakageError):
+        reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("one basis for two states", DimensionMismatch, "2 states vs 1 qubit bases"),
+    ("two 35-state bases", DimensionMismatch, "different bases"),
+    ("pure then mixed", InvalidParameter, "all PureState or all MixedState"),
+    ("empty", InvalidParameter, "empty trajectory"),
+])
+def test_malformed_trajectory_is_refused(case, error, message):
+    photon = prepare_initial(SinglePhoton(), build_basis(3, 1))
+    states = {
+        "one basis for two states": [photon, photon],
+        # C(7, 3) = C(7, 4): the two bases have one dimension
+        "two 35-state bases": [prepare_initial(SinglePhoton(), build_basis(n, m))
+                               for n, m in ((3, 4), (4, 3))],
+        "pure then mixed": [photon, _as_mixed(photon)],
+        "empty": [],
+    }[case]
+    bases = [NumberBasis()] * (1 if case.startswith("one basis") else len(states))
+    with pytest.raises(error, match=message):
         reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
 
 

@@ -197,6 +197,22 @@ def test_run_all_propagates_overrides():
     assert lind.counts() == (0, 0, 1)
 
 
+def test_run_all_maps_each_set_override_and_keeps_zeros(monkeypatch):
+    seen = {}
+    for name in ("single_photon_suite", "cat_suite", "lindblad_suite"):
+        monkeypatch.setattr(f"cavshare.verify.{name}",
+                            lambda _name=name, **kw: seen.setdefault(_name, kw))
+    run_all(intensity_override=0.0, gamma_override=0.0)
+    assert seen == {"single_photon_suite": {}, "cat_suite": {"intensities": (0.0,)},
+                    "lindblad_suite": {"intensity": 0.0, "gamma_over_g": 0.0}}
+    seen.clear()
+    run_all(n_times=3, gt_max=1.0, n_override=4)
+    common = {"n_times": 3, "gt_max": 1.0}
+    assert seen == {"single_photon_suite": {**common, "n_values": (4,)},
+                    "cat_suite": {**common, "n": 4},
+                    "lindblad_suite": {**common, "n": 4}}
+
+
 def test_status_field_matches_error_and_tolerance():
     for result in (single_photon_suite(n_times=3), cat_suite(n_times=4)):
         for case in result.cases:
