@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1041,6 +1042,77 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
         np.testing.assert_allclose(step, exact, rtol=0, atol=bound)
 
 
+def _allocating_expm_step(a, norms, v, t):
+    """_expm_step as it was written before its buffers were reused: a fresh
+    vector for every operation and the exact max|f| on every term."""
+    mu, norm1 = norms
+    m_star, s = fockspace._taylor_parameters(norm1, t)
+    eta = np.exp(t * mu / s)
+    f = b = v
+    for _ in range(s):
+        c1 = np.max(np.abs(b))
+        for j in range(m_star):
+            b = (t / (s * (j + 1))) * (a @ b - mu * b)
+            c2 = np.max(np.abs(b))
+            f = f + b
+            if c1 + c2 <= 2.0 ** -53 * np.max(np.abs(f)):
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
+
+
+def _default_lindblad_chains(parity: ParityKind):
+    """(params, [(generator, norms, v0)]) for every chain the default
+    Lindblad suite propagates at this parity, as lindblad_trajectory passes
+    them to _expm_step."""
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13,
+                          parity=parity)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    chains = {}
+    exact = fockspace._expm_step
+
+    def first_call(a, norms, v, t):
+        chains.setdefault(id(a), (a, norms, v.copy()))
+        return exact(a, norms, v, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fockspace, "_expm_step", first_call)
+        lindblad_trajectory(params, _as_mixed(_cat_state(params, basis)), [1.0])
+    return params, list(chains.values())
+
+
+@pytest.mark.parametrize("parity", [ParityKind.ODD, ParityKind.EVEN])
+def test_expm_step_keeps_the_allocating_loops_bits(parity):
+    # the in-place terms and the max|f| prefilter change no bit, signed
+    # zeros included: on every chain of the default suite, over no time,
+    # its first sample interval, one whole interval (two steps on the wider
+    # chains) and a one-span run's guard half (8-16 steps). v stays read
+    # only and unchanged, and the result is the caller's to write
+    params, chains = _default_lindblad_chains(parity)
+    assert len(chains) == 6
+    cell = 4.0 * math.pi / 25.0
+    spans = [0.0, *(params.time_from_gt(gt) for gt in (0.5 * cell, cell, 12.25 * cell))]
+    assert fockspace._taylor_parameters(chains[0][1][1], spans[2])[1] > 1
+    # the smallest chain also runs a vector scaled into the subnormals, and
+    # a complex shift of its generator: a chain's mu is real, so exp(t mu /
+    # s) has no imaginary part to show the operand order of eta f
+    a, _, v0 = chains[-1]
+    shifted = a + (0.05 + 0.3j) * sp.identity(a.shape[0], format="csr")
+    cases = [*chains, (a, chains[-1][1], v0 * 2.0 ** -1040),
+             (shifted, fockspace._shifted_norms(shifted), v0)]
+    for a, norms, v in cases:
+        v.setflags(write=False)
+        before = v.copy()
+        for t in spans:
+            out = fockspace._expm_step(a, norms, v, t)
+            np.testing.assert_array_equal(
+                _bits(out), _bits(_allocating_expm_step(a, norms, v, t)))
+            assert out.flags.writeable and not np.shares_memory(out, v)
+        np.testing.assert_array_equal(_bits(v), _bits(before))
+
+
 def test_lindblad_is_independent_of_the_global_rng():
     # no path of the stepper may draw from numpy's global RNG, or change
     # its state: eight samples give the guard one long span, where scipy's
@@ -1153,3 +1225,23 @@ def test_taylor_parameters_pick_the_cheapest_admissible_pair():
             costs = [m * math.ceil(norm / theta) for m, theta in thetas]
             assert m_star * s == min(costs)
             assert m_star == thetas[costs.index(min(costs))][0]
+
+
+@pytest.mark.parametrize("norm1, t", [(1.0, 1e300), (1e300, 1e10), (math.inf, 1.0),
+                                      (math.nan, 1.0), (1.0, -1e300)])
+def test_taylor_parameters_refuse_a_step_count_past_any_float(norm1, t):
+    # ||tA||_1 / theta_1 overflows: no step count can be counted
+    with pytest.raises(InvalidParameter) as info:
+        fockspace._taylor_parameters(norm1, t)
+    assert info.value.name == "times"
+
+
+def test_lindblad_refuses_a_span_past_any_step_count():
+    # finite times all, but the span's step count overflows: refused by
+    # name, not by an OverflowError from math.ceil
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    rho0 = _as_mixed(_cat_state(params, basis))
+    with pytest.raises(InvalidParameter) as info:
+        evolve_lindblad(params, rho0, 1e300)
+    assert info.value.name == "times"
