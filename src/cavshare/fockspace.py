@@ -105,7 +105,8 @@ class FockBasis:
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
+        # (couplings, gamma) -> (H_eff blocks, jump blocks,
+        #                       {d: (chain generator, its _shifted_norms)})
         self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
@@ -465,18 +466,19 @@ def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
 
 
 def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
-    """The generator of chain d from k = d up to the cutoff, built on first
-    use and kept on the basis per (couplings, gamma), the only parameters it
-    depends on. A chain that stops at an earlier top is its leading
-    principal block."""
+    """The generator of chain d from k = d up to the cutoff and its
+    _shifted_norms, built on first use and kept on the basis per (couplings,
+    gamma), the only parameters they depend on. A chain that stops at an
+    earlier top is the generator's leading principal block."""
     key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
     entry = basis._lindblad_chains.get(key)
     if entry is None:
         entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
     h_blocks, jumps, chains = entry
     if d not in chains:
-        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
+        generator = _chain_generator(h_blocks, jumps, params.decay_rate,
                                      d, basis.max_total)
+        chains[d] = generator, _shifted_norms(generator)
     return chains[d]
 
 
@@ -602,10 +604,10 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             continue
         idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
                               for k in range(d, top + 1)])
-        generator = _cached_chain(params, basis, d)
+        generator, norms = _cached_chain(params, basis, d)
         if len(idx) < generator.shape[0]:  # the chain stops below the cutoff
             generator = generator[:len(idx), :len(idx)]
-        norms = _shifted_norms(generator)
+            norms = _shifted_norms(generator)
         v = v0 = rho0.matrix.ravel()[idx]
         vectors, prev = [], 0.0
         for t in times:

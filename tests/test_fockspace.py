@@ -37,6 +37,7 @@ from cavshare import (
     single_photon_pair_density,
 )
 from cavshare import fockspace
+from cavshare.entanglement import _coupled_blocks
 from cavshare.verify import cat_suite
 from cavshare.fockspace import (
     FockBasis,
@@ -388,6 +389,82 @@ def test_mixed_state_positivity_matches_eigvalsh(tol, dims, build, data, seed, r
     else:
         with pytest.raises(InvalidParameter, match="negative eigenvalue"):
             build(mat)
+
+
+def _block_diagonal(sizes, n_empty: int, lowest: float, seed: int) -> np.ndarray:
+    """A random Hermitian unit-trace matrix made of dense blocks of the given
+    sizes, in order, then n_empty all-zero rows. Its smallest eigenvalue,
+    lowest, sits in the first block (of 2 rows or more); every other
+    eigenvalue is positive."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.0, len(sizes))
+    weights /= weights.sum()
+    dim = sum(sizes) + n_empty
+    mat = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for i, (size, weight) in enumerate(zip(sizes, weights)):
+        low = lowest / weight if i == 0 else 0.1 / size
+        block = _with_lowest_eigenvalue(size, low, seed + i) if size > 1 else np.eye(1)
+        mat[at:at + size, at:at + size] = weight * block
+        at += size
+    return mat
+
+
+def _block_sizes(mat: np.ndarray) -> list[int]:
+    return sorted(block.shape[-1] for part in _coupled_blocks(mat)
+                  for block in part)
+
+
+def _verdict(mat: np.ndarray) -> str | None:
+    try:
+        fockspace.check_density(mat, 1e-8)
+    except NotADensityMatrix as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ratio", [-0.99, -1.01])
+@pytest.mark.parametrize("seed", range(12))
+def test_block_validation_decides_like_the_whole_matrix(seed, ratio):
+    # a single matrix of more than 4 rows is checked on its coupled blocks;
+    # a stack of one takes the whole-matrix path. Both must agree with
+    # eigvalsh on every draw: equal-sized and single-row blocks, all-zero
+    # rows, the lowest eigenvalue 0.01 tol either side of -tol in one block
+    rng = np.random.default_rng(1000 + seed)
+    sizes = [int(rng.integers(2, 13)),
+             *rng.choice([1, 2, 3, 7], size=int(rng.integers(1, 6)))]
+    mat = _block_diagonal(sizes, int(rng.integers(1, 7)), ratio * 1e-8, seed)
+    order = rng.permutation(len(mat))
+    mat = mat[np.ix_(order, order)]
+    assert _block_sizes(mat) == sorted(sizes)
+    accepts = ratio >= -1.0
+    assert (float(np.linalg.eigvalsh(mat).min()) >= -1e-8) == accepts
+    expected = None if accepts else "matrix: negative eigenvalue beyond -1e-08"
+    assert _verdict(mat) == _verdict(mat[None]) == expected
+
+
+@pytest.mark.parametrize("ratio", [-0.99, -1.01])
+def test_block_validation_edges(ratio):
+    # blocks {0, 1, 2} and {3, ..., 6}, empty rows 7 and 8, the lowest
+    # eigenvalue in the first block; each edit keeps the whole-matrix verdict
+    base = _block_diagonal((3, 4), 2, ratio * 1e-8, 5)
+    plain = None if ratio >= -1.0 else "matrix: negative eigenvalue beyond -1e-08"
+    hermitian = "matrix: not Hermitian within 1e-10"
+    joined = base.copy()  # one tiny entry joins the two blocks
+    joined[0, 5] = joined[5, 0] = 1e-300
+    one_way = base.copy()  # present in one direction only
+    one_way[5, 0] = 1e-3
+    nan_row = base.copy()  # a NaN in an otherwise empty row
+    nan_row[7, 2] = np.nan
+    skewed = base.copy()  # checked for Hermiticity before any block is factored
+    skewed[4, 5] += 2e-10
+    signed = base.copy()  # -0.0 off the blocks is zero
+    signed[0, 5] = signed[5, 0] = signed[7, 8] = signed[8, 7] = complex(-0.0, -0.0)
+    for mat, sizes, expected in ((base, [3, 4], plain), (joined, [7], plain),
+                                 (one_way, [7], hermitian), (nan_row, [4, 4], hermitian),
+                                 (skewed, [3, 4], hermitian), (signed, [3, 4], plain)):
+        assert _block_sizes(mat) == sizes
+        assert _verdict(mat) == _verdict(mat[None]) == expected
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
@@ -991,7 +1068,8 @@ def test_cached_chain_leading_block_is_the_chain_to_its_top():
     basis = build_basis(3, 4)
     h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
     for d in range(basis.max_total + 1):
-        full = fockspace._cached_chain(params, basis, d)
+        full, norms = fockspace._cached_chain(params, basis, d)
+        assert norms == fockspace._shifted_norms(full)
         for top in range(d, basis.max_total + 1):
             own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
             block = full[:own.shape[0], :own.shape[0]]
@@ -1029,8 +1107,7 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
     # vector whose image peaks at 0.02; the bounds are ten times that
     params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
-    generator = fockspace._cached_chain(params, basis, 1)
-    norms = fockspace._shifted_norms(generator)
+    generator, norms = fockspace._cached_chain(params, basis, 1)
     rng = np.random.default_rng(7)
     v = rng.normal(size=generator.shape[0]) + 1j * rng.normal(size=generator.shape[0])
     v /= np.linalg.norm(v)

@@ -6,10 +6,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cavshare import (Cat, CouplingProfile, PairIndex, ParityKind, SystemParams,
-                      TildeBasis, concurrence, fockspace, isotropic_amplitudes)
+from cavshare import (Cat, CouplingProfile, NumberBasis, PairIndex, ParityKind,
+                      SystemParams, TildeBasis, TwoQubitDensity, concurrence,
+                      fockspace, isotropic_amplitudes)
 from cavshare.verify import (
     PairRecord,
     SuiteResult,
@@ -105,6 +107,31 @@ def test_lindblad_suite_builds_each_chain_once(monkeypatch):
     result = lindblad_suite(n_times=1, gt_max=0.1)
     assert result.counts() == (2, 0, 0)
     assert sorted(built) == [0, 2, 4, 6, 8, 10]
+
+
+def test_lindblad_samples_factor_on_their_coupled_blocks(monkeypatch):
+    # every sample is validated in full, but on the default basis (364
+    # states) its Cholesky factors run per coupled block: an even cat
+    # sample's even sectors (161 states) and odd sectors 1-9 (125; sector
+    # 11 stays empty), the odd cat's even sectors and odd sectors 1-11
+    # (203), and rho0's 6 populated states. Each parity's pair densities
+    # are one (2, 4, 4) stack, factored in one call
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    assert lindblad_suite(n_times=2).counts() == (4, 0, 0)
+    factors = sorted(shape[-1] for shape in shapes if shape[-1] > 4)
+    assert factors == [6, 6, 125, 125, 161, 161, 161, 161, 203, 203]
+    assert [shape for shape in shapes if shape[-1] <= 4] == [(2, 4, 4)] * 2
+    shapes.clear()
+    TwoQubitDensity(np.stack([np.eye(4, dtype=complex) / 4.0] * 5), NumberBasis())
+    concurrence(np.eye(4, dtype=complex) / 4.0)
+    assert shapes == [(5, 4, 4), (4, 4)]
 
 
 # Worst |closed form - oracle| of each default suite, measured at 1.1e-15
