@@ -13,7 +13,7 @@ import math
 import re
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,23 +34,6 @@ _FIG2_INTENSITY_AXIS = (0.0, 6.0, 61)
 _FIG3_INTENSITIES = (0.01, 0.1, 1.0, 2.0)
 _FIG2CD_N = (2, 3, 5, 10)
 _CHUNK_ROWS = 512  # rows turned into text and written at a time
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective run settings; None means "use the command's default"."""
-
-    command: str = "figure"
-    figure: str | None = None
-    n: int | None = None
-    g: float | None = None
-    gamma_over_g: float | None = None
-    alpha2: float | None = None
-    parity: ParityKind | None = None
-    t_start: float | None = None
-    t_stop: float | None = None
-    points: int | None = None
-    out: str | None = None
 
 
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -199,35 +182,35 @@ def _one_of(options):
     return parse
 
 
-# config key -> (RunConfig field, parser raising ValueError, what it expects)
+# config key -> (parser raising ValueError, what it expects)
 _KEYS = {
-    "command": ("command", _one_of(_COMMANDS), f"one of {', '.join(_COMMANDS)}"),
-    "figure": ("figure", _one_of(_FIGURES), f"one of {', '.join(_FIGURES)}"),
-    "N": ("n", int, "an integer"),
-    "g": ("g", float, "a number"),
-    "gamma_over_g": ("gamma_over_g", float, "a number"),
-    "alpha2": ("alpha2", float, "a number"),
-    "parity": ("parity", lambda raw: ParityKind(raw.lower()), "even or odd"),
-    "t_start": ("t_start", float, "a number"),
-    "t_stop": ("t_stop", float, "a number"),
-    "points": ("points", int, "an integer"),
-    "out": ("out", str, None),
+    "command": (_one_of(_COMMANDS), f"one of {', '.join(_COMMANDS)}"),
+    "figure": (_one_of(_FIGURES), f"one of {', '.join(_FIGURES)}"),
+    "N": (int, "an integer"),
+    "g": (float, "a number"),
+    "gamma_over_g": (float, "a number"),
+    "alpha2": (float, "a number"),
+    "parity": (lambda raw: ParityKind(raw.lower()), "even or odd"),
+    "t_start": (float, "a number"),
+    "t_stop": (float, "a number"),
+    "points": (int, "an integer"),
+    "out": (str, None),
 }
 
 
-def _set(cfg: RunConfig, key: str, raw: str, lineno: int | None) -> RunConfig:
-    field, parse, expected = _KEYS[key]
+def _set(cfg: dict, key: str, raw: str, lineno: int | None) -> None:
+    parse, expected = _KEYS[key]
     try:
-        value = parse(raw)
+        cfg[key] = parse(raw)
     except ValueError:
         raise ParseError(lineno, f"bad value for {key}: {raw!r} "
                                  f"(expected {expected})") from None
-    return replace(cfg, **{field: value})
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a `key = value` document (blank lines and # comments allowed)."""
-    cfg = RunConfig()
+def parse_config(text: str) -> dict:
+    """Parse a `key = value` document (blank lines and # comments allowed)
+    into the keys it sets; a key left out takes the command's default."""
+    cfg = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -237,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in body.split("=", 1))
         if key not in _KEYS:
             raise UnknownKey(key)
-        cfg = _set(cfg, key, raw, lineno)
+        _set(cfg, key, raw, lineno)
     return cfg
 
 
@@ -281,23 +264,18 @@ def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
     return lengths[0]
 
 
-def _value(cfg: RunConfig, key: str, default):
-    value = getattr(cfg, _KEYS[key][0])
-    return default if value is None else value
-
-
-def _run(cfg: RunConfig, command: str, entry: _Entry,
+def _run(cfg: dict, command: str, entry: _Entry,
          figure: str | None = None) -> tuple[str, Sequence]:
     """Resolve entry's keys from cfg, build its grid and write its CSV under
     the metadata line: command, figure (if any), each set key in declared
     order, the grid keys, out. Return the output path and the columns."""
-    values = {key: _value(cfg, key, default) for key, default in entry.keys}
+    values = {key: cfg.get(key, default) for key, default in entry.keys}
     values.update(entry.fixed)
-    axis = [(key, _value(cfg, key, default))
+    axis = [(key, cfg.get(key, default))
             for key, default in zip(_GRID_KEYS, entry.grid or ())]
     grid = _grid(*(value for _, value in axis)) if axis else None
     columns = entry.columns(grid, **values)
-    out = _value(cfg, "out", f"{figure or command}.csv")
+    out = cfg.get("out", f"{figure or command}.csv")
     meta = [("command", command), *([("figure", figure)] if figure else []),
             *((key, getattr(value, "value", value))  # a ParityKind as its value
               for key, value in values.items() if value is not None),
@@ -306,35 +284,36 @@ def _run(cfg: RunConfig, command: str, entry: _Entry,
     return out, columns
 
 
-def run_figure(cfg: RunConfig) -> tuple[str, Sequence]:
-    name = _value(cfg, "figure", "fig1")
+def run_figure(cfg: dict) -> tuple[str, Sequence]:
+    name = cfg.get("figure", "fig1")
     return _run(cfg, "figure", _FIGURES[name], name)
 
 
-def run_sweep(cfg: RunConfig) -> tuple[str, Sequence]:
+def run_sweep(cfg: dict) -> tuple[str, Sequence]:
     return _run(cfg, "sweep", _SWEEP)
 
 
-def run_optimize(cfg: RunConfig) -> tuple[str, Sequence]:
+def run_optimize(cfg: dict) -> tuple[str, Sequence]:
     return _run(cfg, "optimize", _OPTIMIZE)
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(cfg: dict) -> int:
     out, columns = _run(cfg, "verify", _VERIFY)
     n_pass, n_fail, n_skip = map(columns[-1].count, ("pass", "fail", "skip"))
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skip -> {out}")
     return 2 if n_fail else 3 if n_skip else 0
 
 
-def _refuse_unread(cfg: RunConfig) -> None:
-    """A set key that no entry of the command declares is an error."""
-    accepted = {"command", "out"} | ({"figure"} if cfg.command == "figure" else set())
-    for entry in _COMMANDS[cfg.command]:
+def _refuse_unread(cfg: dict, command: str) -> None:
+    """A set key that no entry of the command declares is an error; the
+    first in declared order is named."""
+    accepted = {"command", "out"} | ({"figure"} if command == "figure" else set())
+    for entry in _COMMANDS[command]:
         accepted.update(key for key, _ in entry.keys + entry.fixed)
         accepted.update(_GRID_KEYS if entry.grid is not None else ())
-    for key, (field, _, _) in _KEYS.items():
-        if key not in accepted and getattr(cfg, field) is not None:
-            raise InvalidParameter(key, f"not read by the {cfg.command} command")
+    for key in _KEYS:
+        if key in cfg and key not in accepted:
+            raise InvalidParameter(key, f"not read by the {command} command")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -360,22 +339,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str]) -> int:
     ns = build_arg_parser().parse_args(argv)
+    cfg = {}
     if ns.config is not None:
         with open(ns.config, "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
-    else:
-        cfg = RunConfig()
     for key in _KEYS:
         raw = getattr(ns, key)
         if raw is not None:
-            cfg = _set(cfg, key, raw, None)
-    _refuse_unread(cfg)
-    if cfg.command == "verify":
+            _set(cfg, key, raw, None)
+    command = cfg.get("command", "figure")
+    _refuse_unread(cfg, command)
+    if command == "verify":
         return run_verify(cfg)
     # looked up per call, so a wrapped run_* is the one that runs
     run = {"figure": run_figure, "sweep": run_sweep, "optimize": run_optimize}
-    path, columns = run[cfg.command](cfg)
-    print(f"{cfg.command}: wrote {len(columns[0])} rows -> {path}")
+    path, columns = run[command](cfg)
+    print(f"{command}: wrote {len(columns[0])} rows -> {path}")
     return 0
 
 

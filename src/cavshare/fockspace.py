@@ -105,8 +105,7 @@ class FockBasis:
             [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
              for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # (couplings, gamma) -> (H_eff blocks, jump blocks,
-        #                       {d: (chain generator, its _shifted_norms)})
+        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
         self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
@@ -150,29 +149,24 @@ class FockBasis:
 
 
 class SparseHermitian:
-    """Real symmetric operator stored as its upper triangle on a FockBasis;
-    complex values are refused, not truncated."""
+    """Real symmetric operator on a FockBasis, given by its upper triangle and
+    built into the full CSR once; complex values are refused, not truncated."""
 
     def __init__(self, basis: FockBasis, rows, cols, values):
         values = np.asarray(values)
         if np.iscomplexobj(values) and np.any(values.imag != 0.0):
             raise InvalidParameter("values", "must be real")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values.real, dtype=np.float64)
+        off = rows != cols
         self.basis = basis
         self.dimension = basis.dimension
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.values = np.asarray(values.real, dtype=np.float64)
-        self._csr = None
+        self._csr = sp.coo_matrix(
+            (np.concatenate([values, values[off]]),
+             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+            shape=(self.dimension, self.dimension)).tocsr()
 
     def to_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            off_diag = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off_diag]])
-            c = np.concatenate([self.cols, self.rows[off_diag]])
-            v = np.concatenate([self.values, self.values[off_diag]])
-            self._csr = sp.coo_matrix(
-                (v, (r, c)), shape=(self.dimension, self.dimension)
-            ).tocsr()
         return self._csr
 
     def sector_eigensystems(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -465,20 +459,19 @@ def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
     return sp.csr_matrix((vals, (rows, cols)), shape=(starts[-1], starts[-1]))
 
 
-def _cached_chain(params: SystemParams, basis: FockBasis, d: int):
-    """The generator of chain d from k = d up to the cutoff and its
-    _shifted_norms, built on first use and kept on the basis per (couplings,
-    gamma), the only parameters they depend on. A chain that stops at an
-    earlier top is the generator's leading principal block."""
+def _cached_chain(params: SystemParams, basis: FockBasis, d: int) -> sp.csr_matrix:
+    """The generator of chain d from k = d up to the cutoff, built on first
+    use and kept on the basis per (couplings, gamma), the only parameters it
+    depends on. A chain that stops at an earlier top is its leading
+    principal block."""
     key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
     entry = basis._lindblad_chains.get(key)
     if entry is None:
         entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
     h_blocks, jumps, chains = entry
     if d not in chains:
-        generator = _chain_generator(h_blocks, jumps, params.decay_rate,
+        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
                                      d, basis.max_total)
-        chains[d] = generator, _shifted_norms(generator)
     return chains[d]
 
 
@@ -604,10 +597,10 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             continue
         idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
                               for k in range(d, top + 1)])
-        generator, norms = _cached_chain(params, basis, d)
+        generator = _cached_chain(params, basis, d)
         if len(idx) < generator.shape[0]:  # the chain stops below the cutoff
             generator = generator[:len(idx), :len(idx)]
-            norms = _shifted_norms(generator)
+        norms = _shifted_norms(generator)
         v = v0 = rho0.matrix.ravel()[idx]
         vectors, prev = [], 0.0
         for t in times:

@@ -3,8 +3,10 @@ and sweep output, exit codes, and byte-level determinism."""
 
 import filecmp
 import hashlib
+import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,18 +50,15 @@ def _column(header, rows, name, cast=float):
 # --- config parsing -----------------------------------------------------------
 
 def test_parse_config_basic_document():
+    # the keys that were set and nothing else: an unset key is absent
     cfg = cli.parse_config("command = figure\nfigure = fig1\nN = 3\n")
-    assert cfg.command == "figure"
-    assert cfg.figure == "fig1"
-    assert cfg.n == 3
-    assert cfg.g is None and cfg.out is None
+    assert cfg == {"command": "figure", "figure": "fig1", "N": 3}
+    assert cli.parse_config("") == {}
 
 
 def test_parse_config_comments_and_blank_lines():
     text = "\n# full-line comment\ncommand = sweep  # trailing comment\n\nalpha2 = 0.5\n"
-    cfg = cli.parse_config(text)
-    assert cfg.command == "sweep"
-    assert cfg.alpha2 == 0.5
+    assert cli.parse_config(text) == {"command": "sweep", "alpha2": 0.5}
 
 
 def test_parse_config_unknown_key():
@@ -86,8 +85,8 @@ def test_parse_config_errors_carry_line_numbers():
 
 
 def test_parse_config_parity_is_case_insensitive():
-    assert cli.parse_config("parity = EVEN\n").parity is ParityKind.EVEN
-    assert cli.parse_config("parity = Odd\n").parity is ParityKind.ODD
+    assert cli.parse_config("parity = EVEN\n") == {"parity": ParityKind.EVEN}
+    assert cli.parse_config("parity = Odd\n") == {"parity": ParityKind.ODD}
 
 
 def test_flags_override_config_file(tmp_path, monkeypatch):
@@ -456,6 +455,15 @@ def test_refused_key_from_a_config_file_is_named(tmp_path, monkeypatch, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line == "error: figure: not read by the sweep command"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_readme_keys_table_names_exactly_the_declared_keys():
+    # _KEYS is the one declaration of the key set; the README table follows it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("### Keys", 1)[1].strip().splitlines()
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]
+    named = {name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert named == set(cli._KEYS)
 
 
 def test_largest_intensity_still_runs(tmp_path, monkeypatch):

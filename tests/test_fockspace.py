@@ -227,8 +227,9 @@ def test_sparse_operator_refuses_complex_values():
     basis = build_basis(2, 1)
     with pytest.raises(InvalidParameter):
         SparseHermitian(basis, [1], [2], [1.0 + 0.5j])
-    real = SparseHermitian(basis, [1], [2], [1.0 + 0.0j])
-    assert real.values.dtype == np.float64 and real.values.tolist() == [1.0]
+    real = SparseHermitian(basis, [1], [2], [1.0 + 0.0j]).to_csr()
+    assert real.dtype == np.float64
+    assert real.toarray().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 def test_hamiltonian_csr_is_hermitian():
@@ -1068,8 +1069,7 @@ def test_cached_chain_leading_block_is_the_chain_to_its_top():
     basis = build_basis(3, 4)
     h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
     for d in range(basis.max_total + 1):
-        full, norms = fockspace._cached_chain(params, basis, d)
-        assert norms == fockspace._shifted_norms(full)
+        full = fockspace._cached_chain(params, basis, d)
         for top in range(d, basis.max_total + 1):
             own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
             block = full[:own.shape[0], :own.shape[0]]
@@ -1107,7 +1107,8 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
     # vector whose image peaks at 0.02; the bounds are ten times that
     params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
-    generator, norms = fockspace._cached_chain(params, basis, 1)
+    generator = fockspace._cached_chain(params, basis, 1)
+    norms = fockspace._shifted_norms(generator)
     rng = np.random.default_rng(7)
     v = rng.normal(size=generator.shape[0]) + 1j * rng.normal(size=generator.shape[0])
     v /= np.linalg.norm(v)
