@@ -63,7 +63,6 @@ _FOCKSPACE_NAMES = frozenset({
     "SparseHermitian",
     "build_basis",
     "build_hamiltonian",
-    "evolve_lindblad",
     "evolve_unitary",
     "lindblad_trajectory",
     "minimum_truncation",
@@ -123,7 +122,6 @@ __all__ = [
     "damped_concurrence_weak_coupling",
     "damped_overlap",
     "damped_pair_density",
-    "evolve_lindblad",
     "evolve_unitary",
     "isotropic_amplitudes",
     "lambert_w0",

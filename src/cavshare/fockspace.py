@@ -21,7 +21,6 @@ from .analytic import NumberBasis, TildeBasis
 from .entanglement import TwoQubitDensity, check_density
 from .errors import (
     CapacityExceeded,
-    DegenerateBasis,
     DimensionMismatch,
     InvalidParameter,
     LeakageError,
@@ -65,6 +64,22 @@ _THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
           55: 9.9}
 
 
+def _rank(occ: np.ndarray, max_total: int) -> np.ndarray:
+    """Index of each occupation vector along the last axis in the basis of
+    its modes up to max_total: the states whose suffix totals precede s
+    number sum_j C(s_j + n-1-j, n-j) (combinatorial number system; Knuth,
+    TAOCP 4A, 7.2.1.3), summed mode by mode from the last. Each term is at
+    most the basis dimension: int64 is exact."""
+    n = occ.shape[-1]
+    rank = np.zeros(occ.shape[:-1], dtype=np.int64)
+    suffix = np.zeros_like(rank)
+    for j in range(n - 1, -1, -1):
+        suffix += occ[..., j]
+        pascal = np.array([math.comb(s + n - 1 - j, n - j) for s in range(max_total + 1)])
+        rank += pascal[suffix]
+    return rank
+
+
 def _occupations(n_modes: int, max_total: int) -> np.ndarray:
     """Every occupation vector with total <= max_total, in basis order: the
     ascending lexicographic order of the suffix totals s_j = occ[j] + ... +
@@ -100,24 +115,17 @@ class FockBasis:
         offsets = [math.comb(k + n_modes - 1, n_modes) for k in range(max_total + 2)]
         self.sector_offsets = tuple(offsets)
         self.sectors = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
-        # _pascal[s, j] = C(s + n-1-j, n-j), at most dimension: int64 is exact
-        self._pascal = np.array(
-            [[math.comb(s + n_modes - 1 - j, n_modes - j) for j in range(n_modes)]
-             for s in range(max_total + 1)], dtype=np.int64)
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
         # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
         self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
 
     def rank(self, occ) -> np.ndarray:
-        """Basis index of each occupation vector along the last axis: the
-        states whose suffix totals precede s number sum_j C(s_j + n-1-j, n-j)
-        (combinatorial number system; Knuth, TAOCP 4A, 7.2.1.3)."""
+        """Basis index of each occupation vector along the last axis."""
         occ = np.asarray(occ, dtype=np.int64)
-        suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
         if (occ.shape[-1] != self.n_modes or (occ < 0).any()
-                or (suffix[..., 0] > self.max_total).any()):
+                or (occ.sum(axis=-1) > self.max_total).any()):
             raise InvalidParameter("occ", "not an occupation vector of this basis")
-        return self._pascal[suffix, np.arange(self.n_modes)].sum(axis=-1)
+        return _rank(occ, self.max_total)
 
     def pair_plan(self, pair: PairIndex) -> tuple[np.ndarray, np.ndarray, int]:
         """Per basis state, its pair occupation n_m*(M+1) + n_n and its group,
@@ -130,18 +138,13 @@ class FockBasis:
             # the rest runs over every configuration of c modes with total
             # <= M, so its group is its index in ascending lexicographic
             # order. Appending the slack M - total makes it a state of
-            # sector M of a (c+1)-mode basis, where states run in descending
-            # order, and rank() counts them from C(M - p_j + c-j, c+1-j),
-            # p_j being the prefix totals. Every term is at most C(M+c, c)
-            # <= dimension <= _CAPACITY: int64 is exact
+            # sector M of a (c+1)-mode basis, which opens at C(M+c, c+1) and
+            # runs in descending order
             rest = np.delete(self.occupations, key, axis=1)
             c, m = rest.shape[1], self.max_total
-            table = np.array([[math.comb(m - p + c - j, c + 1 - j)
-                               for j in range(1, c + 1)] for p in range(m + 1)],
-                             dtype=np.int64).reshape(m + 1, c)
+            y = np.column_stack([rest, m - rest.sum(axis=1)])
             n_groups = math.comb(m + c, c)
-            before = table[np.cumsum(rest, axis=1), np.arange(c)].sum(axis=1)
-            group = n_groups - 1 - before
+            group = n_groups - 1 - (_rank(y, m) - math.comb(m + c, c + 1))
             span = self.max_total + 1
             pocc = self.occupations[:, pair.m] * span + self.occupations[:, pair.n]
             plan = self._pair_plans[key] = (pocc, group, n_groups)
@@ -358,7 +361,7 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
     single photon spans k + 1 vectors of the sector, however large it is.
     A sector whose basis has not closed within _KRYLOV_VECTORS vectors (a
     cat at N=2 past k of about 35, a random state in a large sector) is
-    stepped through the samples in ascending time by _expm_step instead.
+    stepped through the samples in ascending time by _expm_samples instead.
     The only dense eigensolve is numpy's eigh of T, at most _KRYLOV_VECTORS
     rows; none of a sector block runs. Nothing is renormalised: PureState's
     norm check guards the result.
@@ -381,11 +384,9 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
         block = full[s, s]
         krylov = _krylov_basis(block, psi / norm)
         if krylov is None:  # from sample to sample instead
-            generator, v, prev = -1j * block, psi, 0.0
-            norms = _shifted_norms(generator)
-            for i in np.argsort(times):
-                v = out[i, s] = _expm_step(generator, norms, v, times[i] - prev)
-                prev = times[i]
+            order = np.argsort(times)
+            for i, v in zip(order, _expm_samples(-1j * block, psi, times[order])):
+                out[i, s] = v
             continue
         q, diag, off = krylov
         tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -561,8 +562,22 @@ def _expm_step(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
     return f
 
 
+def _expm_samples(a: sp.csr_matrix, v: np.ndarray, times) -> list:
+    """exp(tA) v at each time, in the order given, each stepped by
+    _expm_step from the sample before (from v at t = 0); a time equal to the
+    one before takes no step."""
+    norms = _shifted_norms(a)
+    out, prev = [], 0.0
+    for t in times:
+        if t != prev:
+            v = _expm_step(a, norms, v, t - prev)
+        prev = t
+        out.append(v)
+    return out
+
+
 def lindblad_trajectory(params: SystemParams, rho0: MixedState,
-                        times: list[float]) -> list[MixedState]:
+                        times) -> list[MixedState]:
     """Density matrices at the given times (ascending, from t=0) under
     drho/dt = -i[H,rho] + gamma sum_j D[b_j] rho.
 
@@ -584,9 +599,9 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be finite, nonnegative and ascending")
     sectors = basis.sectors
-    end = times[-1] if times else 0.0
+    end = times[-1] if len(times) else 0.0
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
-    guard = [end] if n_spans > 1 else [0.5 * end] * 2
+    guard = [end] if n_spans > 1 else [0.5 * end, end]
     at = np.arange(dim)
     chains = []  # (flat indices into rho, vector at each time) per populated chain
     drift = 0.0
@@ -600,17 +615,10 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
         generator = _cached_chain(params, basis, d)
         if len(idx) < generator.shape[0]:  # the chain stops below the cutoff
             generator = generator[:len(idx), :len(idx)]
-        norms = _shifted_norms(generator)
-        v = v0 = rho0.matrix.ravel()[idx]
-        vectors, prev = [], 0.0
-        for t in times:
-            if t > prev:
-                v = _expm_step(generator, norms, v, t - prev)
-            prev = t
-            vectors.append(v)
-        for span in guard:
-            v0 = _expm_step(generator, norms, v0, span)
-        drift = max(drift, float(np.max(np.abs(v0 - v))))
+        v0 = rho0.matrix.ravel()[idx]
+        vectors = _expm_samples(generator, v0, times)
+        check = _expm_samples(generator, v0, guard)[-1]
+        drift = max(drift, float(np.max(np.abs(check - (vectors or [v0])[-1]))))
         chains.append((idx, vectors))
     if drift > _DRIFT_TOL:
         raise StepSizeUnstable(drift, _DRIFT_TOL)
@@ -628,17 +636,12 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     return samples
 
 
-def evolve_lindblad(params: SystemParams, rho0: MixedState, t: float) -> MixedState:
-    return lindblad_trajectory(params, rho0, [t])[-1]
-
-
 def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
-    """Two-qubit density of the pair in the requested basis, for one state
-    and its qubit basis (DegenerateBasis if that has none) or a trajectory:
-    states on one basis, one qubit basis each, giving the TwoQubitDensity
-    stack of the samples that are not degenerate and the degenerate mask.
-    An empty trajectory, pure and mixed states together, two bases or a
-    qubit-basis count other than the state count are refused.
+    """Two-qubit densities of the pair in the requested bases along a
+    trajectory: states on one basis, one qubit basis each, giving the
+    TwoQubitDensity stack of the samples that are not degenerate and the
+    degenerate mask. An empty trajectory, pure and mixed states together,
+    two bases or a qubit-basis count other than the state count are refused.
 
     NumberBasis keeps Fock levels {0,1} of each mode; TildeBasis(mu)
     projects onto the orthonormal even/odd superpositions of |+-mu>, none
@@ -646,9 +649,6 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     sample raises LeakageError; smaller deficits are renormalized away.
     Nothing is clamped: an eigenvalue below -1e-10 raises NotADensityMatrix.
     """
-    single = isinstance(states, (PureState, MixedState))
-    if single:
-        states, qubit_bases = [states], [qubit_bases]
     if len(states) != len(qubit_bases):
         raise DimensionMismatch(f"{len(states)} states vs {len(qubit_bases)} qubit bases")
     if not all(isinstance(q, (NumberBasis, TildeBasis)) for q in qubit_bases):
@@ -667,8 +667,6 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     span = basis.max_total + 1
     degenerate = np.array([isinstance(q, TildeBasis) and abs(complex(q.mu)) ** 2
                            < DEGENERACY_THRESHOLD for q in qubit_bases])
-    if single and degenerate[0]:
-        raise DegenerateBasis(f"|mu|^2 = {abs(qubit_bases[0].mu) ** 2:.3e} below 1e-12")
     (kept,) = np.nonzero(~degenerate)
     # each sample's two qubit kets: Fock levels 0 and 1, or the cats of mu
     b = np.zeros((len(kept), span, 2), dtype=complex)
@@ -707,8 +705,6 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
         raise LeakageError(float(leak[leak > _LEAK_TOL].max()), _LEAK_TOL)
     mats /= captured[:, None, None]
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    if single:
-        return TwoQubitDensity(entries=mats[0], basis_tag=qubit_bases[0])
     return TwoQubitDensity(mats, tuple(qubit_bases[i] for i in kept)), degenerate
 
 

@@ -59,7 +59,18 @@ class SystemParams:
     parity: ParityKind = ParityKind.ODD
 
     def __post_init__(self) -> None:
-        _check_system(self)
+        _require(isinstance(self.n_crystallites, int)
+                 and not isinstance(self.n_crystallites, bool),
+                 "n_crystallites", "must be an integer")
+        _require(self.n_crystallites >= 2, "n_crystallites",
+                 "pairwise entanglement needs at least two modes")
+        _require(_finite(self.coupling) and self.coupling > 0, "coupling",
+                 "must be finite and > 0")
+        for name in ("frequency", "decay_rate", "intensity"):
+            value = getattr(self, name)
+            _require(_finite(value) and value >= 0, name, "must be finite and >= 0")
+        _require(_finite(self.field_phase), "field_phase", "must be finite")
+        _require(isinstance(self.parity, ParityKind), "parity", "must be a ParityKind")
 
     @property
     def collective_rate(self) -> float:
@@ -75,19 +86,6 @@ class SystemParams:
         return gt / self.collective_rate
 
 
-def _check_system(p: SystemParams) -> None:
-    _require(isinstance(p.n_crystallites, int) and not isinstance(p.n_crystallites, bool),
-             "n_crystallites", "must be an integer")
-    _require(p.n_crystallites >= 2, "n_crystallites",
-             "pairwise entanglement needs at least two modes")
-    _require(_finite(p.coupling) and p.coupling > 0, "coupling", "must be finite and > 0")
-    _require(_finite(p.frequency) and p.frequency >= 0, "frequency", "must be finite and >= 0")
-    _require(_finite(p.decay_rate) and p.decay_rate >= 0, "decay_rate", "must be finite and >= 0")
-    _require(_finite(p.intensity) and p.intensity >= 0, "intensity", "must be finite and >= 0")
-    _require(_finite(p.field_phase), "field_phase", "must be finite")
-    _require(isinstance(p.parity, ParityKind), "parity", "must be a ParityKind")
-
-
 @dataclass(frozen=True)
 class CouplingProfile:
     """Per-mode coupling strengths (g_1 .. g_N), possibly anisotropic."""
@@ -96,7 +94,9 @@ class CouplingProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
-        _check_profile(self)
+        _require(len(self.couplings) >= 2, "couplings", "need at least two modes")
+        for j, g in enumerate(self.couplings, start=1):
+            _require(_finite(g) and g > 0, f"couplings[{j}]", "must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.couplings)
@@ -115,12 +115,6 @@ class CouplingProfile:
         return cls.isotropic(params.coupling, params.n_crystallites)
 
 
-def _check_profile(p: CouplingProfile) -> None:
-    _require(len(p.couplings) >= 2, "couplings", "need at least two modes")
-    for j, g in enumerate(p.couplings, start=1):
-        _require(_finite(g) and g > 0, f"couplings[{j}]", "must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class PairIndex:
     """One-based indices of the two modes whose joint state is reduced."""
@@ -129,18 +123,15 @@ class PairIndex:
     n: int
 
     def __post_init__(self) -> None:
-        _check_pair(self)
+        _require(isinstance(self.m, int) and isinstance(self.n, int), "pair",
+                 "indices must be integers")
+        _require(self.m >= 1 and self.n >= 1, "pair", "indices are one-based")
+        _require(self.m != self.n, "pair", "indices must differ")
 
     def check_bounds(self, n_modes: int) -> "PairIndex":
         _require(self.m <= n_modes and self.n <= n_modes, "pair",
                  f"indices must be <= {n_modes}")
         return self
-
-
-def _check_pair(p: PairIndex) -> None:
-    _require(isinstance(p.m, int) and isinstance(p.n, int), "pair", "indices must be integers")
-    _require(p.m >= 1 and p.n >= 1, "pair", "indices are one-based")
-    _require(p.m != p.n, "pair", "indices must differ")
 
 
 @dataclass(frozen=True)

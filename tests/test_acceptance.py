@@ -119,8 +119,8 @@ def test_criterion_4_optimal_intensities():
     psi0 = prepare_initial(Cat(ParityKind.EVEN, alpha=params.alpha), basis)
     psi = evolve_unitary(ham, psi0, params.time_from_gt(_HALF_PI))
     mu = isotropic_amplitudes(params, _HALF_PI).v * params.alpha
-    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
-    oracle_err = abs(concurrence(rho) - 1.0 / 3.0)
+    rho, _ = reduce_to_qubit_pair([psi], PairIndex(1, 2), [TildeBasis(mu=mu)])
+    oracle_err = abs(concurrence(rho)[0] - 1.0 / 3.0)
 
     ok = (err3 <= 1e-6 and err4 <= 1e-6 and err5 <= 0.01 and cross <= 1e-6
           and closed_err <= 1e-9 and oracle_err <= 1e-6)

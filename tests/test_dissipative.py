@@ -166,7 +166,7 @@ def test_closed_form_matches_master_equation():
     states = lindblad_trajectory(p, rho0, [0.0, p.time_from_gt(gt)])
     amps = damped_amplitudes(p, gt)
     mu = -1j * amps.v_prime * p.alpha
-    reduced = reduce_to_qubit_pair(states[-1], PairIndex(1, 2), TildeBasis(mu=mu))
+    reduced, _ = reduce_to_qubit_pair(states[-1:], PairIndex(1, 2), [TildeBasis(mu=mu)])
     closed = damped_pair_density(p, gt)
-    np.testing.assert_allclose(reduced.entries, closed.entries, atol=1e-9)
-    assert abs(concurrence(reduced) - damped_concurrence(p, gt)) < 1e-9
+    np.testing.assert_allclose(reduced.entries[0], closed.entries, atol=1e-9)
+    assert abs(concurrence(reduced)[0] - damped_concurrence(p, gt)) < 1e-9

@@ -17,7 +17,6 @@ from cavshare import (
     Cat,
     Coherent,
     CouplingProfile,
-    DegenerateBasis,
     DimensionMismatch,
     InvalidParameter,
     LeakageError,
@@ -46,7 +45,6 @@ from cavshare.fockspace import (
     SparseHermitian,
     build_basis,
     build_hamiltonian,
-    evolve_lindblad,
     evolve_unitary,
     lindblad_trajectory,
     minimum_truncation,
@@ -566,14 +564,16 @@ def test_unitary_trajectory_of_no_times_is_empty():
 
 def test_unitary_trajectory_steps_a_sector_whose_basis_does_not_close(monkeypatch):
     # with room for two Krylov vectors, every wider sector goes from sample
-    # to sample through _expm_step; the samples come back in their order.
-    # Stepping up to t = 5 agrees with expm to 1.0e-14
+    # to sample through _expm_samples; the samples come back in their order,
+    # and no times give no samples. Stepping down to t = -0.8, through a
+    # repeated time and up to t = 5 agrees with expm to 1.0e-14
     monkeypatch.setattr(fockspace, "_KRYLOV_VECTORS", 2)
     profile = CouplingProfile(couplings=(1.0, 2.5))
     basis = build_basis(3, 3)
     hamiltonian = _dense_hamiltonian(profile, basis)
     psi0 = _random_state(basis, range(4), seed=5)
-    times = [1.7, 0.0, 5.0, 0.3, 1.7]
+    assert unitary_trajectory(build_hamiltonian(profile, basis), psi0, []) == []
+    times = [1.7, 0.0, -0.8, 5.0, 0.3, 1.7]
     states = unitary_trajectory(build_hamiltonian(profile, basis), psi0, times)
     for t, psi in zip(times, states):
         exact = scipy.linalg.expm(-1j * hamiltonian * t) @ psi0.amplitudes
@@ -652,8 +652,8 @@ def test_truncation_insensitivity_of_pair_concurrence():
         ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
         psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
         mu = isotropic_amplitudes(params, gt).v * params.alpha
-        rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
-        results.append(concurrence(rho))
+        rho, _ = reduce_to_qubit_pair([psi], PairIndex(1, 2), [TildeBasis(mu=mu)])
+        results.append(concurrence(rho)[0])
     assert abs(results[0] - results[1]) < 1e-8
 
 
@@ -668,9 +668,9 @@ def test_reduced_single_photon_pair_matches_closed_density():
     for gt in rng.uniform(0.1, 2.0 * math.pi, size=12):
         psi = evolve_unitary(ham, psi0, float(gt) / profile.collective_rate)
         for pair in (PairIndex(1, 2), PairIndex(2, 3), PairIndex(1, 3)):
-            reduced = reduce_to_qubit_pair(psi, pair, NumberBasis())
+            reduced, _ = reduce_to_qubit_pair([psi], pair, [NumberBasis()])
             closed = single_photon_pair_density(profile, float(gt), pair)
-            np.testing.assert_allclose(reduced.entries, closed.entries, atol=1e-10)
+            np.testing.assert_allclose(reduced.entries[0], closed.entries, atol=1e-10)
 
 
 def test_tilde_reduction_matches_closed_concurrence():
@@ -680,8 +680,8 @@ def test_tilde_reduction_matches_closed_concurrence():
     gt = 0.9
     psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
     mu = isotropic_amplitudes(params, gt).v * params.alpha
-    rho = reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=mu))
-    assert abs(concurrence(rho) - coherent_concurrence(params, gt)) < 1e-9
+    rho, _ = reduce_to_qubit_pair([psi], PairIndex(1, 2), [TildeBasis(mu=mu)])
+    assert abs(concurrence(rho)[0] - coherent_concurrence(params, gt)) < 1e-9
 
 
 def test_tilde_reduction_guards():
@@ -692,9 +692,9 @@ def test_tilde_reduction_guards():
     psi = evolve_unitary(ham, _cat_state(params, basis), params.time_from_gt(gt))
     mu = isotropic_amplitudes(params, gt).v * params.alpha
     with pytest.raises(LeakageError):
-        reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=0.5 * mu))
-    with pytest.raises(DegenerateBasis):
-        reduce_to_qubit_pair(psi, PairIndex(1, 2), TildeBasis(mu=1e-13))
+        reduce_to_qubit_pair([psi], PairIndex(1, 2), [TildeBasis(mu=0.5 * mu)])
+    rho, degenerate = reduce_to_qubit_pair([psi], PairIndex(1, 2), [TildeBasis(mu=1e-13)])
+    assert degenerate.tolist() == [True] and rho.entries.shape == (0, 4, 4)
 
 
 def test_pair_reduction_refuses_negative_weight_instead_of_clamping():
@@ -706,7 +706,7 @@ def test_pair_reduction_refuses_negative_weight_instead_of_clamping():
     diag[basis.rank([0, 1, 0])] = -5e-9
     rho = MixedState(np.diag(diag).astype(complex), basis)
     with pytest.raises(NotADensityMatrix):
-        reduce_to_qubit_pair(rho, PairIndex(1, 2), NumberBasis())
+        reduce_to_qubit_pair([rho], PairIndex(1, 2), [NumberBasis()])
 
 
 def _reference_reduction(matrix, basis: FockBasis, pair: PairIndex, kets):
@@ -776,8 +776,8 @@ def test_pair_reduction_matches_reference_partial_trace():
         matrix = (state.matrix if isinstance(state, MixedState)
                   else np.outer(state.amplitudes, state.amplitudes.conj()))
         expected = _reference_reduction(matrix, basis, pair, kets)
-        reduced = reduce_to_qubit_pair(state, pair, qubits)
-        np.testing.assert_allclose(reduced.entries, expected, rtol=0, atol=1e-13)
+        reduced, _ = reduce_to_qubit_pair([state], pair, [qubits])
+        np.testing.assert_allclose(reduced.entries[0], expected, rtol=0, atol=1e-13)
 
 
 def _bits(a) -> np.ndarray:
@@ -831,7 +831,8 @@ def test_stacked_number_reduction_matches_one_call_per_sample(pair):
     rho, degenerate = reduce_to_qubit_pair(states, pair, bases)
     assert not degenerate.any() and rho.entries.shape == (len(states), 4, 4)
     assert rho.basis_tag == tuple(bases)
-    one = [reduce_to_qubit_pair(psi, pair, NumberBasis()).entries for psi in states]
+    one = [reduce_to_qubit_pair([psi], pair, [NumberBasis()])[0].entries[0]
+           for psi in states]
     assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
     values = concurrence(rho)
     assert np.array_equal(values, [concurrence(m) for m in one])
@@ -842,7 +843,8 @@ def test_stacked_tilde_reduction_matches_one_call_per_sample(pair):
     states, bases = _cat_trajectory()
     rho, degenerate = reduce_to_qubit_pair(states, pair, bases)
     assert not degenerate.any()
-    one = [reduce_to_qubit_pair(psi, pair, q).entries for psi, q in zip(states, bases)]
+    one = [reduce_to_qubit_pair([psi], pair, [q])[0].entries[0]
+           for psi, q in zip(states, bases)]
     assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
     assert np.array_equal(concurrence(rho), [concurrence(m) for m in one])
 
@@ -853,7 +855,7 @@ def test_stacked_reduction_leaves_degenerate_samples_out():
     rho, degenerate = reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
     assert degenerate.tolist() == [False] * 3 + [True] + [False] * 3
     kept = [k for k in range(len(states)) if k != 3]
-    one = [reduce_to_qubit_pair(states[k], PairIndex(1, 2), bases[k]).entries
+    one = [reduce_to_qubit_pair([states[k]], PairIndex(1, 2), [bases[k]])[0].entries[0]
            for k in kept]
     assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
     assert rho.basis_tag == tuple(bases[k] for k in kept)
@@ -897,7 +899,8 @@ def test_stacked_mixed_reduction_matches_one_call_per_sample():
         ham, _cat_state(params, basis), [params.time_from_gt(gt) for gt in gts])]
     bases = [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha) for gt in gts]
     rho, _ = reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
-    one = [reduce_to_qubit_pair(s, PairIndex(1, 2), q).entries for s, q in zip(states, bases)]
+    one = [reduce_to_qubit_pair([s], PairIndex(1, 2), [q])[0].entries[0]
+           for s, q in zip(states, bases)]
     assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
 
 
@@ -917,7 +920,7 @@ def test_pair_reduction_bounds_check():
     basis = build_basis(3, 1)
     psi = prepare_initial(SinglePhoton(), basis)
     with pytest.raises(InvalidParameter):
-        reduce_to_qubit_pair(psi, PairIndex(1, 3), NumberBasis())
+        reduce_to_qubit_pair([psi], PairIndex(1, 3), [NumberBasis()])
 
 
 # --- observables ------------------------------------------------------------------
@@ -964,7 +967,7 @@ def test_lossless_lindblad_agrees_with_unitary():
     ham = build_hamiltonian(CouplingProfile.from_params(params), basis)
     psi0 = prepare_initial(SinglePhoton(), basis)
     t = params.time_from_gt(1.0)
-    rho = evolve_lindblad(params, _as_mixed(psi0), t)
+    rho = lindblad_trajectory(params, _as_mixed(psi0), [t])[-1]
     psi = evolve_unitary(ham, psi0, t)
     np.testing.assert_allclose(rho.matrix, _as_mixed(psi).matrix, atol=1e-8)
 
@@ -1191,6 +1194,20 @@ def test_expm_step_keeps_the_allocating_loops_bits(parity):
         np.testing.assert_array_equal(_bits(v), _bits(before))
 
 
+def test_lindblad_takes_times_as_a_list_a_tuple_or_an_array():
+    # one span (the guard halves it) and several, with a repeated time
+    params = SystemParams(n_crystallites=2, decay_rate=0.3)
+    basis = build_basis(3, 2)
+    rho0 = _cavity_state(basis, [0.6, 0.0, 0.8])
+    for times in ([1.3], [0.0, 0.4, 0.4, 2.0]):
+        runs = [lindblad_trajectory(params, rho0, kind(times))
+                for kind in (list, tuple, np.array)]
+        assert [len(run) for run in runs] == [len(times)] * 3
+        for samples in zip(*runs):
+            assert all(np.array_equal(_bits(samples[0].matrix), _bits(other.matrix))
+                       for other in samples[1:])
+
+
 def test_lindblad_is_independent_of_the_global_rng():
     # no path of the stepper may draw from numpy's global RNG, or change
     # its state: eight samples give the guard one long span, where scipy's
@@ -1321,5 +1338,5 @@ def test_lindblad_refuses_a_span_past_any_step_count():
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     rho0 = _as_mixed(_cat_state(params, basis))
     with pytest.raises(InvalidParameter) as info:
-        evolve_lindblad(params, rho0, 1e300)
+        lindblad_trajectory(params, rho0, [1e300])
     assert info.value.name == "times"

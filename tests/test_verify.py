@@ -193,8 +193,9 @@ def test_degenerate_samples_become_skip_rows():
                 [params.time_from_gt(gt) for gt in grid])
             for gt, psi in zip(grid[::2], states[::2]):
                 mu = isotropic_amplitudes(params, gt).v * params.alpha
-                alone = concurrence(fockspace.reduce_to_qubit_pair(
-                    psi, PairIndex(1, 2), TildeBasis(mu)))
+                rho, _ = fockspace.reduce_to_qubit_pair(
+                    [psi], PairIndex(1, 2), [TildeBasis(mu)])
+                alone = concurrence(rho)[0]
                 case_id = f"cat/N=3/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}"
                 assert oracle[case_id] == alone
     # without loss v'(t) vanishes at Gt = 2 pi, the one Lindblad sample
