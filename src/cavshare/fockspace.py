@@ -385,7 +385,8 @@ def unitary_trajectory(hamiltonian: SparseHermitian, psi0: PureState,
         krylov = _krylov_basis(block, psi / norm)
         if krylov is None:  # from sample to sample instead
             order = np.argsort(times)
-            for i, v in zip(order, _expm_samples(-1j * block, psi, times[order])):
+            a = -1j * block
+            for i, v in zip(order, _expm_samples(a, _shifted_norms(a), psi, times[order])):
                 out[i, s] = v
             continue
         q, diag, off = krylov
@@ -562,11 +563,11 @@ def _expm_step(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
     return f
 
 
-def _expm_samples(a: sp.csr_matrix, v: np.ndarray, times) -> list:
+def _expm_samples(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
+                  times) -> list:
     """exp(tA) v at each time, in the order given, each stepped by
     _expm_step from the sample before (from v at t = 0); a time equal to the
-    one before takes no step."""
-    norms = _shifted_norms(a)
+    one before takes no step. norms is _shifted_norms(a)."""
     out, prev = [], 0.0
     for t in times:
         if t != prev:
@@ -616,8 +617,9 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
         if len(idx) < generator.shape[0]:  # the chain stops below the cutoff
             generator = generator[:len(idx), :len(idx)]
         v0 = rho0.matrix.ravel()[idx]
-        vectors = _expm_samples(generator, v0, times)
-        check = _expm_samples(generator, v0, guard)[-1]
+        norms = _shifted_norms(generator)
+        vectors = _expm_samples(generator, norms, v0, times)
+        check = _expm_samples(generator, norms, v0, guard)[-1]
         drift = max(drift, float(np.max(np.abs(check - (vectors or [v0])[-1]))))
         chains.append((idx, vectors))
     if drift > _DRIFT_TOL:
@@ -636,19 +638,30 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     return samples
 
 
-def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
-    """Two-qubit densities of the pair in the requested bases along a
-    trajectory: states on one basis, one qubit basis each, giving the
-    TwoQubitDensity stack of the samples that are not degenerate and the
-    degenerate mask. An empty trajectory, pure and mixed states together,
-    two bases or a qubit-basis count other than the state count are refused.
+def reduce_to_qubit_pair(states, pairs, qubit_bases):
+    """Two-qubit densities of one pair, or of each of a sequence of distinct
+    pairs, in the requested bases along a trajectory: states on one basis,
+    one qubit basis each, giving the TwoQubitDensity stack of the samples
+    that are not degenerate, pair-major (every kept sample of the first
+    pair, then of the next), and the per-sample degenerate mask. An empty or
+    repeating pair sequence, a pair outside the basis, an empty trajectory,
+    pure and mixed states together, two bases or a qubit-basis count other
+    than the state count are refused before any work.
 
     NumberBasis keeps Fock levels {0,1} of each mode; TildeBasis(mu)
     projects onto the orthonormal even/odd superpositions of |+-mu>, none
-    for |mu|^2 < 1e-12. Weight outside the qubit plane beyond 1e-8 in any
-    sample raises LeakageError; smaller deficits are renormalized away.
-    Nothing is clamped: an eigenvalue below -1e-10 raises NotADensityMatrix.
+    for |mu|^2 < 1e-12. The kets are built once per call, for every pair.
+    Weight outside the qubit plane beyond 1e-8 in any sample of any pair
+    raises LeakageError; smaller deficits are renormalized away. Nothing is
+    clamped: an eigenvalue below -1e-10 raises NotADensityMatrix.
     """
+    pairs = [pairs] if isinstance(pairs, PairIndex) else list(pairs)
+    if not all(isinstance(p, PairIndex) for p in pairs):
+        raise InvalidParameter("pairs", "not all PairIndex")
+    if not pairs:
+        raise InvalidParameter("pairs", "no pair to reduce")
+    if len(set(pairs)) < len(pairs):
+        raise InvalidParameter("pairs", "a pair is repeated")
     if len(states) != len(qubit_bases):
         raise DimensionMismatch(f"{len(states)} states vs {len(qubit_bases)} qubit bases")
     if not all(isinstance(q, (NumberBasis, TildeBasis)) for q in qubit_bases):
@@ -662,8 +675,9 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     if any((s.basis.n_modes, s.basis.max_total) != (basis.n_modes, basis.max_total)
            for s in states):
         raise DimensionMismatch("states on different bases")
-    pair.check_bounds(basis.n_modes - 1)
-    pocc, group, n_groups = basis.pair_plan(pair)
+    for pair in pairs:
+        pair.check_bounds(basis.n_modes - 1)
+    plans = [basis.pair_plan(pair) for pair in pairs]
     span = basis.max_total + 1
     degenerate = np.array([isinstance(q, TildeBasis) and abs(complex(q.mu)) ** 2
                            < DEGENERACY_THRESHOLD for q in qubit_bases])
@@ -677,35 +691,43 @@ def reduce_to_qubit_pair(states, pair: PairIndex, qubit_bases):
     # kron(b, b), the four pair kets indexed by pair occupation, formed as
     # one broadcast product: np.kron's own overhead is about 30 us a call
     kets = (b[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, span * span, 4)
-    mats = np.zeros((len(kept), 4, 4), dtype=complex)
+    mats = np.zeros((len(pairs), len(kept), 4, 4), dtype=complex)
     if kind is PureState:
         # psi[pair occupation, group]: the partial trace is psi psi^dagger.
-        # A chunk of samples keeps the psi stack near 1 MiB; each sample
-        # fills the same entries, so one stack serves every chunk
+        # A chunk of samples keeps the psi stack near 1 MiB. Every pair has
+        # the same C(M+N-1, N-1) groups, ranked alike, and a state fills
+        # entry (n_m (M+1) + n_n, group) with n_m + n_n + |group| <= M: each
+        # sample of every pair fills the same entries, so one stack serves
+        # every chunk and every pair uncleared
+        n_groups = plans[0][2]
         chunk = max(1, (1 << 20) // (span * span * n_groups * 16))
         psi = np.zeros((min(chunk, len(kept)), span * span, n_groups), dtype=complex)
-        for lo in range(0, len(kept), chunk):
-            members = kept[lo:lo + chunk]
-            for j, i in enumerate(members):
-                psi[j, pocc, group] = states[i].amplitudes
-            phi = kets[lo:lo + chunk].conj().transpose(0, 2, 1) @ psi[:len(members)]
-            mats[lo:lo + chunk] = phi @ phi.conj().transpose(0, 2, 1)
+        for pair_mats, (pocc, group, _) in zip(mats, plans):
+            for lo in range(0, len(kept), chunk):
+                members = kept[lo:lo + chunk]
+                for j, i in enumerate(members):
+                    psi[j, pocc, group] = states[i].amplitudes
+                phi = kets[lo:lo + chunk].conj().transpose(0, 2, 1) @ psi[:len(members)]
+                pair_mats[lo:lo + chunk] = phi @ phi.conj().transpose(0, 2, 1)
     else:
         # only entries between states of one group survive the partial trace
-        order = np.argsort(group, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
-        for mat, i, q in zip(mats, kept, kets[:, pocc]):
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                members = order[lo:hi]
-                qg = q[members]
-                mat += qg.conj().T @ states[i].matrix[np.ix_(members, members)] @ qg
+        for pair_mats, (pocc, group, n_groups) in zip(mats, plans):
+            order = np.argsort(group, kind="stable")
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
+            for mat, i, q in zip(pair_mats, kept, kets[:, pocc]):
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    members = order[lo:hi]
+                    qg = q[members]
+                    mat += qg.conj().T @ states[i].matrix[np.ix_(members, members)] @ qg
+    mats = mats.reshape(-1, 4, 4)
     captured = mats.trace(axis1=1, axis2=2).real
     leak = 1.0 - captured
     if (leak > _LEAK_TOL).any():
         raise LeakageError(float(leak[leak > _LEAK_TOL].max()), _LEAK_TOL)
     mats /= captured[:, None, None]
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    return TwoQubitDensity(mats, tuple(qubit_bases[i] for i in kept)), degenerate
+    tags = tuple(qubit_bases[i] for i in kept)
+    return TwoQubitDensity(mats, tags * len(pairs)), degenerate
 
 
 def w_state_fidelity(psi: PureState) -> float:

@@ -103,32 +103,35 @@ def _all_pairs(n: int) -> list[PairIndex]:
     ]
 
 
-def _concurrences(states, pair: PairIndex, qubit_bases) -> list[float | None]:
-    """The pair's oracle concurrence per sample, None where it degenerates."""
-    rho, degenerate = fockspace.reduce_to_qubit_pair(states, pair, qubit_bases)
-    values = iter(concurrence(rho).tolist())
-    return [None if d else next(values) for d in degenerate]
+def _concurrences(states, pairs: list[PairIndex],
+                  qubit_bases) -> list[list[float | None]]:
+    """Per pair, its oracle concurrence per sample, None where it
+    degenerates: one reduction and one kernel call for all the pairs."""
+    rho, degenerate = fockspace.reduce_to_qubit_pair(states, pairs, qubit_bases)
+    values = iter(concurrence(rho).tolist())  # pair-major
+    return [[None if d else next(values) for d in degenerate] for _ in pairs]
 
 
 def _run(suite: str, tol: float, preparations) -> SuiteResult:
     """The sample loop every suite shares.
 
     preparations yields, per prepared state, N and its samples in grid
-    order: (case id, Gt, state, qubit basis, closed form, extra rows). Pair
-    (1, 2) is reduced and scored for all samples at once, every other pair,
-    for the monogamy check, for every tenth; then each sample writes its
-    rows and records. A sample whose qubit basis degenerates becomes one
-    skip row with no record; a basis over capacity turns the whole suite
-    into one skip row.
+    order: (case id, Gt, state, qubit basis, closed form, extra rows). Each
+    preparation makes two reductions, each scored by one kernel call: pair
+    (1, 2) on every sample, and every other pair, for the monogamy check,
+    on every tenth sample (none at N = 2); then each sample writes its rows
+    and records. A sample whose qubit basis degenerates becomes one skip
+    row with no record; a basis over capacity turns the whole suite into
+    one skip row.
     """
     cases: list[VerifyCase] = []
     records: list[PairRecord] = []
     try:
         for n, samples in preparations:
             states, bases = [s[2] for s in samples], [s[3] for s in samples]
-            c_pair = _concurrences(states, PairIndex(1, 2), bases)
-            c_others = [_concurrences(states[::10], other, bases[::10])
-                        for other in _all_pairs(n)[1:]]
+            (c_pair,) = _concurrences(states, [PairIndex(1, 2)], bases)
+            others = _all_pairs(n)[1:]
+            c_others = _concurrences(states[::10], others, bases[::10]) if others else []
             for k, (case_id, gt, _, _, reference, extra) in enumerate(samples):
                 if c_pair[k] is None:
                     cases.append(_skip(f"{case_id}/degenerate", reference, tol))

@@ -904,6 +904,86 @@ def test_stacked_mixed_reduction_matches_one_call_per_sample():
     assert np.array_equal(_bits(rho.entries), _bits(np.array(one)))
 
 
+def _assert_pairs_match_lone_calls(states, pairs, bases):
+    """One call for every pair gives, pair-major, the words and tags of one
+    call per pair, and the degenerate mask each of them gives."""
+    rho, degenerate = reduce_to_qubit_pair(states, pairs, bases)
+    alone = [reduce_to_qubit_pair(states, pair, bases) for pair in pairs]
+    for _, mask in alone:
+        assert np.array_equal(mask, degenerate)
+    assert np.array_equal(_bits(rho.entries),
+                          _bits(np.concatenate([r.entries for r, _ in alone])))
+    assert rho.basis_tag == sum((r.basis_tag for r, _ in alone), ())
+    return degenerate
+
+
+@pytest.mark.parametrize("intensity", [0.25, 1.0])
+def test_multi_pair_tilde_reduction_matches_one_call_per_pair(intensity):
+    # at |alpha|^2 = 1 the psi stack takes two samples a chunk, and each
+    # pair's chunks overwrite the one stack the pair before filled
+    params = SystemParams(n_crystallites=3, intensity=intensity, parity=ParityKind.EVEN)
+    basis = build_basis(4, minimum_truncation(intensity))
+    ham = build_hamiltonian(CouplingProfile.isotropic(1.0, 3), basis)
+    gts = [0.4, 1.3, math.pi, 4.4, 5.9]
+    states = unitary_trajectory(ham, _cat_state(params, basis),
+                                [params.time_from_gt(gt) for gt in gts])
+    bases = [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha) for gt in gts]
+    pairs = [PairIndex(1, 2), PairIndex(1, 3), PairIndex(2, 3)]
+    degenerate = _assert_pairs_match_lone_calls(states, pairs, bases)
+    assert degenerate.tolist() == [False, False, True, False, False]
+
+
+def test_multi_pair_number_reduction_keeps_the_order_given():
+    basis = build_basis(5, 3)
+    ham = build_hamiltonian(CouplingProfile(couplings=(1.0, 2.0, 0.5, 1.5)), basis)
+    states = unitary_trajectory(ham, prepare_initial(SinglePhoton(), basis),
+                                np.linspace(0.2, 2.6, 4))
+    pairs = [PairIndex(3, 4), PairIndex(1, 2), PairIndex(2, 4), PairIndex(1, 3)]
+    degenerate = _assert_pairs_match_lone_calls(states, pairs, [NumberBasis()] * 4)
+    assert not degenerate.any()
+
+
+def test_multi_pair_mixed_reduction_matches_one_call_per_pair():
+    basis = build_basis(4, 2)
+    ham = build_hamiltonian(CouplingProfile(couplings=(1.0, 1.5, 2.0)), basis)
+    low = np.zeros(basis.dimension, dtype=complex)
+    low[:basis.sector_offsets[2]] = [0.6, 0.3j, -0.2, 0.5, 0.1 + 0.4j]
+    times = [0.3, 0.8, 1.9]
+    lows = unitary_trajectory(ham, PureState(low / np.linalg.norm(low), basis), times)
+    photons = unitary_trajectory(ham, prepare_initial(SinglePhoton(), basis), times)
+    states = [_mix([a, b], 0.35) for a, b in zip(lows, photons)]
+    pairs = [PairIndex(2, 3), PairIndex(1, 2), PairIndex(1, 3)]
+    _assert_pairs_match_lone_calls(states, pairs, [NumberBasis()] * 3)
+
+
+@pytest.mark.parametrize("case", ["empty", "repeated", "out of range", "not a pair"])
+def test_malformed_pairs_are_refused_before_any_work(monkeypatch, case):
+    params = SystemParams(n_crystallites=2, intensity=0.25, parity=ParityKind.EVEN)
+    basis = build_basis(3, minimum_truncation(0.25))
+    psi = _cat_state(params, basis)
+    pairs = {"empty": [],
+             "repeated": [PairIndex(1, 2), PairIndex(2, 1), PairIndex(1, 2)],
+             "out of range": [PairIndex(1, 2), PairIndex(1, 3)],
+             "not a pair": [PairIndex(1, 2), (1, 2)]}[case]
+    if case == "out of range":
+        with pytest.raises(InvalidParameter) as expected:
+            PairIndex(1, 3).check_bounds(2)
+        message = str(expected.value)
+    else:
+        message = {"empty": "pairs: no pair to reduce",
+                   "repeated": "pairs: a pair is repeated",
+                   "not a pair": "pairs: not all PairIndex"}[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the pairs were checked")
+
+    monkeypatch.setattr(fockspace, "_cat_levels", refuse)
+    monkeypatch.setattr(FockBasis, "pair_plan", refuse)
+    with pytest.raises(InvalidParameter) as refused:
+        reduce_to_qubit_pair([psi], pairs, [TildeBasis(mu=0.5)])
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("n_modes, max_total", [(3, 5), (4, 4), (6, 3), (7, 2)])
 def test_pair_plan_groups_rank_the_other_modes_lexicographically(n_modes, max_total):
     # the groups np.unique gives the rows of the other modes' occupations
@@ -914,6 +994,13 @@ def test_pair_plan_groups_rank_the_other_modes_lexicographically(n_modes, max_to
                                    axis=0, return_inverse=True)
         np.testing.assert_array_equal(group, expected.ravel())
         assert n_groups == len(rows)
+    # every pair, in either order, fills one set of (pair occupation, group)
+    # entries: the reduction's psi stack serves every pair uncleared
+    filled = set()
+    for pair in itertools.permutations(range(1, n_modes), 2):
+        pocc, group, _ = basis.pair_plan(PairIndex(*pair))
+        filled.add(frozenset(zip(pocc.tolist(), group.tolist())))
+    assert len(filled) == 1
 
 
 def test_pair_reduction_bounds_check():

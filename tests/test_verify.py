@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cavshare import (Cat, CouplingProfile, NumberBasis, PairIndex, ParityKind,
-                      SystemParams, TildeBasis, TwoQubitDensity, concurrence,
-                      fockspace, isotropic_amplitudes)
+                      SinglePhoton, SystemParams, TildeBasis, TwoQubitDensity,
+                      concurrence, fockspace, isotropic_amplitudes)
 from cavshare.verify import (
     PairRecord,
     SuiteResult,
@@ -109,6 +109,21 @@ def test_lindblad_suite_builds_each_chain_once(monkeypatch):
     assert sorted(built) == [0, 2, 4, 6, 8, 10]
 
 
+def test_lindblad_chain_norms_are_computed_once_per_chain(monkeypatch):
+    # two cats of six chains each: one _shifted_norms per chain, shared by
+    # its samples and its drift guard
+    calls = []
+    shifted_norms = fockspace._shifted_norms
+
+    def counted(a):
+        calls.append(a.shape)
+        return shifted_norms(a)
+
+    monkeypatch.setattr(fockspace, "_shifted_norms", counted)
+    assert lindblad_suite(n_times=5, gt_max=math.pi / 8).counts() == (10, 0, 0)
+    assert len(calls) == 12
+
+
 def test_lindblad_samples_factor_on_their_coupled_blocks(monkeypatch):
     # every sample is validated in full, but on the default basis (364
     # states) its Cholesky factors run per coupled block: an even cat
@@ -200,6 +215,103 @@ def test_degenerate_samples_become_skip_rows():
                 assert oracle[case_id] == alone
     # without loss v'(t) vanishes at Gt = 2 pi, the one Lindblad sample
     assert lindblad_suite(gamma_over_g=0.0, n_times=1).counts() == (0, 0, 2)
+
+
+def _count_reductions(monkeypatch) -> list[int]:
+    """Patch the pair reduction to log, per call, the _cat_levels calls made
+    inside it; those of state preparation are not logged."""
+    log: list[int] = []
+    inside: list[bool] = []
+    reduce, cat_levels = fockspace.reduce_to_qubit_pair, fockspace._cat_levels
+
+    def reducing(*args):
+        log.append(0)
+        inside.append(True)
+        try:
+            return reduce(*args)
+        finally:
+            inside.pop()
+
+    def counted(*args):
+        if inside:
+            log[-1] += 1
+        return cat_levels(*args)
+
+    monkeypatch.setattr(fockspace, "reduce_to_qubit_pair", reducing)
+    monkeypatch.setattr(fockspace, "_cat_levels", counted)
+    return log
+
+
+def _per_pair_reference(suite, n, gts, states, bases):
+    """One preparation's oracle value per sample (None where degenerate) and
+    its pair records, from one reduction and one kernel call per pair: pair
+    (1, 2) on every sample, every other pair on every tenth."""
+    def alone(pair, picked):
+        rho, degenerate = fockspace.reduce_to_qubit_pair(
+            [states[k] for k in picked], pair, [bases[k] for k in picked])
+        values = iter(concurrence(rho).tolist())
+        return [None if d else next(values) for d in degenerate]
+
+    first = alone(PairIndex(1, 2), range(len(states)))
+    others = [alone(PairIndex(m, k), range(0, len(states), 10))
+              for m in range(1, n + 1) for k in range(m + 1, n + 1) if (m, k) != (1, 2)]
+    records = []
+    for k, gt in enumerate(gts):
+        if first[k] is not None:
+            records.append(PairRecord(suite, n, gt, first[k]))
+            if k % 10 == 0:
+                records.extend(PairRecord(suite, n, gt, c[k // 10]) for c in others)
+    return first, records
+
+
+def _hex_records(records) -> list[tuple]:
+    return [(r.suite, r.n_crystallites, r.gt.hex(), r.concurrence.hex())
+            for r in records]
+
+
+def test_cat_suite_reduces_all_pairs_in_two_calls(monkeypatch):
+    log = _count_reductions(monkeypatch)
+    result = cat_suite(n=5, intensities=(0.25,), n_times=4)
+    assert log == [1] * 4  # two calls per parity, one ket build in each
+    monkeypatch.undo()
+    assert result.counts() == (8, 0, 0)
+    grid = [(k + 0.5) * 2.0 * math.pi / 4 for k in range(4)]
+    basis = fockspace.build_basis(6, fockspace.minimum_truncation(0.25))
+    ham = fockspace.build_hamiltonian(CouplingProfile.isotropic(1.0, 5), basis)
+    oracle, records = [], []
+    for parity in (ParityKind.EVEN, ParityKind.ODD):
+        params = SystemParams(n_crystallites=5, intensity=0.25, parity=parity)
+        states = fockspace.unitary_trajectory(
+            ham, fockspace.prepare_initial(Cat(parity, params.alpha), basis),
+            [params.time_from_gt(gt) for gt in grid])
+        bases = [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha)
+                 for gt in grid]
+        values, recs = _per_pair_reference("cat", 5, grid, states, bases)
+        oracle += values
+        records += recs
+    assert [c.oracle.hex() for c in result.cases] == [v.hex() for v in oracle]
+    assert len(records) == 2 * (4 + 9)
+    assert _hex_records(result.pair_records) == _hex_records(records)
+
+
+def test_single_photon_suite_reduces_all_pairs_in_two_calls(monkeypatch):
+    log = _count_reductions(monkeypatch)
+    result = single_photon_suite(n_values=(5,), n_times=20)
+    assert log == [0, 0]  # number-basis kets need no cats
+    monkeypatch.undo()
+    grid = [(k + 0.5) * 2.0 * math.pi / 20 for k in range(20)]
+    params = SystemParams(n_crystallites=5)
+    basis = fockspace.build_basis(6, 1)
+    states = fockspace.unitary_trajectory(
+        fockspace.build_hamiltonian(CouplingProfile.from_params(params), basis),
+        fockspace.prepare_initial(SinglePhoton(), basis),
+        [params.time_from_gt(gt) for gt in grid])
+    oracle, records = _per_pair_reference("single_photon", 5, grid, states,
+                                          [NumberBasis()] * 20)
+    laws = [c.oracle.hex() for c in result.cases if c.case_id.endswith("/law")]
+    assert laws == [v.hex() for v in oracle]
+    assert len(records) == 20 + 2 * 9
+    assert _hex_records(result.pair_records) == _hex_records(records)
 
 
 def test_capacity_overflow_becomes_skip():
