@@ -5,9 +5,12 @@ oracle, the Wootters concurrence kernel, intensity optimization, and a CSV
 command-line driver.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     NumberBasis,
     TildeBasis,
+    cat_qubit_basis,
     cavity_overlap,
     coherent_concurrence,
     coherent_pair_density,
@@ -24,6 +27,7 @@ from .dissipative import (
     damped_concurrence_weak_coupling,
     damped_overlap,
     damped_pair_density,
+    damped_qubit_basis,
 )
 from .entanglement import TwoQubitDensity, concurrence, spin_flip
 from .errors import (
@@ -81,63 +85,8 @@ def __getattr__(name: str):
         return getattr(fockspace, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "Cat",
-    "CapacityExceeded",
-    "Coherent",
-    "CouplingProfile",
-    "DampedAmplitudes",
-    "DegenerateBasis",
-    "DimensionMismatch",
-    "DomainError",
-    "FockBasis",
-    "InvalidParameter",
-    "LeakageError",
-    "MixedState",
-    "NoRoot",
-    "NotADensityMatrix",
-    "NumberBasis",
-    "OptimumReport",
-    "OverdampedRegime",
-    "PairIndex",
-    "ParityKind",
-    "ParseError",
-    "PureState",
-    "SinglePhoton",
-    "SparseHermitian",
-    "StepSizeUnstable",
-    "SystemParams",
-    "TildeBasis",
-    "TruncationTooSmall",
-    "TwoQubitDensity",
-    "UnknownKey",
-    "build_basis",
-    "build_hamiltonian",
-    "cavity_overlap",
-    "coherent_concurrence",
-    "coherent_pair_density",
-    "concurrence",
-    "damped_amplitudes",
-    "damped_concurrence",
-    "damped_concurrence_weak_coupling",
-    "damped_overlap",
-    "damped_pair_density",
-    "evolve_unitary",
-    "isotropic_amplitudes",
-    "lambert_w0",
-    "lindblad_trajectory",
-    "mean_photon_number",
-    "minimum_truncation",
-    "observable_mean_photon",
-    "optimal_intensity",
-    "prepare_initial",
-    "reduce_to_qubit_pair",
-    "single_photon_concurrence",
-    "single_photon_pair_density",
-    "spin_flip",
-    "threshold_intensity",
-    "total_excitation",
-    "transfer_coefficients",
-    "unitary_trajectory",
-    "w_state_fidelity",
-]
+
+# the public names bound above, submodules aside, and the oracle's
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)}
+                 | _FOCKSPACE_NAMES)

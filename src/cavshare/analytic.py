@@ -163,27 +163,32 @@ def _tilde_x_matrix(x: float, u: float, parity: ParityKind) -> np.ndarray:
     return mat
 
 
-def coherent_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
-    """Reduced pair density for a cat-state preparation, in the tilde basis.
+def cat_qubit_basis(params: SystemParams, gt: float) -> TildeBasis:
+    """The tilde basis a lossless cat's pairs are read in: the even/odd cat
+    pair of the per-mode amplitude mu = v(t) alpha. The one place mu is
+    formed, for the closed density and the oracle's reduction alike."""
+    return TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha)
 
-    The qubit basis is the orthonormal even/odd cat pair of amplitude
-    mu = v(t) alpha. Raises DegenerateBasis when |mu|^2 < 1e-12 (the basis
-    collapses as the modes return to vacuum).
+
+def coherent_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
+    """Reduced pair density for a cat-state preparation, in the tilde basis
+    of cat_qubit_basis. Raises DegenerateBasis when |mu|^2 < 1e-12 (the
+    basis collapses as the modes return to vacuum).
     """
     s = crmath.sin(gt)
     s2 = s * s
     mu_sq = params.intensity * s2 / params.n_crystallites
-    return _cat_pair_density(params, mu_sq,
-                             isotropic_amplitudes(params, gt).v * params.alpha)
+    return _cat_pair_density(params, mu_sq, cat_qubit_basis(params, gt))
 
 
-def _cat_pair_density(params: SystemParams, mu_sq: float, mu: complex) -> TwoQubitDensity:
-    """The X-shaped cat pair density in the tilde basis of mu, |mu|^2 = mu_sq
-    as the caller forms it; DegenerateBasis when that is below 1e-12."""
+def _cat_pair_density(params: SystemParams, mu_sq: float,
+                      basis: TildeBasis) -> TwoQubitDensity:
+    """The X-shaped cat pair density in the tilde basis given, |mu|^2 =
+    mu_sq as the caller forms it; DegenerateBasis when that is below 1e-12."""
     if mu_sq < DEGENERACY_THRESHOLD:
         raise DegenerateBasis(f"|mu|^2 = {mu_sq:.3e} below 1e-12")
     mat = _tilde_x_matrix(params.intensity, 2.0 * mu_sq, params.parity)
-    return TwoQubitDensity(entries=mat, basis_tag=TildeBasis(mu=mu))
+    return TwoQubitDensity(entries=mat, basis_tag=basis)
 
 
 def coherent_concurrence(params: SystemParams, gt):

@@ -358,15 +358,13 @@ def main(argv: list[str]) -> int:
     return 0
 
 
+# the exit code of each error entrypoint reports, the first that matches
+_EXIT_CODES = {OSError: 1, ValueError: 1, StepSizeUnstable: 2, CapacityExceeded: 3}
+
+
 def entrypoint(argv: list[str] | None = None) -> int:
     try:
         return main(sys.argv[1:] if argv is None else argv)
-    except (OSError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StepSizeUnstable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

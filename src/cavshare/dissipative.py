@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import crmath
-from .analytic import _cat_pair_density, cat_ratio
+from .analytic import TildeBasis, _cat_pair_density, cat_ratio
 from .entanglement import TwoQubitDensity
 from .errors import OverdampedRegime
 from .model import SystemParams
@@ -67,15 +67,24 @@ def damped_overlap(params: SystemParams, gt: float) -> float:
     return crmath.exp(-2.0 * params.intensity * (1.0 - 2.0 * v * v))
 
 
+def damped_qubit_basis(params: SystemParams, gt: float) -> TildeBasis:
+    """The tilde basis a damped cat's pairs are read in, of amplitude
+    mu = -i v'(t) alpha. The one place mu is formed, for the closed density
+    and the oracle's reduction alike."""
+    return TildeBasis(-1j * damped_amplitudes(params, gt).v_prime * params.alpha)
+
+
 def damped_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
-    """Reduced pair density under damping, in the tilde basis of v'(t) alpha.
+    """Reduced pair density under damping, in the tilde basis of
+    damped_qubit_basis.
 
     Same X-shaped structure as the lossless case with sin(Gt)/sqrt(N)
     replaced by v'(t). Raises DegenerateBasis once the basis amplitude has
     decayed below threshold.
     """
     v = damped_amplitudes(params, gt).v_prime
-    return _cat_pair_density(params, params.intensity * v * v, -1j * v * params.alpha)
+    return _cat_pair_density(params, params.intensity * v * v,
+                             damped_qubit_basis(params, gt))
 
 
 def damped_concurrence(params: SystemParams, gt):

@@ -431,14 +431,14 @@ def _kron_entries(a, b, b_shape, row0: int, col0: int):
     return rows, cols, (a[2][:, None] * b[2]).ravel()
 
 
-def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
-    """Generator on the stacked row-major vecs of rho[k, k-d], k = d..top.
-    As vec(A X B) = (A kron B^T) vec(X), block (k, l) evolves by
-    -i(H_k kron I - I kron conj(H_l)) and is fed from (k+1, l+1) by
-    gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal.
+def _chain_generator(h_blocks, jumps, gamma: float, d: int):
+    """Generator on the stacked row-major vecs of rho[k, k-d], k = d..M, up
+    to the cutoff M. As vec(A X B) = (A kron B^T) vec(X), block (k, l)
+    evolves by -i(H_k kron I - I kron conj(H_l)) and is fed from (k+1, l+1)
+    by gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal.
     Every term's entries are listed at their block's offset and summed in
     one conversion to CSR."""
-    ks = range(d, top + 1)
+    ks = range(d, len(h_blocks))
     starts = np.cumsum([0] + [h_blocks[k].shape[0] * h_blocks[k - d].shape[0]
                               for k in ks])
     entries = []
@@ -451,7 +451,7 @@ def _chain_generator(h_blocks, jumps, gamma: float, d: int, top: int):
                                      hl.shape, at, at))
         entries.append(_kron_entries(eye_k, (hl.row, hl.col, 1j * hl.data.conj()),
                                      hl.shape, at, at))
-        if k < top:
+        if k < len(jumps):  # fed from the sector above
             for bk, bl in zip(jumps[k], jumps[k - d]):
                 rows, cols, vals = _kron_entries((bk.row, bk.col, bk.data),
                                                  (bl.row, bl.col, bl.data.conj()),
@@ -472,8 +472,7 @@ def _cached_chain(params: SystemParams, basis: FockBasis, d: int) -> sp.csr_matr
         entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
     h_blocks, jumps, chains = entry
     if d not in chains:
-        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate,
-                                     d, basis.max_total)
+        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate, d)
     return chains[d]
 
 
@@ -577,6 +576,14 @@ def _expm_samples(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
     return out
 
 
+def check_lindblad_capacity(basis: FockBasis) -> None:
+    """CapacityExceeded for a basis over the Lindblad oracle's 400 states.
+    A density matrix on it is dense, so a caller checks before building
+    one; lindblad_trajectory checks again."""
+    if basis.dimension > _LINDBLAD_CAPACITY:
+        raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
+
+
 def lindblad_trajectory(params: SystemParams, rho0: MixedState,
                         times) -> list[MixedState]:
     """Density matrices at the given times (ascending, from t=0) under
@@ -593,9 +600,8 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     reused by every later call on that basis (both cat parities, say).
     """
     basis = rho0.basis
+    check_lindblad_capacity(basis)
     dim = basis.dimension
-    if dim > _LINDBLAD_CAPACITY:
-        raise CapacityExceeded(dim, _LINDBLAD_CAPACITY)
     if not all(0.0 <= t < math.inf for t in times) or any(
             b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be finite, nonnegative and ascending")

@@ -209,8 +209,7 @@ def cat_suite(n: int = 3,
                 yield n, [(
                     f"cat/N={n}/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}",
                     gt, psi,
-                    analytic.TildeBasis(
-                        analytic.isotropic_amplitudes(params, gt).v * params.alpha),
+                    analytic.cat_qubit_basis(params, gt),
                     analytic.coherent_concurrence(params, gt), (),
                 ) for gt, psi in zip(grid, trajectory)]
 
@@ -236,6 +235,7 @@ def lindblad_suite(n: int = 2,
         basis = fockspace.build_basis(
             n + 1, fockspace.minimum_truncation(intensity, margin=2)
         )
+        fockspace.check_lindblad_capacity(basis)  # before any dense rho0
         for parity in parities:
             params = SystemParams(
                 n_crystallites=n,
@@ -251,9 +251,7 @@ def lindblad_suite(n: int = 2,
                 f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
                 f"/{parity.name.lower()}/Gt={gt:.10g}",
                 gt, rho,
-                analytic.TildeBasis(
-                    -1j * dissipative.damped_amplitudes(params, gt).v_prime
-                    * params.alpha),
+                dissipative.damped_qubit_basis(params, gt),
                 dissipative.damped_concurrence(params, gt), (),
             ) for gt, rho in zip(grid, fockspace.lindblad_trajectory(
                 params, rho0, [params.time_from_gt(gt) for gt in grid]))]

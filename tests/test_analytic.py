@@ -19,6 +19,7 @@ from cavshare import (
     SystemParams,
     TildeBasis,
     TwoQubitDensity,
+    cat_qubit_basis,
     cavity_overlap,
     coherent_concurrence,
     coherent_pair_density,
@@ -218,6 +219,33 @@ def test_coherent_density_tag_carries_transfer_amplitude():
     rho = coherent_pair_density(params, gt)
     mu = isotropic_amplitudes(params, gt).v * params.alpha
     assert abs(rho.basis_tag.mu - mu) < 1e-15
+
+
+def _words(basis: TildeBasis) -> list[int]:
+    return np.array([basis.mu]).view(np.int64).tolist()
+
+
+def test_coherent_density_is_read_in_cat_qubit_basis():
+    # cat_qubit_basis is mu = v(t) alpha, operand for operand, and the
+    # closed density's tag is it, word for word; at Gt = pi the basis
+    # degenerates and the density refuses
+    grid = [0.3, 1.0, _HALF_PI, 2.5, math.pi, 4.0, 2.0 * math.pi - 0.1]
+    degenerate = 0
+    for n, x in [(2, 0.25), (3, 1.0), (5, 2.0)]:
+        for parity in (ParityKind.EVEN, ParityKind.ODD):
+            params = SystemParams(n_crystallites=n, intensity=x, parity=parity)
+            for gt in grid:
+                basis = cat_qubit_basis(params, gt)
+                assert _words(basis) == _words(TildeBasis(
+                    isotropic_amplitudes(params, gt).v * params.alpha))
+                try:
+                    rho = coherent_pair_density(params, gt)
+                except DegenerateBasis:
+                    assert gt == math.pi and abs(basis.mu) ** 2 < 1e-12
+                    degenerate += 1
+                    continue
+                assert _words(rho.basis_tag) == _words(basis)
+    assert degenerate == 6
 
 
 def test_coherent_density_degenerates_at_nodes():

@@ -19,8 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cavshare import (
+    CapacityExceeded,
+    InvalidParameter,
     ParityKind,
     ParseError,
+    StepSizeUnstable,
     SystemParams,
     UnknownKey,
     coherent_concurrence,
@@ -392,6 +395,31 @@ def test_bad_input_exits_one(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.entrypoint(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (OSError("disk full"), 1),
+    (ValueError("bad value"), 1),
+    (InvalidParameter("points", "too few"), 1),
+    (StepSizeUnstable(2e-8, 1e-8), 2),
+    (CapacityExceeded(500, 400), 3),
+])
+def test_each_error_maps_to_its_exit_code(error, code, monkeypatch, capsys):
+    def failing(argv):
+        raise error
+
+    monkeypatch.setattr(cli, "main", failing)
+    assert cli.entrypoint([]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_other_errors_are_not_caught(monkeypatch):
+    def failing(argv):
+        raise RuntimeError("not ours")
+
+    monkeypatch.setattr(cli, "main", failing)
+    with pytest.raises(RuntimeError, match="not ours"):
+        cli.entrypoint([])
 
 
 @pytest.mark.parametrize("argv, cause", [

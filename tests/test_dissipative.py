@@ -24,6 +24,7 @@ from cavshare.dissipative import (
     damped_concurrence_weak_coupling,
     damped_overlap,
     damped_pair_density,
+    damped_qubit_basis,
 )
 from cavshare.fockspace import (
     MixedState,
@@ -119,6 +120,33 @@ def test_pair_density_trace_and_tag():
     assert isinstance(rho.basis_tag, TildeBasis)
     expected_mu = -1j * amps.v_prime * p.alpha
     assert abs(rho.basis_tag.mu - expected_mu) < 1e-15
+
+
+def _words(basis: TildeBasis) -> list[int]:
+    return np.array([basis.mu]).view(np.int64).tolist()
+
+
+def test_damped_density_is_read_in_damped_qubit_basis():
+    # damped_qubit_basis is mu = -i v'(t) alpha, operand for operand, and
+    # the closed density's tag is it, word for word. Without loss v'(t)
+    # vanishes at Gt = pi, and the density refuses there
+    grid = [0.3, 1.0, math.pi / 2.0, 2.5, math.pi, 4.0, 2.0 * math.pi - 0.1]
+    degenerate = 0
+    for n, x, gamma in [(2, 0.25, 0.13), (3, 1.0, 0.0), (5, 2.0, 0.5)]:
+        for parity in (ParityKind.EVEN, ParityKind.ODD):
+            p = _params(n=n, x=x, gamma=gamma, parity=parity)
+            for gt in grid:
+                basis = damped_qubit_basis(p, gt)
+                assert _words(basis) == _words(TildeBasis(
+                    -1j * damped_amplitudes(p, gt).v_prime * p.alpha))
+                try:
+                    rho = damped_pair_density(p, gt)
+                except DegenerateBasis:
+                    assert gamma == 0.0 and gt == math.pi
+                    degenerate += 1
+                    continue
+                assert _words(rho.basis_tag) == _words(basis)
+    assert degenerate == 2
 
 
 def test_kernel_agrees_with_closed_form():

@@ -1154,23 +1154,27 @@ def test_lindblad_chain_cache_is_keyed_by_gamma_and_couplings():
 def test_cached_chain_leading_block_is_the_chain_to_its_top():
     # a state whose chain stops below the cutoff propagates on the leading
     # principal block of the cached chain: the same matrix, entry order and
-    # all, that the chain built up to that top would be
+    # all, as raw words, that the chain on a basis cut off at that top is
     params = SystemParams(n_crystallites=2, decay_rate=0.3)
     basis = build_basis(3, 4)
-    h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
+    compared = 0
     for d in range(basis.max_total + 1):
         full = fockspace._cached_chain(params, basis, d)
-        for top in range(d, basis.max_total + 1):
-            own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
+        for top in range(max(d, 1), basis.max_total + 1):  # a cutoff is >= 1
+            blocks = fockspace._lindblad_blocks(params, build_basis(3, top))
+            own = fockspace._chain_generator(*blocks, 0.3, d)
             block = full[:own.shape[0], :own.shape[0]]
-            for attr in ("indptr", "indices", "data"):
+            for attr in ("indptr", "indices"):
                 assert np.array_equal(getattr(block, attr), getattr(own, attr))
+            assert np.array_equal(block.data.view(np.int64), own.data.view(np.int64))
+            compared += 1
+    assert compared == 14
 
 
-@pytest.mark.parametrize("max_total", [3, 4])
+@pytest.mark.parametrize("max_total", [1, 2, 3, 4])
 def test_chain_generator_is_the_liouvillian_on_its_chain(max_total):
-    # every chain to every top is the principal submatrix of the dense
-    # row-major Liouvillian on the vec indices of rho[k, k-d], k = d..top.
+    # every chain, d = 0..M, is the principal submatrix of the dense
+    # row-major Liouvillian on the vec indices of rho[k, k-d], k = d..M.
     # Only loss rates on the diagonal, summed in another order, differ: by
     # at most 1.1e-16
     params = SystemParams(n_crystallites=2, decay_rate=0.3)
@@ -1180,13 +1184,12 @@ def test_chain_generator_is_the_liouvillian_on_its_chain(max_total):
     at = np.arange(basis.dimension)
     sectors = basis.sectors
     for d in range(max_total + 1):
-        for top in range(d, max_total + 1):
-            idx = np.concatenate([
-                (at[sectors[k], None] * basis.dimension + at[sectors[k - d]]).ravel()
-                for k in range(d, top + 1)])
-            own = fockspace._chain_generator(h_blocks, jumps, 0.3, d, top)
-            np.testing.assert_allclose(own.toarray(), liouvillian[np.ix_(idx, idx)],
-                                       rtol=0, atol=1e-15)
+        idx = np.concatenate([
+            (at[sectors[k], None] * basis.dimension + at[sectors[k - d]]).ravel()
+            for k in range(d, max_total + 1)])
+        own = fockspace._chain_generator(h_blocks, jumps, 0.3, d)
+        np.testing.assert_allclose(own.toarray(), liouvillian[np.ix_(idx, idx)],
+                                   rtol=0, atol=1e-15)
 
 
 def test_expm_step_agrees_with_scipy_on_a_chain():

@@ -68,6 +68,24 @@ def test_package_exports_the_oracle_on_first_use(tmp_path):
     assert "scipy.sparse" in loaded
 
 
+def test_package_names_are_derived_from_what_it_binds():
+    # __all__ is every public name the package binds, its submodules aside,
+    # plus the oracle's: 60 names, each from a cavshare module
+    import cavshare
+    from types import ModuleType
+
+    names = cavshare.__all__
+    eager = {name for name, value in vars(cavshare).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == sorted(set(names)) and len(names) == 60
+    assert set(names) == eager | cavshare._FOCKSPACE_NAMES
+    assert {"cat_qubit_basis", "damped_qubit_basis"} <= eager
+    for name in names:
+        value = getattr(cavshare, name)
+        assert not isinstance(value, ModuleType)
+        assert value.__module__.startswith("cavshare."), name
+
+
 _SWEEP = "from cavshare import cli\nassert cli.main(['--command', 'sweep', {}]) == 0"
 
 

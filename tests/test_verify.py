@@ -11,11 +11,13 @@ import pytest
 
 from cavshare import (Cat, CouplingProfile, NumberBasis, PairIndex, ParityKind,
                       SinglePhoton, SystemParams, TildeBasis, TwoQubitDensity,
-                      concurrence, fockspace, isotropic_amplitudes)
+                      analytic, concurrence, dissipative, fockspace,
+                      isotropic_amplitudes)
 from cavshare.verify import (
     PairRecord,
     SuiteResult,
     VerifyCase,
+    _interior_grid,
     cat_suite,
     lindblad_suite,
     run_all,
@@ -107,6 +109,74 @@ def test_lindblad_suite_builds_each_chain_once(monkeypatch):
     result = lindblad_suite(n_times=1, gt_max=0.1)
     assert result.counts() == (2, 0, 0)
     assert sorted(built) == [0, 2, 4, 6, 8, 10]
+
+
+def test_lindblad_capacity_is_checked_before_any_density(monkeypatch):
+    # a basis over the Lindblad limit (the default one, 364 states, against
+    # a limit of 363) is the suite's skip row before anything of size
+    # dim^2 exists: no MixedState is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a MixedState was built")
+
+    monkeypatch.setattr(fockspace, "_LINDBLAD_CAPACITY", 363)
+    monkeypatch.setattr(fockspace, "MixedState", refused)
+    result = lindblad_suite(n_times=1, gt_max=0.1)
+    assert [c.case_id for c in result.cases] == [
+        "lindblad/capacity dimension=364 limit=363"]
+    assert result.counts() == (0, 0, 1) and not result.pair_records
+
+
+def _assert_one_basis(monkeypatch, module, name, density, run, params, gt_max):
+    """Patch module.name to return -mu and check that run's reductions and
+    the closed density both read pairs in the very bases it returns."""
+    original = getattr(module, name)
+    made = []
+
+    def flipped(p, gt):
+        made.append(TildeBasis(-original(p, gt).mu))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, flipped)
+    seen = []
+    reduce = fockspace.reduce_to_qubit_pair
+
+    def recording(states, pairs, qubit_bases):
+        seen.extend(qubit_bases)
+        return reduce(states, pairs, qubit_bases)
+
+    monkeypatch.setattr(fockspace, "reduce_to_qubit_pair", recording)
+    assert run().counts() == (4, 0, 0)
+    grid = _interior_grid(gt_max, 2)
+    negated = [-original(p, gt).mu for p in params for gt in grid]
+    assert 0.0 not in negated
+    assert [b.mu for b in seen] == negated
+    assert len(made) == len(seen) and all(b is m for b, m in zip(seen, made))
+    for p in params:
+        for gt in grid:
+            assert density(p, gt).basis_tag is made[-1]
+
+
+def test_cat_suite_and_closed_density_read_pairs_in_one_basis(monkeypatch):
+    # the oracle's reductions and the closed pair density take their tilde
+    # basis from cat_qubit_basis, so a change to it reaches both: here
+    # mu -> -mu, which no concurrence can see
+    params = [SystemParams(n_crystallites=2, intensity=0.25, parity=parity)
+              for parity in (ParityKind.EVEN, ParityKind.ODD)]
+    _assert_one_basis(monkeypatch, analytic, "cat_qubit_basis",
+                      analytic.coherent_pair_density,
+                      lambda: cat_suite(n=2, intensities=(0.25,), n_times=2),
+                      params, 2.0 * math.pi)
+
+
+def test_lindblad_suite_and_closed_density_read_pairs_in_one_basis(monkeypatch):
+    # the same for the lossy cat and damped_qubit_basis
+    params = [SystemParams(n_crystallites=2, decay_rate=0.13, intensity=0.25,
+                           parity=parity)
+              for parity in (ParityKind.ODD, ParityKind.EVEN)]
+    _assert_one_basis(monkeypatch, dissipative, "damped_qubit_basis",
+                      dissipative.damped_pair_density,
+                      lambda: lindblad_suite(n_times=2, gt_max=0.2),
+                      params, 0.2)
 
 
 def test_lindblad_chain_norms_are_computed_once_per_chain(monkeypatch):
