@@ -32,15 +32,16 @@ def _as_matrix(rho) -> np.ndarray:
     return mat
 
 
-def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """The principal submatrices of a (d, d) matrix on its coupled blocks,
-    stacked by size. A block is an index set that no nonzero entry joins to
-    the rest in either direction; -0.0 counts as zero, NaN and Inf do not.
-    A row and column that are entirely zero belong to no block."""
+def coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """The index sets of a (d, d) matrix's coupled blocks, each ascending,
+    in the order of their lowest index. A block is an index set that no
+    nonzero entry joins to the rest in either direction; -0.0 counts as
+    zero, NaN and Inf do not. A row and column that are entirely zero
+    belong to no block."""
     linked = mat != 0
     linked |= linked.T
     unseen = linked.any(axis=0)
-    by_size: dict[int, list[np.ndarray]] = {}
+    blocks = []
     while unseen.any():  # breadth first from the lowest index not yet placed
         block = np.zeros(len(mat), dtype=bool)
         frontier = block.copy()
@@ -49,31 +50,32 @@ def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
             block |= frontier
             frontier = linked[frontier].any(axis=0) & ~block
         unseen &= ~block
-        idx = np.flatnonzero(block)
-        by_size.setdefault(len(idx), []).append(idx)
-    return [mat[idx[:, :, None], idx[:, None, :]]
-            for idx in map(np.array, by_size.values())]
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
 
-def check_density(mat: np.ndarray, tol: float) -> np.ndarray:
-    """The package's one density-matrix validator, for a complex (d, d)
-    matrix or a stack of them: each must be Hermitian within tol/100 by
-    modulus, have a real trace within tol of 1 and no eigenvalue below -tol,
-    or NotADensityMatrix is raised. Every check is a `not (... <= ...)`, so
-    a NaN anywhere fails it. Returns mat read-only, copied first if it was
-    writeable, so the caller's array stays its own.
+def check_blocks(parts, trace, tol: float) -> None:
+    """The package's one density-matrix validator. parts are the square
+    blocks of one matrix, every entry between or outside them zero (a
+    MixedState's), or a single matrix or (S, d, d) stack as one part; trace
+    is the whole matrix's (or each matrix's) trace. Each part must be Hermitian within
+    tol/100 by modulus and have no eigenvalue below -tol, and each trace
+    must be real within tol of 1, or NotADensityMatrix is raised. The
+    Hermitian check runs on every part, then the trace, then the shifted
+    Cholesky on every part; matrices of one size go as one stack. Every
+    check is a `not (... <= ...)`, so a NaN anywhere fails it.
 
-    A single matrix of more than 4 rows takes the Hermitian and eigenvalue
-    checks on its coupled blocks (_coupled_blocks), all blocks for one
-    check before the next; the trace is checked on the whole. Every entry
-    outside the blocks is exactly zero in both directions, so mat is
-    Hermitian exactly when each block is, and mat + tol I (tol > 0) is
-    positive definite exactly when each block plus tol I is: an empty row
-    adds the eigenvalue tol. So each matrix meets the same verdict and
-    message as on the whole, up to a pivot within rounding of -tol, at the
-    cost of its blocks. A NaN or Inf is nonzero, so it sits in a block and
-    fails its Hermitian check there."""
-    parts = _coupled_blocks(mat) if mat.ndim == 2 and len(mat) > 4 else [mat]
+    A matrix is Hermitian exactly when each block is, and mat + tol I
+    (tol > 0) is positive definite exactly when each block plus tol I is:
+    an empty row adds the eigenvalue tol. So blocks meet the same verdict
+    and message as the whole matrix, up to a pivot within rounding of -tol,
+    at the cost of the blocks. A NaN or Inf entry is nonzero, so it sits in
+    a coupled block and fails its Hermitian check there."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for part in parts:
+        by_size.setdefault(part.shape[-1], []).append(part)
+    parts = [group[0] if len(group) == 1 else np.stack(group)
+             for group in by_size.values()]
     for part in parts:
         # max |part - part^H|^2 over two real temporaries, its real and
         # imaginary parts squared in place
@@ -84,7 +86,7 @@ def check_density(mat: np.ndarray, tol: float) -> np.ndarray:
         skew += imag
         if not skew.max(initial=0.0) <= (tol / 100.0) ** 2:
             raise NotADensityMatrix(f"not Hermitian within {tol / 100.0:.0e}")
-    if not (np.abs(mat.trace(axis1=-2, axis2=-1).real - 1.0) <= tol).all():
+    if not (np.abs(np.real(trace) - 1.0) <= tol).all():
         raise NotADensityMatrix(f"trace differs from 1 beyond {tol:.0e}")
     for part in parts:
         # no eigenvalue below -tol exactly when part + tol I has a Cholesky
@@ -96,6 +98,13 @@ def check_density(mat: np.ndarray, tol: float) -> np.ndarray:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise NotADensityMatrix(f"negative eigenvalue beyond {-tol:.0e}") from None
+
+
+def check_density(mat: np.ndarray, tol: float) -> np.ndarray:
+    """check_blocks on a complex (d, d) matrix or a stack of them, whole.
+    Returns mat read-only, copied first if it was writeable, so the
+    caller's array stays its own."""
+    check_blocks([mat], mat.trace(axis1=-2, axis2=-1), tol)
     mat = mat.copy() if mat.flags.writeable else mat
     mat.setflags(write=False)
     return mat

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytic import NumberBasis, TildeBasis
-from .entanglement import TwoQubitDensity, check_density
+from .entanglement import TwoQubitDensity, check_blocks, coupled_blocks
 from .errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -198,17 +198,82 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MixedState:
-    matrix: np.ndarray
-    basis: FockBasis
+    """A validated density matrix on a FockBasis, held as blocks: blocks is
+    a tuple of (members, block) pairs, members distinct basis indices and
+    block the dense rho[members, members], both read-only, and every entry
+    between two blocks or outside them is zero.
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dimension
-        if mat.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
-        object.__setattr__(self, "matrix", check_density(mat, 1e-8))
+    MixedState(matrix, basis) takes the coupled blocks of a dense (d, d)
+    matrix (entanglement.coupled_blocks); MixedState(basis=basis,
+    blocks=...) takes disjoint blocks as given, coupled or not, so no array
+    of d^2 entries need exist. Either way the blocks are checked by
+    check_blocks at tol = 1e-8, with the verdict and message the dense
+    matrix would get, and a writeable array of the caller's is copied
+    first. The dense matrix is assembled only when .matrix is read.
+    """
+
+    basis: FockBasis
+    blocks: tuple
+
+    def __init__(self, matrix=None, basis: FockBasis | None = None, *, blocks=None):
+        if not isinstance(basis, FockBasis) or (matrix is None) == (blocks is None):
+            raise TypeError("MixedState takes a basis and a matrix or its blocks")
+        d = basis.dimension
+        if matrix is not None:
+            mat = np.asarray(matrix, dtype=complex)
+            if mat.shape != (d, d):
+                raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
+            blocks = [(idx, mat[np.ix_(idx, idx)]) for idx in coupled_blocks(mat)]
+        owner = np.full(d, -1)  # each index's block, and its place in it
+        place = np.zeros(d, dtype=np.int64)
+        kept = []
+        for b, pair in enumerate(blocks):
+            members, block = np.asarray(pair[0]), np.asarray(pair[1], dtype=complex)
+            if members.ndim != 1 or block.shape != (len(members),) * 2:
+                raise DimensionMismatch(f"block shape {block.shape} vs "
+                                        f"{members.shape} indices")
+            if (members.dtype.kind not in "iu" or not ((0 <= members) & (members < d)).all()
+                    or (owner[members] >= 0).any()
+                    or len(np.unique(members)) < len(members)):
+                raise InvalidParameter("blocks", "indices must be distinct basis indices")
+            owner[members] = b
+            place[members] = np.arange(len(members))
+            if matrix is None:  # the caller's arrays stay their own
+                members, block = (a.copy() if a.flags.writeable else a
+                                  for a in (members, block))
+            members.setflags(write=False)
+            block.setflags(write=False)
+            kept.append((members, block))
+        for name, value in (("basis", basis), ("blocks", tuple(kept)),
+                            ("_owner", owner), ("_place", place)):
+            object.__setattr__(self, name, value)
+        check_blocks([block for _, block in kept], self.diagonal().sum(), 1e-8)
+
+    def diagonal(self) -> np.ndarray:
+        """The complex diagonal of rho, read off the blocks."""
+        diag = np.zeros(self.basis.dimension, dtype=complex)
+        for members, block in self.blocks:
+            diag[members] = block.diagonal()
+        return diag
+
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """rho[rows][:, cols] as a new dense array, read off the blocks."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        out = np.zeros((len(rows), len(cols)), dtype=complex)
+        for b, (_, block) in enumerate(self.blocks):
+            r, c = np.flatnonzero(self._owner[rows] == b), np.flatnonzero(self._owner[cols] == b)
+            out[np.ix_(r, c)] = block[np.ix_(self._place[rows[r]], self._place[cols[c]])]
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (d, d) matrix, assembled afresh and read-only."""
+        every = np.arange(self.basis.dimension)
+        mat = self.submatrix(every, every)
+        mat.setflags(write=False)
+        return mat
 
 
 def build_basis(n_modes: int, max_total: int) -> FockBasis:
@@ -578,8 +643,10 @@ def _expm_samples(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
 
 def check_lindblad_capacity(basis: FockBasis) -> None:
     """CapacityExceeded for a basis over the Lindblad oracle's 400 states.
-    A density matrix on it is dense, so a caller checks before building
-    one; lindblad_trajectory checks again."""
+    Densities are held as blocks, but the chain generators grow with the
+    basis (7.2 MiB at 364 states, 50.8 MiB at |alpha|^2 = 1), and this is
+    their only bound. lindblad_trajectory checks it first; a caller may
+    check before it prepares anything."""
     if basis.dimension > _LINDBLAD_CAPACITY:
         raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
 
@@ -591,56 +658,79 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
 
     The generator conserves d = k - l, the row minus column sector excitation
     (loss moves block (k+1, l+1) into (k, l)). Each chain rho[k, k-d], d >= 0,
-    that rho0 populates is propagated exactly between samples, one chain at
-    a time, and checked by its guard: its last sample, recomputed from rho0
-    in one span (two halves after a one-span run), must agree within 1e-8.
-    Only the chain vectors are kept until every chain has passed; the dense
-    samples are assembled at the end, the d < 0 blocks as adjoints. The
-    chain generators are built once per basis, couplings and gamma, and
-    reused by every later call on that basis (both cat parities, say).
+    that rho0 populates (read off its blocks) is propagated exactly between
+    samples, one chain at a time, and checked by its guard: its last sample,
+    recomputed from rho0 in one span (two halves after a one-span run), must
+    agree within 1e-8. Only the chain vectors are kept until every chain
+    has passed. Each sample is then assembled, as one block per class of
+    sectors that the populated chains join (a cat's even and odd sectors),
+    from its chain vectors alone: the d < 0 entries as adjoints and the
+    d = 0 ones halved, and no array of dim^2 entries is formed. The chain
+    generators are built once per basis, couplings and gamma, and reused by
+    every later call on that basis (both cat parities, say).
     """
     basis = rho0.basis
     check_lindblad_capacity(basis)
-    dim = basis.dimension
     if not all(0.0 <= t < math.inf for t in times) or any(
             b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be finite, nonnegative and ascending")
-    sectors = basis.sectors
+    ranges = [np.arange(s.start, s.stop) for s in basis.sectors]
+    sector_of = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
+    tops = np.full(len(ranges), -1)  # chain d's highest k with rho0[k, k-d] nonzero
+    for members, block in rho0.blocks:
+        k, l = (sector_of[members[i]] for i in np.nonzero(block))
+        np.maximum.at(tops, (k - l)[k >= l], k[k >= l])
     end = times[-1] if len(times) else 0.0
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
     guard = [end] if n_spans > 1 else [0.5 * end, end]
-    at = np.arange(dim)
-    chains = []  # (flat indices into rho, vector at each time) per populated chain
+    chains = []  # (d, top, vector at each time) per populated chain
     drift = 0.0
-    for d in range(len(sectors)):
-        top = max((k for k in range(d, len(sectors))
-                   if np.any(rho0.matrix[sectors[k], sectors[k - d]])), default=-1)
-        if top < d:  # nothing ever flows into an empty chain
-            continue
-        idx = np.concatenate([(at[sectors[k], None] * dim + at[sectors[k - d]]).ravel()
-                              for k in range(d, top + 1)])
+    for d in np.flatnonzero(tops >= 0).tolist():
+        top = int(tops[d])
+        v0 = np.concatenate([rho0.submatrix(ranges[k], ranges[k - d]).ravel()
+                             for k in range(d, top + 1)])
         generator = _cached_chain(params, basis, d)
-        if len(idx) < generator.shape[0]:  # the chain stops below the cutoff
-            generator = generator[:len(idx), :len(idx)]
-        v0 = rho0.matrix.ravel()[idx]
+        if len(v0) < generator.shape[0]:  # the chain stops below the cutoff
+            generator = generator[:len(v0), :len(v0)]
         norms = _shifted_norms(generator)
         vectors = _expm_samples(generator, norms, v0, times)
         check = _expm_samples(generator, norms, v0, guard)[-1]
         drift = max(drift, float(np.max(np.abs(check - (vectors or [v0])[-1]))))
-        chains.append((idx, vectors))
+        chains.append((d, top, vectors))
     if drift > _DRIFT_TOL:
         raise StepSizeUnstable(drift, _DRIFT_TOL)
+    # the classes: sectors 0 to the highest top, joined along each chain d > 0
+    linked = np.eye(max(top for _, top, _ in chains) + 1, dtype=bool)
+    for d, top, _ in chains:
+        k = np.arange(d, top + 1)
+        linked[k, k - d] = linked[k - d, k] = True
+    classes, slot = [], {}  # each class's members; each sector's class and rows
+    for c, group in enumerate(coupled_blocks(linked)):
+        members = np.concatenate([ranges[k] for k in group])
+        members.setflags(write=False)  # shared by every sample
+        classes.append(members)
+        at = 0
+        for k in group:
+            slot[k] = (c, slice(at, at + len(ranges[k])))
+            at += len(ranges[k])
     samples = []
     for i in range(len(times)):
-        rho = np.zeros(dim * dim, dtype=complex)
-        for idx, vectors in chains:
-            rho[idx] = vectors[i]
-        rho = rho.reshape(dim, dim)
-        rho += rho.conj().T  # the d < 0 blocks are the adjoints
-        for s in sectors:
-            rho[s, s] *= 0.5  # d = 0: the Hermitian part, scrubbing roundoff
-        rho.setflags(write=False)  # so the sample takes it uncopied
-        samples.append(MixedState(rho, basis))
+        blocks = [np.zeros((len(members),) * 2, dtype=complex) for members in classes]
+        for d, top, vectors in chains:
+            at = 0
+            for k in range(d, top + 1):  # sectors k and k - d share a class
+                (c, rows), (_, cols) = slot[k], slot[k - d]
+                shape = (len(ranges[k]), len(ranges[k - d]))
+                blocks[c][rows, cols] = vectors[i][at:at + shape[0] * shape[1]].reshape(shape)
+                at += shape[0] * shape[1]
+            vectors[i] = None  # let each chain vector go once it is placed
+        for block in blocks:
+            block += block.conj().T  # the d < 0 blocks are the adjoints
+        for c, rows in slot.values():
+            blocks[c][rows, rows] *= 0.5  # d = 0: the Hermitian part, scrubbing roundoff
+        for block in blocks:
+            block.setflags(write=False)  # so the sample takes it uncopied
+        samples.append(MixedState(basis=basis, blocks=list(zip(classes, blocks))))
     return samples
 
 
@@ -724,7 +814,7 @@ def reduce_to_qubit_pair(states, pairs, qubit_bases):
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
                     members = order[lo:hi]
                     qg = q[members]
-                    mat += qg.conj().T @ states[i].matrix[np.ix_(members, members)] @ qg
+                    mat += qg.conj().T @ states[i].submatrix(members, members) @ qg
     mats = mats.reshape(-1, 4, 4)
     captured = mats.trace(axis1=1, axis2=2).real
     leak = 1.0 - captured
@@ -750,7 +840,7 @@ def observable_mean_photon(state: PureState | MixedState, mode: int) -> float:
     occ = basis.occupations[:, mode].astype(float)
     if isinstance(state, PureState):
         return float(occ @ (np.abs(state.amplitudes) ** 2))
-    return float(occ @ np.diag(state.matrix).real)
+    return float(occ @ state.diagonal().real)
 
 
 def total_excitation(state: PureState | MixedState) -> float:

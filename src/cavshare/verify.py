@@ -235,7 +235,7 @@ def lindblad_suite(n: int = 2,
         basis = fockspace.build_basis(
             n + 1, fockspace.minimum_truncation(intensity, margin=2)
         )
-        fockspace.check_lindblad_capacity(basis)  # before any dense rho0
+        fockspace.check_lindblad_capacity(basis)  # before anything is prepared
         for parity in parities:
             params = SystemParams(
                 n_crystallites=n,
@@ -244,9 +244,11 @@ def lindblad_suite(n: int = 2,
                 parity=parity,
             )
             psi0 = fockspace.prepare_initial(Cat(parity, params.alpha), basis)
+            # psi0's density as one block on the states it populates
+            support = np.flatnonzero(psi0.amplitudes)
+            amp = psi0.amplitudes[support]
             rho0 = fockspace.MixedState(
-                np.outer(psi0.amplitudes, psi0.amplitudes.conj()), basis
-            )
+                basis=basis, blocks=[(support, amp[:, None] * amp.conj())])
             yield n, [(
                 f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
                 f"/{parity.name.lower()}/Gt={gt:.10g}",

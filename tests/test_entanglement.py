@@ -169,7 +169,7 @@ def test_tiny_negative_rounding_is_clamped():
 def test_validated_density_is_checked_once(monkeypatch):
     # a TwoQubitDensity was checked when it was built; a bare array is
     # checked by concurrence itself, through the validator MixedState shares
-    assert fockspace.check_density is entanglement.check_density
+    assert fockspace.check_blocks is entanglement.check_blocks
     calls = []
     check_density = entanglement.check_density
 

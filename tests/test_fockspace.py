@@ -36,7 +36,7 @@ from cavshare import (
     single_photon_pair_density,
 )
 from cavshare import fockspace
-from cavshare.entanglement import _coupled_blocks
+from cavshare.entanglement import check_density, coupled_blocks
 from cavshare.verify import cat_suite
 from cavshare.fockspace import (
     FockBasis,
@@ -410,23 +410,29 @@ def _block_diagonal(sizes, n_empty: int, lowest: float, seed: int) -> np.ndarray
 
 
 def _block_sizes(mat: np.ndarray) -> list[int]:
-    return sorted(block.shape[-1] for part in _coupled_blocks(mat)
-                  for block in part)
+    return sorted(len(idx) for idx in coupled_blocks(mat))
 
 
-def _verdict(mat: np.ndarray) -> str | None:
+def _verdict(build) -> str | None:
     try:
-        fockspace.check_density(mat, 1e-8)
+        build()
     except NotADensityMatrix as exc:
         return str(exc)
     return None
 
 
+def _verdicts(mat: np.ndarray) -> tuple[str | None, str | None]:
+    """The verdicts on mat as a MixedState, checked on its coupled blocks,
+    and as a stack of one, checked whole."""
+    return (_verdict(lambda: MixedState(mat, build_basis(len(mat) - 1, 1))),
+            _verdict(lambda: check_density(mat[None], 1e-8)))
+
+
 @pytest.mark.parametrize("ratio", [-0.99, -1.01])
 @pytest.mark.parametrize("seed", range(12))
 def test_block_validation_decides_like_the_whole_matrix(seed, ratio):
-    # a single matrix of more than 4 rows is checked on its coupled blocks;
-    # a stack of one takes the whole-matrix path. Both must agree with
+    # a MixedState is checked on its coupled blocks; a stack of one takes
+    # the whole-matrix path. Both must agree with
     # eigvalsh on every draw: equal-sized and single-row blocks, all-zero
     # rows, the lowest eigenvalue 0.01 tol either side of -tol in one block
     rng = np.random.default_rng(1000 + seed)
@@ -439,7 +445,7 @@ def test_block_validation_decides_like_the_whole_matrix(seed, ratio):
     accepts = ratio >= -1.0
     assert (float(np.linalg.eigvalsh(mat).min()) >= -1e-8) == accepts
     expected = None if accepts else "matrix: negative eigenvalue beyond -1e-08"
-    assert _verdict(mat) == _verdict(mat[None]) == expected
+    assert _verdicts(mat) == (expected, expected)
 
 
 @pytest.mark.parametrize("ratio", [-0.99, -1.01])
@@ -463,7 +469,7 @@ def test_block_validation_edges(ratio):
                                  (one_way, [7], hermitian), (nan_row, [4, 4], hermitian),
                                  (skewed, [3, 4], hermitian), (signed, [3, 4], plain)):
         assert _block_sizes(mat) == sizes
-        assert _verdict(mat) == _verdict(mat[None]) == expected
+        assert _verdicts(mat) == (expected, expected)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
@@ -474,6 +480,67 @@ def test_mixed_state_refuses_nan():
         mat[1, 1] = bad
         with pytest.raises(InvalidParameter):
             MixedState(matrix=mat, basis=basis)
+
+
+def _blocks_of(mat: np.ndarray, index_sets) -> list:
+    return [(idx, mat[np.ix_(idx, idx)]) for idx in index_sets]
+
+
+def test_block_form_meets_the_dense_verdict():
+    # two classes {3, 0, 7, 5} and {8, 1, 4} of a 10-state basis, rows 2, 6
+    # and 9 empty; each defect sits inside a class block, so the dense
+    # matrix and its blocks given by hand must be refused alike
+    basis = build_basis(3, 2)
+    classes = [np.array([3, 0, 7, 5]), np.array([8, 1, 4])]
+    base = np.zeros((10, 10), dtype=complex)
+    for i, idx in enumerate(classes):
+        base[np.ix_(idx, idx)] = 0.5 * _with_lowest_eigenvalue(len(idx), 0.05, 40 + i)
+    state = MixedState(basis=basis, blocks=_blocks_of(base, classes))
+    assert np.array_equal(_bits(state.matrix), _bits(base))
+    assert [list(m) for m, _ in MixedState(base, basis).blocks] == [[0, 3, 5, 7], [1, 4, 8]]
+    negative = base.copy()
+    negative[np.ix_(classes[1], classes[1])] = 0.5 * _with_lowest_eigenvalue(3, -2.02e-8, 7)
+    trace = base.copy()
+    trace[7, 7] += 2e-8
+    skew = base.copy()
+    skew[0, 5] += 2e-10
+    nan = base.copy()
+    nan[4, 8] = np.nan
+    for mat, message in ((negative, "negative eigenvalue beyond -1e-08"),
+                         (trace, "trace differs from 1 beyond 1e-08"),
+                         (skew, "not Hermitian within 1e-10"),
+                         (nan, "not Hermitian within 1e-10")):
+        verdicts = []
+        for build in (lambda: MixedState(mat, basis),
+                      lambda: MixedState(basis=basis, blocks=_blocks_of(mat, classes))):
+            with pytest.raises(NotADensityMatrix) as info:
+                build()
+            verdicts.append(str(info.value))
+        assert verdicts == [f"matrix: {message}"] * 2
+
+
+def test_block_form_refuses_blocks_that_are_not_disjoint_basis_indices():
+    basis = build_basis(2, 1)
+    half = np.eye(2, dtype=complex) / 2.0
+    for blocks in ([([0, 1], half), ([1], np.eye(1))],  # overlapping
+                   [([0, 3], half)], [([-1, 0], half)],  # outside the basis
+                   [([1, 1], half)], [([0.0, 1.0], half)]):
+        with pytest.raises(InvalidParameter, match="distinct basis indices"):
+            MixedState(basis=basis, blocks=blocks)
+    with pytest.raises(DimensionMismatch):
+        MixedState(basis=basis, blocks=[([0, 1, 2], half)])
+    for args, kwargs in (((np.eye(3) / 3.0, basis), {"blocks": [([0], np.eye(1))]}),
+                         ((None, basis), {}), ((np.eye(3) / 3.0, None), {})):
+        with pytest.raises(TypeError):
+            MixedState(*args, **kwargs)
+    # given blocks are copied if writeable, taken as they are if not
+    members, block = np.array([0, 2]), half.copy()
+    state = MixedState(basis=basis, blocks=[(members, block)])
+    (kept, held), = state.blocks
+    assert not np.shares_memory(kept, members) and not np.shares_memory(held, block)
+    assert not kept.flags.writeable and not held.flags.writeable and block.flags.writeable
+    again = MixedState(basis=basis, blocks=state.blocks)
+    assert again.blocks[0][0] is kept and again.blocks[0][1] is held
 
 
 # --- unitary evolution ---------------------------------------------------------
@@ -1296,6 +1363,85 @@ def test_lindblad_takes_times_as_a_list_a_tuple_or_an_array():
         for samples in zip(*runs):
             assert all(np.array_equal(_bits(samples[0].matrix), _bits(other.matrix))
                        for other in samples[1:])
+
+
+def _cat_density_blocks(psi: PureState) -> MixedState:
+    """psi's density as one block on its support, as verify hands it over."""
+    support = np.flatnonzero(psi.amplitudes)
+    amp = psi.amplitudes[support]
+    return MixedState(basis=psi.basis, blocks=[(support, np.outer(amp, amp.conj()))])
+
+
+def _recorded_lindblad(params: SystemParams, rho0: MixedState, times):
+    """lindblad_trajectory's samples, and per chain its d and its vector at
+    each time, as _expm_samples handed them back."""
+    ds, runs = [], []
+    cached, samples = fockspace._cached_chain, fockspace._expm_samples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fockspace, "_cached_chain",
+                      lambda p, b, d: ds.append(d) or cached(p, b, d))
+        patch.setattr(fockspace, "_expm_samples",
+                      lambda *args: runs.append(samples(*args)) or list(runs[-1]))
+        states = lindblad_trajectory(params, rho0, times)
+    return states, list(zip(ds, runs[::2]))  # not the guards
+
+
+def _dense_sample(basis: FockBasis, chains, i: int) -> np.ndarray:
+    """Sample i assembled densely from its chain vectors: zeros, every chain
+    scattered at its flat indices, plus its adjoint, d = 0 blocks halved."""
+    dim, sectors, at = basis.dimension, basis.sectors, np.arange(basis.dimension)
+    rho = np.zeros(dim * dim, dtype=complex)
+    for d, vectors in chains:
+        idx, k = [], d
+        while sum(map(len, idx)) < len(vectors[i]):
+            idx.append((at[sectors[k], None] * dim + at[sectors[k - d]]).ravel())
+            k += 1
+        rho[np.concatenate(idx)] = vectors[i]
+    rho = rho.reshape(dim, dim)
+    rho += rho.conj().T
+    for s in sectors:
+        rho[s, s] *= 0.5
+    return rho
+
+
+@pytest.mark.parametrize("parity", [ParityKind.ODD, ParityKind.EVEN])
+def test_lindblad_samples_are_the_dense_assembly_word_for_word(parity):
+    # each sample's blocks are written from its chain vectors alone; its
+    # dense view must be, as raw words, the matrix assembled at dim x dim.
+    # A dense rho0 and its one-block form give the same samples
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13,
+                          parity=parity)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    psi0 = _cat_state(params, basis)
+    times = [params.time_from_gt(gt) for gt in (0.1, 0.45, 0.45, 1.3)]
+    states, chains = _recorded_lindblad(params, _cat_density_blocks(psi0), times)
+    assert [d for d, _ in chains] == [0, 2, 4, 6, 8, 10]
+    sizes = [161, 125] if parity is ParityKind.EVEN else [161, 203]
+    for i, state in enumerate(states):
+        assert sorted(len(m) for m, _ in state.blocks) == sorted(sizes)
+        np.testing.assert_array_equal(_bits(state.matrix),
+                                      _bits(_dense_sample(basis, chains, i)))
+    for a, b in zip(states, lindblad_trajectory(params, _as_mixed(psi0), times)):
+        np.testing.assert_array_equal(_bits(a.matrix), _bits(b.matrix))
+
+
+def test_lindblad_observables_read_the_block_diagonals(monkeypatch):
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13,
+                          parity=ParityKind.ODD)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    (state,) = lindblad_trajectory(params, _cat_density_blocks(_cat_state(params, basis)),
+                                   [params.time_from_gt(0.7)])
+    diag = np.diag(state.matrix).real
+    expected = [float(basis.occupations[:, j].astype(float) @ diag) for j in range(3)]
+
+    def refused(*args):
+        raise AssertionError("the dense matrix was assembled")
+
+    monkeypatch.setattr(MixedState, "submatrix", refused)
+    monkeypatch.setattr(MixedState, "matrix", property(refused))
+    assert [observable_mean_photon(state, j) for j in range(3)] == expected
+    assert total_excitation(state) == sum(expected)
+    assert min(expected) > 0.0
 
 
 def test_lindblad_is_independent_of_the_global_rng():

@@ -1,10 +1,12 @@
 """Each command imports only what it runs: the closed-form commands load no
 scipy at all, the Fock oracle loads scipy.sparse but no scipy.linalg, and
 no run loads mpmath, which only the tests use as a reference (crmath's
-fixed-point stage decides every argument, however large).
+fixed-point stage decides every argument, however large). The Lindblad
+suite's peak memory grows with its sample count by blocks, not by dense
+samples.
 
 Every case runs in a fresh interpreter, since this process has long since
-imported everything the other tests use.
+imported everything the other tests use (and grown to its size).
 """
 
 import os
@@ -17,16 +19,21 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _run(code: str, cwd: Path) -> str:
+    """What code prints when run in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _modules(code: str, cwd: Path, package: str = "scipy") -> list[str]:
     """The modules of package loaded after code runs in a fresh interpreter."""
     report = ("\nimport sys\nprint(*sorted(m for m in sys.modules"
               f" if m.split('.')[0] == {package!r}))")
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code + report], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1].split()  # below what the code prints
+    return _run(code + report, cwd).splitlines()[-1].split()  # below what the code prints
 
 
 @pytest.mark.parametrize("suite", [
@@ -84,6 +91,23 @@ def test_package_names_are_derived_from_what_it_binds():
         value = getattr(cavshare, name)
         assert not isinstance(value, ModuleType)
         assert value.__module__.startswith("cavshare."), name
+
+
+def _peak_rss_bytes(code: str, cwd: Path) -> int:
+    """ru_maxrss (KiB on Linux) after code runs in a fresh interpreter, in bytes."""
+    report = "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    return 1024 * int(_run(code + report, cwd).splitlines()[-1])
+
+
+def test_lindblad_peak_memory_grows_by_blocks_not_dense_samples(tmp_path):
+    # every sample is held at once, as blocks: an odd cat sample of the
+    # default basis holds 161^2 + 203^2 entries, 1.07 MB (1.11 MB a sample
+    # measured), where a dense 364-state sample would hold 2.1 MB
+    code = ("import math\nfrom cavshare import verify\n"
+            "assert verify.lindblad_suite(n_times={}, gt_max=math.pi / 8)"
+            ".counts() == (2 * {}, 0, 0)")
+    few, many = (_peak_rss_bytes(code.format(n, n), tmp_path) for n in (5, 40))
+    assert (many - few) / 35 < 1.5e6
 
 
 _SWEEP = "from cavshare import cli\nassert cli.main(['--command', 'sweep', {}]) == 0"
