@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,8 +117,10 @@ class FockBasis:
         self.sector_offsets = tuple(offsets)
         self.sectors = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # (couplings, gamma) -> (H_eff blocks, jump blocks, {d: chain generator})
-        self._lindblad_chains: dict[tuple[tuple, float], tuple[list, list, dict]] = {}
+        # (couplings, gamma) -> each sector's Lindblad terms (_sector_terms),
+        # 93 KiB on the default Lindblad basis. No chain generator is kept:
+        # each is built for one chain of one run (3.2 MiB for d = 0 there)
+        self._lindblad_sectors: dict[tuple[tuple, float], list] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis."""
@@ -467,78 +470,125 @@ def evolve_unitary(hamiltonian: SparseHermitian, psi0: PureState, t: float) -> P
     return unitary_trajectory(hamiltonian, psi0, [t])[-1]
 
 
-def _lindblad_blocks(params: SystemParams, basis: FockBasis):
-    """Per-sector blocks of H_eff = H - i(gamma/2) sum_j n_j, and per sector
-    k the blocks of each lowering operator b_j from sector k+1 into k, all
-    in COO form."""
+class _SectorTerms(NamedTuple):
+    """What a chain generator reads of sector k: each off-diagonal entry of
+    H_eff's block H_k (its row, column, place in its CSR row, and 1 if it
+    lies right of the diagonal, else 0) with its value in -i H_k kron I and in
+    I kron i conj(H_l); per row, how many of those entries it has and how
+    many lie left of the diagonal, whether a diagonal entry is stored and
+    its value in either term; and per state and exciton mode j the state of
+    sector k + 1 that raising j gives, where b_j holds sqrt(n_j + 1) (none
+    at the cutoff)."""
+
+    n: int
+    row: np.ndarray
+    col: np.ndarray
+    rank: np.ndarray
+    right: np.ndarray
+    vk: np.ndarray
+    vl: np.ndarray
+    n_off: np.ndarray
+    n_left: np.ndarray
+    diag: np.ndarray
+    dk: np.ndarray
+    dl: np.ndarray
+    up: np.ndarray | None
+    amp: np.ndarray | None
+
+
+def _sector_terms(params: SystemParams, basis: FockBasis) -> list[_SectorTerms]:
+    """The terms of every sector under H_eff = H - i(gamma/2) sum_j n_j and
+    the lowerings b_j, built on first use and kept on the basis per
+    (couplings, gamma), the only parameters they depend on."""
+    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
+    terms = basis._lindblad_sectors.get(key)
+    if terms is not None:
+        return terms
     h_eff = build_hamiltonian(CouplingProfile.from_params(params), basis).to_csr()
     occ = basis.occupations
-    lowerings = []
     if params.decay_rate > 0.0:
         n_excitons = occ[:, 1:].sum(axis=1).astype(float)
         h_eff = h_eff - 0.5j * params.decay_rate * sp.diags(n_excitons)
-        for j in range(1, basis.n_modes):
-            src = np.nonzero(occ[:, j])[0]
-            dst = basis.rank(occ[src] - (np.arange(basis.n_modes) == j))
-            lowerings.append(sp.csr_matrix((np.sqrt(occ[src, j]), (dst, src)),
-                                           shape=h_eff.shape))
-    sectors = basis.sectors
-    jumps = [[b[lo, hi].tocoo() for b in lowerings]
-             for lo, hi in zip(sectors, sectors[1:])]
-    return [h_eff[s, s].tocoo() for s in sectors], jumps
+    raises = np.eye(basis.n_modes, dtype=np.int64)[1:]
+    terms = []
+    for k, s in enumerate(basis.sectors):
+        h = h_eff[s, s]
+        n = h.shape[0]
+        row = np.repeat(np.arange(n), np.diff(h.indptr))
+        rank = np.arange(h.nnz) - h.indptr[row]
+        on = h.indices == row
+        vk, vl = -1j * h.data, 1j * h.data.conj()
+        diag = np.zeros(n, dtype=bool)
+        dk, dl = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        diag[row[on]], dk[row[on]], dl[row[on]] = True, vk[on], vl[on]
+        row, col = row[~on], h.indices[~on]
+        up = amp = None
+        if k < basis.max_total:
+            up = basis.rank(occ[s, None, :] + raises) - basis.sector_offsets[k + 1]
+            amp = np.sqrt(occ[s, 1:] + 1)
+        terms.append(_SectorTerms(
+            n, row, col, rank[~on], (col > row).astype(np.intp), vk[~on], vl[~on],
+            np.bincount(row, minlength=n), np.bincount(row[col < row], minlength=n),
+            diag, dk, dl, up, amp))
+    basis._lindblad_sectors[key] = terms
+    return terms
 
 
-def _kron_entries(a, b, b_shape, row0: int, col0: int):
-    """Rows, columns and values of kron(A, B), offset by (row0, col0), from
-    the (rows, columns, values) a of A and b of B, and the shape of B."""
-    rows = (a[0][:, None] * b_shape[0] + b[0]).ravel() + row0
-    cols = (a[1][:, None] * b_shape[1] + b[1]).ravel() + col0
-    return rows, cols, (a[2][:, None] * b[2]).ravel()
+def _chain_generator(terms: list[_SectorTerms], gamma: float, d: int,
+                     top: int) -> sp.csr_matrix:
+    """Generator on the stacked row-major vecs of rho[k, k-d], k = d..top,
+    from the sector terms. As vec(A X B) = (A kron B^T) vec(X), block
+    (k, l) evolves by -i(H_k kron I - I kron conj(H_l)) and, below top, is
+    fed from (k+1, l+1) by gamma sum_j b_j kron conj(b_j): the chain is
+    block upper bidiagonal.
 
-
-def _chain_generator(h_blocks, jumps, gamma: float, d: int):
-    """Generator on the stacked row-major vecs of rho[k, k-d], k = d..M, up
-    to the cutoff M. As vec(A X B) = (A kron B^T) vec(X), block (k, l)
-    evolves by -i(H_k kron I - I kron conj(H_l)) and is fed from (k+1, l+1)
-    by gamma sum_j b_j kron conj(b_j): the chain is block upper bidiagonal.
-    Every term's entries are listed at their block's offset and summed in
-    one conversion to CSR."""
-    ks = range(d, len(h_blocks))
-    starts = np.cumsum([0] + [h_blocks[k].shape[0] * h_blocks[k - d].shape[0]
-                              for k in ks])
-    entries = []
-    for i, k in enumerate(ks):
-        hk, hl = h_blocks[k], h_blocks[k - d]
-        eye_k, eye_l = ((np.arange(n), np.arange(n), np.ones(n))
-                        for n in (hk.shape[0], hl.shape[0]))
-        at = starts[i]
-        entries.append(_kron_entries((hk.row, hk.col, -1j * hk.data), eye_l,
-                                     hl.shape, at, at))
-        entries.append(_kron_entries(eye_k, (hl.row, hl.col, 1j * hl.data.conj()),
-                                     hl.shape, at, at))
-        if k < len(jumps):  # fed from the sector above
-            for bk, bl in zip(jumps[k], jumps[k - d]):
-                rows, cols, vals = _kron_entries((bk.row, bk.col, bk.data),
-                                                 (bl.row, bl.col, bl.data.conj()),
-                                                 bl.shape, at, starts[i + 1])
-                entries.append((rows, cols, gamma * vals))
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(starts[-1], starts[-1]))
-
-
-def _cached_chain(params: SystemParams, basis: FockBasis, d: int) -> sp.csr_matrix:
-    """The generator of chain d from k = d up to the cutoff, built on first
-    use and kept on the basis per (couplings, gamma), the only parameters it
-    depends on. A chain that stops at an earlier top is its leading
-    principal block."""
-    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
-    entry = basis._lindblad_chains.get(key)
-    if entry is None:
-        entry = basis._lindblad_chains[key] = (*_lindblad_blocks(params, basis), {})
-    h_blocks, jumps, chains = entry
-    if d not in chains:
-        chains[d] = _chain_generator(h_blocks, jumps, params.decay_rate, d)
-    return chains[d]
+    It is written straight into canonical CSR. indptr is counted first;
+    then row (a, b) of block (k, l) takes, in column order, H_k's entries
+    left of a, H_l's left of b, the diagonal (both terms summed where both
+    are stored), H_l's right of b, H_k's right of a, and the feed, whose
+    columns rise with j (raising a lower mode gives an earlier state of
+    sector k + 1). Each word is the one that listing every term's entries
+    and summing them in a conversion to CSR gives, and no list of them is
+    formed."""
+    blocks = []  # (l, first row, diagonal stored, feed count) per block
+    counts, at = [], 0
+    for k in range(d, top + 1):
+        tk, tl = terms[k], terms[k - d]
+        both = tk.diag[:, None] | tl.diag
+        fed = tk.up.shape[1] if gamma > 0.0 and k < top else 0
+        blocks.append((k - d, at, both, fed))
+        counts.append((tk.n_off[:, None] + tl.n_off + both + fed).ravel())
+        at += tk.n * tl.n
+    counts = np.concatenate(counts)
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, at) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(at + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=complex)
+    for l, r0, both, fed in blocks:
+        tk, tl = terms[l + d], terms[l]
+        nk, nl = tk.n, tl.n
+        first = indptr[r0:r0 + nk * nl].reshape(nk, nl)  # each row's first slot
+        # H_k's entries right of a follow H_l's and the diagonal
+        slots = np.stack([first, first + tl.n_off + both - tk.diag[:, None]])
+        pos = slots[tk.right, tk.row] + tk.rank[:, None]
+        indices[pos] = r0 + tk.col[:, None] * nl + np.arange(nl)
+        data[pos] = tk.vk[:, None]
+        left = first + tk.n_left[:, None]  # H_l's entries follow H_k's left of a
+        slots = np.stack([left, left + both - tl.diag])
+        pos = slots[tl.right, :, tl.row] + tl.rank[:, None]
+        indices[pos] = r0 + np.arange(nk) * nl + tl.col[:, None]
+        data[pos] = tl.vl[:, None]
+        pos = (left + tl.n_left)[both]
+        indices[pos] = r0 + np.flatnonzero(both)
+        data[pos] = np.where(tk.diag[:, None] & tl.diag, tk.dk[:, None] + tl.dl,
+                             np.where(tk.diag[:, None], tk.dk[:, None], tl.dl))[both]
+        if fed:  # each row's last slots, from block (k+1, l+1) on
+            pos = indptr[r0 + 1:r0 + 1 + nk * nl].reshape(nk, nl, 1) - fed + np.arange(fed)
+            indices[pos] = r0 + nk * nl + tk.up[:, None] * terms[l + 1].n + tl.up
+            data[pos] = gamma * (tk.amp[:, None] * tl.amp)
+    return sp.csr_matrix((data, indices, indptr), shape=(at, at))
 
 
 def _shifted_norms(a: sp.csr_matrix) -> tuple[complex, float]:
@@ -643,10 +693,11 @@ def _expm_samples(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
 
 def check_lindblad_capacity(basis: FockBasis) -> None:
     """CapacityExceeded for a basis over the Lindblad oracle's 400 states.
-    Densities are held as blocks, but the chain generators grow with the
-    basis (7.2 MiB at 364 states, 50.8 MiB at |alpha|^2 = 1), and this is
-    their only bound. lindblad_trajectory checks it first; a caller may
-    check before it prepares anything."""
+    Densities are held as blocks, and one chain generator is held at a
+    time, but the widest one, d = 0, grows with the basis: 3.2 MiB at 364
+    states (|alpha|^2 = 0.25), 6.7 MiB at 560 (0.4), 17.3 MiB at 969 (1.0).
+    This is its only bound. lindblad_trajectory checks it first; a caller
+    may check before it prepares anything."""
     if basis.dimension > _LINDBLAD_CAPACITY:
         raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
 
@@ -665,9 +716,10 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     has passed. Each sample is then assembled, as one block per class of
     sectors that the populated chains join (a cat's even and odd sectors),
     from its chain vectors alone: the d < 0 entries as adjoints and the
-    d = 0 ones halved, and no array of dim^2 entries is formed. The chain
-    generators are built once per basis, couplings and gamma, and reused by
-    every later call on that basis (both cat parities, say).
+    d = 0 ones halved, and no array of dim^2 entries is formed. Each chain's
+    generator is built just before the chain is propagated, only up to that
+    chain's top, and let go before the next one is built, so at most one is
+    alive; only the sector terms they are built from stay on the basis.
     """
     basis = rho0.basis
     check_lindblad_capacity(basis)
@@ -683,18 +735,18 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     end = times[-1] if len(times) else 0.0
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
     guard = [end] if n_spans > 1 else [0.5 * end, end]
+    terms = _sector_terms(params, basis)
     chains = []  # (d, top, vector at each time) per populated chain
     drift = 0.0
     for d in np.flatnonzero(tops >= 0).tolist():
         top = int(tops[d])
         v0 = np.concatenate([rho0.submatrix(ranges[k], ranges[k - d]).ravel()
                              for k in range(d, top + 1)])
-        generator = _cached_chain(params, basis, d)
-        if len(v0) < generator.shape[0]:  # the chain stops below the cutoff
-            generator = generator[:len(v0), :len(v0)]
+        generator = _chain_generator(terms, params.decay_rate, d, top)
         norms = _shifted_norms(generator)
         vectors = _expm_samples(generator, norms, v0, times)
         check = _expm_samples(generator, norms, v0, guard)[-1]
+        del generator  # before the next chain's is built
         drift = max(drift, float(np.max(np.abs(check - (vectors or [v0])[-1]))))
         chains.append((d, top, vectors))
     if drift > _DRIFT_TOL:

@@ -3,6 +3,7 @@ state preparation, unitary and lossy propagation, pair reduction."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1201,7 +1202,7 @@ def test_lindblad_matches_dense_expm_of_full_generator():
 
 
 def test_lindblad_chain_cache_is_keyed_by_gamma_and_couplings():
-    # a later run on the same basis must not reuse generators built for
+    # a later run on the same basis must not reuse sector terms built for
     # another gamma or coupling
     weights = [1.0, 0.6 + 0.3j, 0.2, 0.1j]
     times = [0.0, 0.4, 1.3]
@@ -1218,24 +1219,118 @@ def test_lindblad_chain_cache_is_keyed_by_gamma_and_couplings():
             assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_cached_chain_leading_block_is_the_chain_to_its_top():
-    # a state whose chain stops below the cutoff propagates on the leading
-    # principal block of the cached chain: the same matrix, entry order and
-    # all, as raw words, that the chain on a basis cut off at that top is
-    params = SystemParams(n_crystallites=2, decay_rate=0.3)
-    basis = build_basis(3, 4)
-    compared = 0
-    for d in range(basis.max_total + 1):
-        full = fockspace._cached_chain(params, basis, d)
-        for top in range(max(d, 1), basis.max_total + 1):  # a cutoff is >= 1
-            blocks = fockspace._lindblad_blocks(params, build_basis(3, top))
-            own = fockspace._chain_generator(*blocks, 0.3, d)
-            block = full[:own.shape[0], :own.shape[0]]
+def _coo_blocks(params: SystemParams, basis: FockBasis):
+    """Per-sector COO blocks of H_eff = H - i(gamma/2) sum_j n_j, and per
+    sector k the blocks of each lowering operator b_j from sector k+1 into
+    k: the inputs of the COO reference below."""
+    h_eff = build_hamiltonian(CouplingProfile.from_params(params), basis).to_csr()
+    occ = basis.occupations
+    lowerings = []
+    if params.decay_rate > 0.0:
+        n_excitons = occ[:, 1:].sum(axis=1).astype(float)
+        h_eff = h_eff - 0.5j * params.decay_rate * sp.diags(n_excitons)
+        for j in range(1, basis.n_modes):
+            src = np.nonzero(occ[:, j])[0]
+            dst = basis.rank(occ[src] - (np.arange(basis.n_modes) == j))
+            lowerings.append(sp.csr_matrix((np.sqrt(occ[src, j]), (dst, src)),
+                                           shape=h_eff.shape))
+    sectors = basis.sectors
+    jumps = [[b[lo, hi].tocoo() for b in lowerings]
+             for lo, hi in zip(sectors, sectors[1:])]
+    return [h_eff[s, s].tocoo() for s in sectors], jumps
+
+
+def _kron_entries(a, b, b_shape, row0: int, col0: int):
+    """Rows, columns and values of kron(A, B), offset by (row0, col0), from
+    the (rows, columns, values) a of A and b of B, and the shape of B."""
+    rows = (a[0][:, None] * b_shape[0] + b[0]).ravel() + row0
+    cols = (a[1][:, None] * b_shape[1] + b[1]).ravel() + col0
+    return rows, cols, (a[2][:, None] * b[2]).ravel()
+
+
+def _coo_chain(h_blocks, jumps, gamma: float, d: int) -> sp.csr_matrix:
+    """Chain d up to the cutoff as the COO assembly built it: every
+    Kronecker term's entries listed at its block's offset and summed in one
+    conversion to CSR. A chain that stops at an earlier top was run on its
+    leading principal block."""
+    ks = range(d, len(h_blocks))
+    starts = np.cumsum([0] + [h_blocks[k].shape[0] * h_blocks[k - d].shape[0]
+                              for k in ks])
+    entries = []
+    for i, k in enumerate(ks):
+        hk, hl = h_blocks[k], h_blocks[k - d]
+        eye_k, eye_l = ((np.arange(n), np.arange(n), np.ones(n))
+                        for n in (hk.shape[0], hl.shape[0]))
+        at = starts[i]
+        entries.append(_kron_entries((hk.row, hk.col, -1j * hk.data), eye_l,
+                                     hl.shape, at, at))
+        entries.append(_kron_entries(eye_k, (hl.row, hl.col, 1j * hl.data.conj()),
+                                     hl.shape, at, at))
+        if k < len(jumps):  # fed from the sector above
+            for bk, bl in zip(jumps[k], jumps[k - d]):
+                rows, cols, vals = _kron_entries((bk.row, bk.col, bk.data),
+                                                 (bl.row, bl.col, bl.data.conj()),
+                                                 bl.shape, at, starts[i + 1])
+                entries.append((rows, cols, gamma * vals))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(starts[-1], starts[-1]))
+
+
+def _chain(params: SystemParams, basis: FockBasis, d: int, top: int | None = None):
+    """Chain d of this basis up to top (the cutoff by default), as
+    lindblad_trajectory builds it."""
+    top = basis.max_total if top is None else top
+    return fockspace._chain_generator(fockspace._sector_terms(params, basis),
+                                      params.decay_rate, d, top)
+
+
+@pytest.mark.parametrize("params,max_total,compared", [
+    (SystemParams(n_crystallites=2, decay_rate=0.3), 4, 15),
+    (SystemParams(n_crystallites=2, decay_rate=0.0), 4, 15),
+    (SystemParams(n_crystallites=3, coupling=1.3, decay_rate=0.2), 3, 10),
+    (SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13),
+     minimum_truncation(0.25, margin=2), 78),
+], ids=["basis_3_4", "basis_3_4_lossless", "basis_4_3", "default_lindblad_basis"])
+def test_chain_generator_is_the_coo_assembly_word_for_word(params, max_total, compared):
+    # every chain d to every top, written straight into CSR, is the COO
+    # assembly's chain to the cutoff cut to its leading block at that top:
+    # indptr, indices and data as raw words, and the index types
+    basis = build_basis(params.n_crystallites + 1, max_total)
+    h_blocks, jumps = _coo_blocks(params, basis)
+    sizes = np.diff(basis.sector_offsets)
+    count = 0
+    for d in range(max_total + 1):
+        full = _coo_chain(h_blocks, jumps, params.decay_rate, d)
+        for top in range(d, max_total + 1):
+            own = _chain(params, basis, d, top)
+            n = int(sizes[d:top + 1] @ sizes[:top + 1 - d])  # rho[k, k-d], k <= top
+            ref = full[:n, :n]
+            assert own.shape == (n, n)
             for attr in ("indptr", "indices"):
-                assert np.array_equal(getattr(block, attr), getattr(own, attr))
-            assert np.array_equal(block.data.view(np.int64), own.data.view(np.int64))
-            compared += 1
-    assert compared == 14
+                mine, theirs = getattr(own, attr), getattr(ref, attr)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            assert np.array_equal(own.data.view(np.int64), ref.data.view(np.int64))
+            count += 1
+    assert count == compared
+
+
+def test_chain_generator_build_peaks_below_twice_what_it_keeps():
+    # the default suite's widest chain, d = 0 to the cutoff, keeps 3.18 MiB
+    # of CSR. Its build peaked at 15.8 MiB through the COO entry lists;
+    # written straight into CSR it peaks at 4.0 MiB, the result included
+    params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
+    basis = build_basis(3, minimum_truncation(0.25, margin=2))
+    terms = fockspace._sector_terms(params, basis)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        generator = fockspace._chain_generator(terms, 0.13, 0, basis.max_total)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (generator.data, generator.indices, generator.indptr))
+    assert kept == pytest.approx(3.18 * 2 ** 20, rel=1e-3)
+    assert peak < 2 * kept
 
 
 @pytest.mark.parametrize("max_total", [1, 2, 3, 4])
@@ -1247,14 +1342,13 @@ def test_chain_generator_is_the_liouvillian_on_its_chain(max_total):
     params = SystemParams(n_crystallites=2, decay_rate=0.3)
     basis = build_basis(3, max_total)
     liouvillian = _dense_lindblad_generator(params, basis)
-    h_blocks, jumps = fockspace._lindblad_blocks(params, basis)
     at = np.arange(basis.dimension)
     sectors = basis.sectors
     for d in range(max_total + 1):
         idx = np.concatenate([
             (at[sectors[k], None] * basis.dimension + at[sectors[k - d]]).ravel()
             for k in range(d, max_total + 1)])
-        own = fockspace._chain_generator(h_blocks, jumps, 0.3, d)
+        own = _chain(params, basis, d)
         np.testing.assert_allclose(own.toarray(), liouvillian[np.ix_(idx, idx)],
                                    rtol=0, atol=1e-15)
 
@@ -1267,7 +1361,7 @@ def test_expm_step_agrees_with_scipy_on_a_chain():
     # vector whose image peaks at 0.02; the bounds are ten times that
     params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
-    generator = fockspace._cached_chain(params, basis, 1)
+    generator = _chain(params, basis, 1)
     norms = fockspace._shifted_norms(generator)
     rng = np.random.default_rng(7)
     v = rng.normal(size=generator.shape[0]) + 1j * rng.normal(size=generator.shape[0])
@@ -1376,10 +1470,10 @@ def _recorded_lindblad(params: SystemParams, rho0: MixedState, times):
     """lindblad_trajectory's samples, and per chain its d and its vector at
     each time, as _expm_samples handed them back."""
     ds, runs = [], []
-    cached, samples = fockspace._cached_chain, fockspace._expm_samples
+    build, samples = fockspace._chain_generator, fockspace._expm_samples
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fockspace, "_cached_chain",
-                      lambda p, b, d: ds.append(d) or cached(p, b, d))
+        patch.setattr(fockspace, "_chain_generator",
+                      lambda terms, gamma, d, top: ds.append(d) or build(terms, gamma, d, top))
         patch.setattr(fockspace, "_expm_samples",
                       lambda *args: runs.append(samples(*args)) or list(runs[-1]))
         states = lindblad_trajectory(params, rho0, times)
@@ -1514,8 +1608,9 @@ def test_lindblad_refuses_non_finite_times(bad, monkeypatch):
     params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     rho0 = _as_mixed(_cat_state(params, basis))
-    # refused before any chain is built or stepped
-    monkeypatch.setattr(fockspace, "_cached_chain", None)
+    # refused before any sector term or chain is built, or any chain stepped
+    for name in ("_sector_terms", "_chain_generator", "_expm_samples"):
+        monkeypatch.setattr(fockspace, name, None)
     for times in ([bad], [0.1, bad]):
         with pytest.raises(InvalidParameter) as info:
             lindblad_trajectory(params, rho0, times)
