@@ -8,8 +8,6 @@ command-line driver.
 from types import ModuleType as _ModuleType
 
 from .analytic import (
-    NumberBasis,
-    TildeBasis,
     cat_qubit_basis,
     cavity_overlap,
     coherent_concurrence,
@@ -49,10 +47,12 @@ from .model import (
     Cat,
     Coherent,
     CouplingProfile,
+    NumberBasis,
     PairIndex,
     ParityKind,
     SinglePhoton,
     SystemParams,
+    TildeBasis,
 )
 from .optimize import OptimumReport, lambert_w0, optimal_intensity, threshold_intensity
 

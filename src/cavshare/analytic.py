@@ -26,23 +26,13 @@ from .model import (
     DEGENERACY_THRESHOLD,
     Cat,
     CouplingProfile,
+    NumberBasis,
     PairIndex,
     ParityKind,
     SinglePhoton,
     SystemParams,
+    TildeBasis,
 )
-
-
-@dataclass(frozen=True)
-class NumberBasis:
-    """Qubit basis: mode occupation restricted to {0, 1}."""
-
-
-@dataclass(frozen=True)
-class TildeBasis:
-    """Qubit basis spanned by the even/odd cat states of amplitude mu."""
-
-    mu: complex
 
 
 @dataclass(frozen=True)

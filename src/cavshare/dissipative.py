@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import crmath
-from .analytic import TildeBasis, _cat_pair_density, cat_ratio
+from .analytic import _cat_pair_density, cat_ratio
 from .entanglement import TwoQubitDensity
 from .errors import OverdampedRegime
-from .model import SystemParams
+from .model import SystemParams, TildeBasis
 
 
 @dataclass(frozen=True)

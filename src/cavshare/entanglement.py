@@ -55,15 +55,15 @@ def coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
 
 
 def check_blocks(parts, trace, tol: float) -> None:
-    """The package's one density-matrix validator. parts are the square
-    blocks of one matrix, every entry between or outside them zero (a
-    MixedState's), or a single matrix or (S, d, d) stack as one part; trace
-    is the whole matrix's (or each matrix's) trace. Each part must be Hermitian within
-    tol/100 by modulus and have no eigenvalue below -tol, and each trace
-    must be real within tol of 1, or NotADensityMatrix is raised. The
-    Hermitian check runs on every part, then the trace, then the shifted
-    Cholesky on every part; matrices of one size go as one stack. Every
-    check is a `not (... <= ...)`, so a NaN anywhere fails it.
+    """The package's one density-matrix validator. parts, a sequence read
+    twice, are the square blocks of one matrix, every entry between or
+    outside them zero (a MixedState's), or a single matrix or (S, d, d)
+    stack as one part; trace is the whole matrix's (or each matrix's)
+    trace. Each part must be Hermitian within tol/100 by modulus and have
+    no eigenvalue below -tol, and each trace must be real within tol of 1,
+    or NotADensityMatrix is raised. The Hermitian check runs on every part,
+    then the trace, then the shifted Cholesky on every part, each part as
+    given. Every check is a `not (... <= ...)`, so a NaN anywhere fails it.
 
     A matrix is Hermitian exactly when each block is, and mat + tol I
     (tol > 0) is positive definite exactly when each block plus tol I is:
@@ -71,11 +71,6 @@ def check_blocks(parts, trace, tol: float) -> None:
     and message as the whole matrix, up to a pivot within rounding of -tol,
     at the cost of the blocks. A NaN or Inf entry is nonzero, so it sits in
     a coupled block and fails its Hermitian check there."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for part in parts:
-        by_size.setdefault(part.shape[-1], []).append(part)
-    parts = [group[0] if len(group) == 1 else np.stack(group)
-             for group in by_size.values()]
     for part in parts:
         # max |part - part^H|^2 over two real temporaries, its real and
         # imaginary parts squared in place
@@ -116,7 +111,7 @@ class TwoQubitDensity:
     or a (S, 4, 4) stack of them with a tuple of S tags.
 
     entries is a read-only copy: the caller's array stays its own.
-    basis_tag is an analytic.NumberBasis or analytic.TildeBasis.
+    basis_tag is a model.NumberBasis or model.TildeBasis.
     """
 
     entries: np.ndarray

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import NumberBasis, TildeBasis
 from .entanglement import TwoQubitDensity, check_blocks, coupled_blocks
 from .errors import (
     CapacityExceeded,
@@ -33,10 +32,12 @@ from .model import (
     Cat,
     Coherent,
     CouplingProfile,
+    NumberBasis,
     PairIndex,
     ParityKind,
     SinglePhoton,
     SystemParams,
+    TildeBasis,
 )
 
 _TAIL_BOUND = 1e-12
@@ -117,10 +118,6 @@ class FockBasis:
         self.sector_offsets = tuple(offsets)
         self.sectors = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
         self._pair_plans: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        # (couplings, gamma) -> each sector's Lindblad terms (_sector_terms),
-        # 93 KiB on the default Lindblad basis. No chain generator is kept:
-        # each is built for one chain of one run (3.2 MiB for d = 0 there)
-        self._lindblad_sectors: dict[tuple[tuple, float], list] = {}
 
     def rank(self, occ) -> np.ndarray:
         """Basis index of each occupation vector along the last axis."""
@@ -201,57 +198,44 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class MixedState:
     """A validated density matrix on a FockBasis, held as blocks: blocks is
     a tuple of (members, block) pairs, members distinct basis indices and
     block the dense rho[members, members], both read-only, and every entry
     between two blocks or outside them is zero.
 
-    MixedState(matrix, basis) takes the coupled blocks of a dense (d, d)
-    matrix (entanglement.coupled_blocks); MixedState(basis=basis,
-    blocks=...) takes disjoint blocks as given, coupled or not, so no array
-    of d^2 entries need exist. Either way the blocks are checked by
-    check_blocks at tol = 1e-8, with the verdict and message the dense
-    matrix would get, and a writeable array of the caller's is copied
+    MixedState(basis=basis, blocks=...) takes disjoint blocks as given,
+    coupled or not, so no array of d^2 entries need exist. The blocks are
+    checked by check_blocks at tol = 1e-8, with the verdict and message the
+    dense matrix would get, and a writeable array of the caller's is copied
     first. The dense matrix is assembled only when .matrix is read.
     """
 
     basis: FockBasis
     blocks: tuple
 
-    def __init__(self, matrix=None, basis: FockBasis | None = None, *, blocks=None):
-        if not isinstance(basis, FockBasis) or (matrix is None) == (blocks is None):
-            raise TypeError("MixedState takes a basis and a matrix or its blocks")
-        d = basis.dimension
-        if matrix is not None:
-            mat = np.asarray(matrix, dtype=complex)
-            if mat.shape != (d, d):
-                raise DimensionMismatch(f"matrix shape {mat.shape} vs basis dimension {d}")
-            blocks = [(idx, mat[np.ix_(idx, idx)]) for idx in coupled_blocks(mat)]
-        owner = np.full(d, -1)  # each index's block, and its place in it
-        place = np.zeros(d, dtype=np.int64)
+    def __post_init__(self) -> None:
+        if not isinstance(self.basis, FockBasis):
+            raise TypeError("MixedState takes a FockBasis")
+        d = self.basis.dimension
+        taken = np.zeros(d, dtype=bool)
         kept = []
-        for b, pair in enumerate(blocks):
+        for pair in self.blocks:
             members, block = np.asarray(pair[0]), np.asarray(pair[1], dtype=complex)
             if members.ndim != 1 or block.shape != (len(members),) * 2:
                 raise DimensionMismatch(f"block shape {block.shape} vs "
                                         f"{members.shape} indices")
             if (members.dtype.kind not in "iu" or not ((0 <= members) & (members < d)).all()
-                    or (owner[members] >= 0).any()
-                    or len(np.unique(members)) < len(members)):
+                    or taken[members].any() or len(np.unique(members)) < len(members)):
                 raise InvalidParameter("blocks", "indices must be distinct basis indices")
-            owner[members] = b
-            place[members] = np.arange(len(members))
-            if matrix is None:  # the caller's arrays stay their own
-                members, block = (a.copy() if a.flags.writeable else a
-                                  for a in (members, block))
+            taken[members] = True
+            # the caller's arrays stay their own
+            members, block = (a.copy() if a.flags.writeable else a for a in (members, block))
             members.setflags(write=False)
             block.setflags(write=False)
             kept.append((members, block))
-        for name, value in (("basis", basis), ("blocks", tuple(kept)),
-                            ("_owner", owner), ("_place", place)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "blocks", tuple(kept))
         check_blocks([block for _, block in kept], self.diagonal().sum(), 1e-8)
 
     def diagonal(self) -> np.ndarray:
@@ -261,20 +245,12 @@ class MixedState:
             diag[members] = block.diagonal()
         return diag
 
-    def submatrix(self, rows, cols) -> np.ndarray:
-        """rho[rows][:, cols] as a new dense array, read off the blocks."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        out = np.zeros((len(rows), len(cols)), dtype=complex)
-        for b, (_, block) in enumerate(self.blocks):
-            r, c = np.flatnonzero(self._owner[rows] == b), np.flatnonzero(self._owner[cols] == b)
-            out[np.ix_(r, c)] = block[np.ix_(self._place[rows[r]], self._place[cols[c]])]
-        return out
-
     @property
     def matrix(self) -> np.ndarray:
         """The dense (d, d) matrix, assembled afresh and read-only."""
-        every = np.arange(self.basis.dimension)
-        mat = self.submatrix(every, every)
+        mat = np.zeros((self.basis.dimension,) * 2, dtype=complex)
+        for members, block in self.blocks:
+            mat[np.ix_(members, members)] = block
         mat.setflags(write=False)
         return mat
 
@@ -498,12 +474,8 @@ class _SectorTerms(NamedTuple):
 
 def _sector_terms(params: SystemParams, basis: FockBasis) -> list[_SectorTerms]:
     """The terms of every sector under H_eff = H - i(gamma/2) sum_j n_j and
-    the lowerings b_j, built on first use and kept on the basis per
-    (couplings, gamma), the only parameters they depend on."""
-    key = (CouplingProfile.from_params(params).couplings, params.decay_rate)
-    terms = basis._lindblad_sectors.get(key)
-    if terms is not None:
-        return terms
+    the lowerings b_j, built afresh for each trajectory (1.7 ms on the
+    default Lindblad basis)."""
     h_eff = build_hamiltonian(CouplingProfile.from_params(params), basis).to_csr()
     occ = basis.occupations
     if params.decay_rate > 0.0:
@@ -530,7 +502,6 @@ def _sector_terms(params: SystemParams, basis: FockBasis) -> list[_SectorTerms]:
             n, row, col, rank[~on], (col > row).astype(np.intp), vk[~on], vl[~on],
             np.bincount(row, minlength=n), np.bincount(row[col < row], minlength=n),
             diag, dk, dl, up, amp))
-    basis._lindblad_sectors[key] = terms
     return terms
 
 
@@ -709,8 +680,9 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
 
     The generator conserves d = k - l, the row minus column sector excitation
     (loss moves block (k+1, l+1) into (k, l)). Each chain rho[k, k-d], d >= 0,
-    that rho0 populates (read off its blocks) is propagated exactly between
-    samples, one chain at a time, and checked by its guard: its last sample,
+    that rho0 populates is read off rho0's blocks, each entry with k >= l
+    scattered into its chain, and is propagated exactly between samples,
+    one chain at a time, and checked by its guard: its last sample,
     recomputed from rho0 in one span (two halves after a one-span run), must
     agree within 1e-8. Only the chain vectors are kept until every chain
     has passed. Each sample is then assembled, as one block per class of
@@ -719,7 +691,7 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     d = 0 ones halved, and no array of dim^2 entries is formed. Each chain's
     generator is built just before the chain is propagated, only up to that
     chain's top, and let go before the next one is built, so at most one is
-    alive; only the sector terms they are built from stay on the basis.
+    alive; the sector terms they are built from are built once per call.
     """
     basis = rho0.basis
     check_lindblad_capacity(basis)
@@ -727,11 +699,17 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
             b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be finite, nonnegative and ascending")
     ranges = [np.arange(s.start, s.stop) for s in basis.sectors]
-    sector_of = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
-    tops = np.full(len(ranges), -1)  # chain d's highest k with rho0[k, k-d] nonzero
+    sizes = np.diff(basis.sector_offsets)
+    sector_of = np.repeat(np.arange(len(sizes)), sizes)
+    place = np.arange(basis.dimension) - np.asarray(basis.sector_offsets)[sector_of]
+    tops = np.full(len(sizes), -1)  # chain d's highest k with rho0[k, k-d] nonzero
+    entries = []  # per block, its entries with k >= l: d, k, place in rho[k, l], value
     for members, block in rho0.blocks:
-        k, l = (sector_of[members[i]] for i in np.nonzero(block))
-        np.maximum.at(tops, (k - l)[k >= l], k[k >= l])
+        i, j = np.nonzero(sector_of[members, None] >= sector_of[members])
+        k, l = sector_of[members[i]], sector_of[members[j]]
+        value = block[i, j]
+        np.maximum.at(tops, (k - l)[value != 0], k[value != 0])
+        entries.append((k - l, k, place[members[i]] * sizes[l] + place[members[j]], value))
     end = times[-1] if len(times) else 0.0
     n_spans = sum(b > a for a, b in zip([0.0, *times], times))
     guard = [end] if n_spans > 1 else [0.5 * end, end]
@@ -740,8 +718,12 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     drift = 0.0
     for d in np.flatnonzero(tops >= 0).tolist():
         top = int(tops[d])
-        v0 = np.concatenate([rho0.submatrix(ranges[k], ranges[k - d]).ravel()
-                             for k in range(d, top + 1)])
+        # where rho[k, k - d] opens in the chain vector, k = d..top
+        starts = np.concatenate([[0], np.cumsum(sizes[d:top + 1] * sizes[:top + 1 - d])])
+        v0 = np.zeros(starts[-1], dtype=complex)
+        for chain, k, at, value in entries:
+            on = (chain == d) & (k <= top)
+            v0[starts[k[on] - d] + at[on]] = value[on]
         generator = _chain_generator(terms, params.decay_rate, d, top)
         norms = _shifted_norms(generator)
         vectors = _expm_samples(generator, norms, v0, times)
@@ -858,15 +840,17 @@ def reduce_to_qubit_pair(states, pairs, qubit_bases):
                 phi = kets[lo:lo + chunk].conj().transpose(0, 2, 1) @ psi[:len(members)]
                 pair_mats[lo:lo + chunk] = phi @ phi.conj().transpose(0, 2, 1)
     else:
-        # only entries between states of one group survive the partial trace
-        for pair_mats, (pocc, group, n_groups) in zip(mats, plans):
-            order = np.argsort(group, kind="stable")
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
+        # only entries between states of one group survive the partial
+        # trace, and only those within one block are nonzero: one product
+        # per block and group, over that block's members of the group
+        for pair_mats, (pocc, group, _) in zip(mats, plans):
             for mat, i, q in zip(pair_mats, kept, kets[:, pocc]):
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    members = order[lo:hi]
-                    qg = q[members]
-                    mat += qg.conj().T @ states[i].submatrix(members, members) @ qg
+                for members, block in states[i].blocks:
+                    g = group[members]
+                    order = np.argsort(g, kind="stable")
+                    for idx in np.split(order, np.flatnonzero(np.diff(g[order])) + 1):
+                        qg = q[members[idx]]
+                        mat += qg.conj().T @ block[np.ix_(idx, idx)] @ qg
     mats = mats.reshape(-1, 4, 4)
     captured = mats.trace(axis1=1, axis2=2).real
     leak = 1.0 - captured

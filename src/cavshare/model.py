@@ -152,3 +152,15 @@ class Cat:
 
     parity: ParityKind
     alpha: complex | None = None
+
+
+@dataclass(frozen=True)
+class NumberBasis:
+    """Qubit basis: mode occupation restricted to {0, 1}."""
+
+
+@dataclass(frozen=True)
+class TildeBasis:
+    """Qubit basis spanned by the even/odd cat states of amplitude mu."""
+
+    mu: complex

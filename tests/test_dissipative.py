@@ -187,9 +187,9 @@ def test_closed_form_matches_master_equation():
     p = _params(n=2, x=0.25, parity=ParityKind.ODD)
     basis = build_basis(3, minimum_truncation(0.25, margin=2))
     psi0 = prepare_initial(Cat(p.parity, alpha=p.alpha), basis)
-    rho0 = MixedState(
-        matrix=np.outer(psi0.amplitudes, psi0.amplitudes.conj()), basis=basis
-    )
+    support = np.flatnonzero(psi0.amplitudes)  # psi0's density as one block there
+    amp = psi0.amplitudes[support]
+    rho0 = MixedState(basis=basis, blocks=[(support, np.outer(amp, amp.conj()))])
     gt = 1.0
     states = lindblad_trajectory(p, rho0, [0.0, p.time_from_gt(gt)])
     amps = damped_amplitudes(p, gt)

@@ -62,10 +62,15 @@ def _cat_state(params: SystemParams, basis: FockBasis) -> PureState:
     return prepare_initial(Cat(params.parity, alpha=params.alpha), basis)
 
 
+def _dense_mixed(matrix, basis: FockBasis) -> MixedState:
+    """A dense (d, d) matrix as a MixedState on its coupled blocks."""
+    mat = np.asarray(matrix, dtype=complex)
+    return MixedState(basis=basis,
+                      blocks=[(idx, mat[np.ix_(idx, idx)]) for idx in coupled_blocks(mat)])
+
+
 def _as_mixed(psi: PureState) -> MixedState:
-    return MixedState(
-        matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()), basis=psi.basis
-    )
+    return _dense_mixed(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.basis)
 
 
 def _index(basis: FockBasis) -> dict[tuple[int, ...], int]:
@@ -300,15 +305,15 @@ def test_pure_state_refuses_nan():
 def test_mixed_state_validation():
     basis = build_basis(2, 1)
     eye = np.eye(3, dtype=complex) / 3.0
-    MixedState(matrix=eye, basis=basis)
+    _dense_mixed(eye, basis)
     skew = eye.copy()
     skew[0, 1] = 0.2
     with pytest.raises(InvalidParameter):
-        MixedState(matrix=skew, basis=basis)
+        _dense_mixed(skew, basis)
     with pytest.raises(InvalidParameter):
-        MixedState(matrix=2.0 * eye, basis=basis)
+        _dense_mixed(2.0 * eye, basis)
     with pytest.raises(InvalidParameter):
-        MixedState(matrix=np.diag([1.1, -0.1, 0.0]).astype(complex), basis=basis)
+        _dense_mixed(np.diag([1.1, -0.1, 0.0]).astype(complex), basis)
 
 
 @pytest.mark.parametrize("diagonal, accepts", [
@@ -319,12 +324,12 @@ def test_mixed_state_leaves_the_callers_matrix_unchanged(diagonal, accepts):
     mat[0, 1], mat[1, 0] = 0.1 + 0.05j, 0.1 - 0.05j
     before = mat.copy()
     if accepts:
-        state = MixedState(mat, build_basis(2, 1))
+        state = _dense_mixed(mat, build_basis(2, 1))
         assert not state.matrix.flags.writeable
         assert not np.shares_memory(state.matrix, mat)
     else:
         with pytest.raises(InvalidParameter, match="negative eigenvalue"):
-            MixedState(mat, build_basis(2, 1))
+            _dense_mixed(mat, build_basis(2, 1))
     assert mat.tobytes() == before.tobytes()
     assert mat.flags.writeable
 
@@ -351,10 +356,10 @@ def test_mixed_state_hermitian_check_is_sharp(skew, accepts):
     mat = np.eye(3, dtype=complex) / 3.0
     mat[0, 1] = skew
     if accepts:
-        MixedState(mat, basis)
+        _dense_mixed(mat, basis)
     else:
         with pytest.raises(InvalidParameter, match="not Hermitian"):
-            MixedState(mat, basis)
+            _dense_mixed(mat, basis)
 
 
 def _with_lowest_eigenvalue(dim: int, lowest: float, seed: int) -> np.ndarray:
@@ -369,7 +374,7 @@ def _with_lowest_eigenvalue(dim: int, lowest: float, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("tol, dims, build", [
-    (1e-8, (3, 13), lambda mat: MixedState(mat, build_basis(len(mat) - 1, 1))),
+    (1e-8, (3, 13), lambda mat: _dense_mixed(mat, build_basis(len(mat) - 1, 1))),
     (1e-10, (4, 4), lambda mat: TwoQubitDensity(mat, NumberBasis())),
 ], ids=["MixedState", "TwoQubitDensity"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -425,7 +430,7 @@ def _verdict(build) -> str | None:
 def _verdicts(mat: np.ndarray) -> tuple[str | None, str | None]:
     """The verdicts on mat as a MixedState, checked on its coupled blocks,
     and as a stack of one, checked whole."""
-    return (_verdict(lambda: MixedState(mat, build_basis(len(mat) - 1, 1))),
+    return (_verdict(lambda: _dense_mixed(mat, build_basis(len(mat) - 1, 1))),
             _verdict(lambda: check_density(mat[None], 1e-8)))
 
 
@@ -480,7 +485,7 @@ def test_mixed_state_refuses_nan():
         mat = np.eye(3, dtype=complex) / 3.0
         mat[1, 1] = bad
         with pytest.raises(InvalidParameter):
-            MixedState(matrix=mat, basis=basis)
+            _dense_mixed(mat, basis)
 
 
 def _blocks_of(mat: np.ndarray, index_sets) -> list:
@@ -498,7 +503,7 @@ def test_block_form_meets_the_dense_verdict():
         base[np.ix_(idx, idx)] = 0.5 * _with_lowest_eigenvalue(len(idx), 0.05, 40 + i)
     state = MixedState(basis=basis, blocks=_blocks_of(base, classes))
     assert np.array_equal(_bits(state.matrix), _bits(base))
-    assert [list(m) for m, _ in MixedState(base, basis).blocks] == [[0, 3, 5, 7], [1, 4, 8]]
+    assert [list(m) for m, _ in _dense_mixed(base, basis).blocks] == [[0, 3, 5, 7], [1, 4, 8]]
     negative = base.copy()
     negative[np.ix_(classes[1], classes[1])] = 0.5 * _with_lowest_eigenvalue(3, -2.02e-8, 7)
     trace = base.copy()
@@ -512,7 +517,7 @@ def test_block_form_meets_the_dense_verdict():
                          (skew, "not Hermitian within 1e-10"),
                          (nan, "not Hermitian within 1e-10")):
         verdicts = []
-        for build in (lambda: MixedState(mat, basis),
+        for build in (lambda: _dense_mixed(mat, basis),
                       lambda: MixedState(basis=basis, blocks=_blocks_of(mat, classes))):
             with pytest.raises(NotADensityMatrix) as info:
                 build()
@@ -530,8 +535,11 @@ def test_block_form_refuses_blocks_that_are_not_disjoint_basis_indices():
             MixedState(basis=basis, blocks=blocks)
     with pytest.raises(DimensionMismatch):
         MixedState(basis=basis, blocks=[([0, 1, 2], half)])
-    for args, kwargs in (((np.eye(3) / 3.0, basis), {"blocks": [([0], np.eye(1))]}),
-                         ((None, basis), {}), ((np.eye(3) / 3.0, None), {})):
+    # built only by keyword, on a FockBasis, from blocks
+    one = [([0], np.eye(1))]
+    for args, kwargs in (((basis, one), {}), ((), {"basis": None, "blocks": one}),
+                         ((), {"basis": basis}), ((), {"matrix": np.eye(3) / 3.0,
+                                                       "basis": basis})):
         with pytest.raises(TypeError):
             MixedState(*args, **kwargs)
     # given blocks are copied if writeable, taken as they are if not
@@ -772,7 +780,7 @@ def test_pair_reduction_refuses_negative_weight_instead_of_clamping():
     diag = np.zeros(basis.dimension)
     diag[basis.rank([0, 0, 0])] = 1.0 + 5e-9
     diag[basis.rank([0, 1, 0])] = -5e-9
-    rho = MixedState(np.diag(diag).astype(complex), basis)
+    rho = _dense_mixed(np.diag(diag).astype(complex), basis)
     with pytest.raises(NotADensityMatrix):
         reduce_to_qubit_pair([rho], PairIndex(1, 2), [NumberBasis()])
 
@@ -807,7 +815,7 @@ def _cat_kets(mu: complex, span: int) -> np.ndarray:
 
 def _mix(states: list[PureState], p: float) -> MixedState:
     first, second = (np.outer(s.amplitudes, s.amplitudes.conj()) for s in states)
-    return MixedState(p * first + (1.0 - p) * second, states[0].basis)
+    return _dense_mixed(p * first + (1.0 - p) * second, states[0].basis)
 
 
 def test_pair_reduction_matches_reference_partial_trace():
@@ -1183,6 +1191,25 @@ def _cavity_state(basis: FockBasis, weights) -> MixedState:
     return _as_mixed(PureState(amps / np.linalg.norm(amps), basis))
 
 
+def _random_density(basis: FockBasis, rank: int, seed: int) -> MixedState:
+    """A random density of this rank over the whole basis: one block that
+    fills every sector block rho[k, l]."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(basis.dimension, rank)) + 1j * rng.normal(size=(basis.dimension, rank))
+    mat = x @ x.conj().T
+    return _dense_mixed(mat / np.trace(mat).real, basis)
+
+
+def _two_block_mixture(basis: FockBasis, seed: int) -> MixedState:
+    """A mixture of a random state on the even sectors and one on the odd
+    sectors: two coupled blocks."""
+    even = _random_state(basis, range(0, basis.max_total + 1, 2), seed)
+    odd = _random_state(basis, range(1, basis.max_total + 1, 2), seed + 1)
+    state = _mix([even, odd], 0.35)
+    assert len(state.blocks) == 2
+    return state
+
+
 def test_lindblad_matches_dense_expm_of_full_generator():
     params = SystemParams(n_crystallites=2, decay_rate=0.3)
     basis = build_basis(3, 2)
@@ -1191,8 +1218,12 @@ def test_lindblad_matches_dense_expm_of_full_generator():
     coherent = [alpha ** n / math.sqrt(math.factorial(n)) for n in range(3)]
     even_cat = [1.0, 0.0, 0.8 ** 2 / math.sqrt(2.0)]
     times = [0.0, 0.4, 1.3, 2.0]
-    # the coherent state populates every k - l, the even cat only even ones
-    for rho0 in (_cavity_state(basis, coherent), _cavity_state(basis, even_cat)):
+    # the coherent state populates every k - l, the even cat only even ones,
+    # both only at (n, 0, 0), the first state of each sector; a rank-3
+    # density and a two-block mixture fill whole sector blocks, so a chain
+    # read with rows and columns swapped inside a block cannot pass
+    for rho0 in (_cavity_state(basis, coherent), _cavity_state(basis, even_cat),
+                 _random_density(basis, 3, seed=3), _two_block_mixture(basis, seed=4)):
         states = lindblad_trajectory(params, rho0, times)
         for t, state in zip(times, states):
             exact = scipy.linalg.expm(generator * t) @ rho0.matrix.ravel()
@@ -1201,9 +1232,9 @@ def test_lindblad_matches_dense_expm_of_full_generator():
             )
 
 
-def test_lindblad_chain_cache_is_keyed_by_gamma_and_couplings():
-    # a later run on the same basis must not reuse sector terms built for
-    # another gamma or coupling
+def test_lindblad_runs_on_one_basis_match_runs_on_a_fresh_one():
+    # nothing a run builds is kept on its basis: a later run there, at
+    # another gamma or coupling, equals a run on a fresh basis
     weights = [1.0, 0.6 + 0.3j, 0.2, 0.1j]
     times = [0.0, 0.4, 1.3]
     first = SystemParams(n_crystallites=2, decay_rate=0.13)
@@ -1467,17 +1498,56 @@ def _cat_density_blocks(psi: PureState) -> MixedState:
 
 
 def _recorded_lindblad(params: SystemParams, rho0: MixedState, times):
-    """lindblad_trajectory's samples, and per chain its d and its vector at
-    each time, as _expm_samples handed them back."""
-    ds, runs = [], []
+    """lindblad_trajectory's samples, and per chain its d, its top, its
+    start v0 and its vector at each time, as _expm_samples received and
+    handed them back."""
+    tops, starts, runs = [], [], []
     build, samples = fockspace._chain_generator, fockspace._expm_samples
+
+    def recording(a, norms, v, times):
+        starts.append(v.copy())
+        runs.append(samples(a, norms, v, times))
+        return list(runs[-1])
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fockspace, "_chain_generator",
-                      lambda terms, gamma, d, top: ds.append(d) or build(terms, gamma, d, top))
-        patch.setattr(fockspace, "_expm_samples",
-                      lambda *args: runs.append(samples(*args)) or list(runs[-1]))
+        patch.setattr(fockspace, "_chain_generator", lambda terms, gamma, d, top: (
+            tops.append((d, top)) or build(terms, gamma, d, top)))
+        patch.setattr(fockspace, "_expm_samples", recording)
         states = lindblad_trajectory(params, rho0, times)
-    return states, list(zip(ds, runs[::2]))  # not the guards
+    return states, [(d, top, v0, run)  # not the guards
+                    for (d, top), v0, run in zip(tops, starts[::2], runs[::2])]
+
+
+@pytest.mark.parametrize("case", ["odd cat", "even cat", "rank 3", "two blocks"])
+def test_lindblad_reads_each_chain_of_rho0_word_for_word(case):
+    # every chain d that rho0 populates, to its highest populated sector,
+    # starts from rho0's sector blocks rho[k, k - d], k = d..top, row-major
+    # and concatenated: as raw words, signed zeros included. The cats are
+    # the verify suite's rho0, one block on their support
+    if case.endswith("cat"):
+        parity = ParityKind.ODD if case == "odd cat" else ParityKind.EVEN
+        params = SystemParams(n_crystallites=2, intensity=0.25, decay_rate=0.13,
+                              parity=parity)
+        basis = build_basis(3, minimum_truncation(0.25, margin=2))
+        rho0 = _cat_density_blocks(_cat_state(params, basis))
+    else:
+        params = SystemParams(n_crystallites=2, decay_rate=0.3)
+        basis = build_basis(3, 2)
+        rho0 = (_random_density(basis, 3, seed=3) if case == "rank 3"
+                else _two_block_mixture(basis, seed=4))
+    dense = rho0.matrix
+    ranges = [np.arange(s.start, s.stop) for s in basis.sectors]
+    expected = []
+    for d in range(len(ranges)):
+        ks = [k for k in range(d, len(ranges)) if dense[ranges[k]][:, ranges[k - d]].any()]
+        if ks:
+            expected.append((d, max(ks)))
+    _, chains = _recorded_lindblad(params, rho0, [params.time_from_gt(0.3)])
+    assert [(d, top) for d, top, _, _ in chains] == expected
+    for d, top, v0, _ in chains:
+        dense_chain = np.concatenate([dense[ranges[k]][:, ranges[k - d]].ravel()
+                                      for k in range(d, top + 1)])
+        np.testing.assert_array_equal(_bits(v0), _bits(dense_chain))
 
 
 def _dense_sample(basis: FockBasis, chains, i: int) -> np.ndarray:
@@ -1485,7 +1555,7 @@ def _dense_sample(basis: FockBasis, chains, i: int) -> np.ndarray:
     scattered at its flat indices, plus its adjoint, d = 0 blocks halved."""
     dim, sectors, at = basis.dimension, basis.sectors, np.arange(basis.dimension)
     rho = np.zeros(dim * dim, dtype=complex)
-    for d, vectors in chains:
+    for d, _, _, vectors in chains:
         idx, k = [], d
         while sum(map(len, idx)) < len(vectors[i]):
             idx.append((at[sectors[k], None] * dim + at[sectors[k - d]]).ravel())
@@ -1509,7 +1579,7 @@ def test_lindblad_samples_are_the_dense_assembly_word_for_word(parity):
     psi0 = _cat_state(params, basis)
     times = [params.time_from_gt(gt) for gt in (0.1, 0.45, 0.45, 1.3)]
     states, chains = _recorded_lindblad(params, _cat_density_blocks(psi0), times)
-    assert [d for d, _ in chains] == [0, 2, 4, 6, 8, 10]
+    assert [d for d, *_ in chains] == [0, 2, 4, 6, 8, 10]
     sizes = [161, 125] if parity is ParityKind.EVEN else [161, 203]
     for i, state in enumerate(states):
         assert sorted(len(m) for m, _ in state.blocks) == sorted(sizes)
@@ -1531,7 +1601,6 @@ def test_lindblad_observables_read_the_block_diagonals(monkeypatch):
     def refused(*args):
         raise AssertionError("the dense matrix was assembled")
 
-    monkeypatch.setattr(MixedState, "submatrix", refused)
     monkeypatch.setattr(MixedState, "matrix", property(refused))
     assert [observable_mean_photon(state, j) for j in range(3)] == expected
     assert total_excitation(state) == sum(expected)
@@ -1596,9 +1665,8 @@ def test_lindblad_guards(monkeypatch):
 
     big = SystemParams(n_crystallites=3, intensity=1.0, decay_rate=0.13)
     wide = build_basis(4, 9)
-    flat = MixedState(
-        matrix=np.eye(wide.dimension, dtype=complex) / wide.dimension, basis=wide
-    )
+    flat = MixedState(basis=wide, blocks=[(np.arange(wide.dimension),
+                                           np.eye(wide.dimension) / wide.dimension)])
     with pytest.raises(CapacityExceeded):
         lindblad_trajectory(big, flat, [0.0, 0.1])
 

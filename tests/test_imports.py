@@ -1,14 +1,15 @@
 """Each command imports only what it runs: the closed-form commands load no
 scipy at all, the Fock oracle loads scipy.sparse but no scipy.linalg, and
 no run loads mpmath, which only the tests use as a reference (crmath's
-fixed-point stage decides every argument, however large). The Lindblad
-suite's peak memory grows with its sample count by blocks, not by dense
-samples.
+fixed-point stage decides every argument, however large). The oracle
+imports no closed-form module. The Lindblad suite's peak memory grows with
+its sample count by blocks, not by dense samples.
 
 Every case runs in a fresh interpreter, since this process has long since
 imported everything the other tests use (and grown to its size).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -91,6 +92,16 @@ def test_package_names_are_derived_from_what_it_binds():
         value = getattr(cavshare, name)
         assert not isinstance(value, ModuleType)
         assert value.__module__.startswith("cavshare."), name
+
+
+def test_oracle_imports_no_closed_form_module():
+    # fockspace checks the closed forms, so of the package it imports only
+    # the domain types (model), the density validator and the errors; a
+    # `from . import analytic` would add None to the set
+    tree = ast.parse(Path(_SRC, "cavshare", "fockspace.py").read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"model", "entanglement", "errors"}
 
 
 def _peak_rss_bytes(code: str, cwd: Path) -> int:

@@ -3,7 +3,10 @@ basis oracle, with capacity skips and bookkeeping."""
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -245,6 +248,26 @@ def test_lindblad_samples_factor_on_their_coupled_blocks(monkeypatch):
     TwoQubitDensity(np.stack([np.eye(4, dtype=complex) / 4.0] * 5), NumberBasis())
     concurrence(np.eye(4, dtype=complex) / 4.0)
     assert shapes == [(5, 4, 4), (4, 4)]
+
+
+def test_lindblad_cells_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS reads its thread count once, at import, so each count runs in a
+    # fresh interpreter. The mixed reduction takes one small product per
+    # block and group; one masked product per whole block (up to 203 rows)
+    # would sum in an order that depends on the count, and moves a cell of
+    # this five-sample run at two threads
+    code = ("from cavshare import verify\n"
+            "print(*(c.oracle.hex() for c in verify.lindblad_suite(n_times=5).cases))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cells = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        cells.append(done.stdout.split())
+    assert len(cells[0]) == 10 and cells[0] == cells[1]
 
 
 # Worst |closed form - oracle| of each default suite, measured at 1.1e-15
