@@ -9,10 +9,11 @@ LF endings) so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,6 +35,7 @@ _FIG2_INTENSITY_AXIS = (0.0, 6.0, 61)
 _FIG3_INTENSITIES = (0.01, 0.1, 1.0, 2.0)
 _FIG2CD_N = (2, 3, 5, 10)
 _CHUNK_ROWS = 512  # rows turned into text and written at a time
+_BLOCK_ROWS = 4096  # rows computed at a time: a run holds its grid and one block
 
 
 def _grid(start: float, stop: float, points: int) -> np.ndarray:
@@ -53,30 +55,44 @@ def _field_columns(records: list, cls) -> list[list]:
             for field in fields(cls)]
 
 
-# Column functions of the table: (grid, keys by name) -> columns. Each
-# validates the parameters it uses.
+def _blocks(axis: np.ndarray, width: int = 1) -> Iterator[np.ndarray]:
+    """Consecutive slices of axis, each of as many values as fit in
+    _BLOCK_ROWS rows at `width` rows a value (one value at least)."""
+    step = max(1, _BLOCK_ROWS // width)
+    return (axis[start:start + step] for start in range(0, axis.size, step))
+
+
+# Column functions of the table: (grid, keys by name) -> the table's rows in
+# order, as blocks of columns. Each validates the parameters it uses before
+# its first block.
 
 def _fig1_columns(gts, N):
     params = SystemParams(n_crystallites=N)
     profile = CouplingProfile.isotropic(1.0, N)
-    return (gts,
-            analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2)),
-            analytic.mean_photon_number(params, gts, SinglePhoton()))
+    for block in _blocks(gts):
+        yield (block,
+               analytic.single_photon_concurrence(profile, block, PairIndex(1, 2)),
+               analytic.mean_photon_number(params, block, SinglePhoton()))
 
 
 def _surface_columns(gts, N, parity):
     SystemParams(n_crystallites=N, parity=parity)  # validates N
     xs = _grid(*_FIG2_INTENSITY_AXIS)
-    surface = analytic.cat_concurrence(N, parity, xs, gts[:, None])
-    return np.repeat(gts, xs.size), np.tile(xs, gts.size), surface.ravel()
+    for block in _blocks(gts, xs.size):  # whole time rows of every intensity
+        surface = analytic.cat_concurrence(N, parity, xs, block[:, None])
+        yield np.repeat(block, xs.size), np.tile(xs, block.size), surface.ravel()
 
 
 def _peak_columns(xs, parity):
     for end in (xs[0], xs[-1]):  # the grid is monotone: its ends bound it
         SystemParams(n_crystallites=2, intensity=end, parity=parity)
-    ns = np.array(_FIG2CD_N)
-    curves = analytic.cat_concurrence(ns[:, None], parity, xs, _PEAK_GT)
-    return np.tile(xs, ns.size), curves.ravel(), np.repeat(ns, xs.size)
+    # e^(2|alpha|^2) overflows first at the largest intensity, which may lie
+    # past the first block
+    analytic.cat_concurrence(np.array(_FIG2CD_N), parity, xs[-1], _PEAK_GT)
+    for n in _FIG2CD_N:
+        for block in _blocks(xs):
+            yield (block, analytic.cat_concurrence(n, parity, block, _PEAK_GT),
+                   np.full(block.size, n))
 
 
 def _fig3_columns(grid):
@@ -84,8 +100,21 @@ def _fig3_columns(grid):
     ns = np.arange(2, 11)
     odd, even = (analytic.cat_concurrence(ns, parity, xs, _PEAK_GT)
                  for parity in (ParityKind.ODD, ParityKind.EVEN))
-    return (np.repeat(xs, ns.size), np.tile(ns, xs.size), odd.ravel(),
-            even.ravel(), np.tile(2.0 / ns, xs.size))
+    yield (np.repeat(xs, ns.size), np.tile(ns, xs.size), odd.ravel(),
+           even.ravel(), np.tile(2.0 / ns, xs.size))
+
+
+def _damped_columns(gts, systems):
+    """The times and each system's damped concurrence, block by block. From
+    Gt = 0 on, N v'^2 < 1 keeps e^(4|alpha v'|^2) below e^(2|alpha|^2), which
+    every block evaluates; before it the envelope e^(-gamma t/4) grows, so
+    the blocks of negative times run once up front for their overflow."""
+    for block in _blocks(gts[:np.searchsorted(gts, 0.0)]):
+        for params in systems:
+            dissipative.damped_concurrence(params, block)
+    for block in _blocks(gts):
+        yield block, *(dissipative.damped_concurrence(params, block)
+                       for params in systems)
 
 
 def _fig4_columns(gts, N, alpha2):
@@ -94,23 +123,23 @@ def _fig4_columns(gts, N, alpha2):
         for ratio in (0.13, 0.5)
         for parity in (ParityKind.ODD, ParityKind.EVEN)
     ]
-    return (gts, *(dissipative.damped_concurrence(params, gts)
-                   for params in systems))
+    return _damped_columns(gts, systems)
 
 
 def _sweep_columns(gts, N, g, gamma_over_g, alpha2, parity):
     params = SystemParams(n_crystallites=N, coupling=g, decay_rate=gamma_over_g * g,
                           intensity=alpha2, parity=parity)
     if gamma_over_g > 0.0:
-        return gts, dissipative.damped_concurrence(params, gts)
-    return gts, analytic.coherent_concurrence(params, gts)
+        return _damped_columns(gts, [params])
+    return ((block, analytic.coherent_concurrence(params, block))
+            for block in _blocks(gts))
 
 
 def _optimize_columns(grid, N, parity):
     n_values = [N] if N is not None else list(range(2, 11))
     reports = [optimal_intensity(n, parity) for n in n_values]
-    return (n_values, [parity.value] * len(n_values),
-            *_field_columns(reports, OptimumReport))
+    yield (n_values, [parity.value] * len(n_values),
+           *_field_columns(reports, OptimumReport))
 
 
 def _verify_columns(grid, N, alpha2, gamma_over_g, t_stop, points):
@@ -119,21 +148,22 @@ def _verify_columns(grid, N, alpha2, gamma_over_g, t_stop, points):
     results = verify.run_all(n_times=points, gt_max=t_stop, n_override=N,
                              intensity_override=alpha2,
                              gamma_override=gamma_over_g)
-    return _field_columns([case for result in results for case in result.cases],
-                          verify.VerifyCase)
+    yield _field_columns([case for result in results for case in result.cases],
+                         verify.VerifyCase)
 
 
 @dataclass(frozen=True)
 class _Entry:
     """One output of the table. keys: the (key, default) pairs it reads, in
     metadata-line order (a None default is written only when set); grid: the
-    defaults of the grid keys (None: no grid); header and columns: its CSV;
-    fixed: (key, value) pairs it writes after keys but never reads."""
+    defaults of the grid keys (None: no grid); header and columns: its CSV,
+    columns yielding its rows as blocks of columns; fixed: (key, value)
+    pairs it writes after keys but never reads."""
 
     keys: tuple[tuple[str, object], ...]
     grid: tuple[float, float, int] | None
     header: tuple[str, ...]
-    columns: Callable[..., Sequence]
+    columns: Callable[..., Iterator[Sequence[Sequence]]]
     fixed: tuple[tuple[str, object], ...] = ()
 
 
@@ -240,65 +270,87 @@ def _cells(chunk, spec: str) -> list[str]:
     return np.array(text, dtype=object)[index].tolist()
 
 
-def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
-               columns: Sequence[Sequence]) -> int:
-    """Write the metadata line, the header and the rows; return the row count.
-
-    A header and columns of unequal lengths are refused (ValueError). Each
-    column's format follows its first value; every command writes at least
-    one row. Rows stream out _CHUNK_ROWS at a time, each chunk's text made
-    column by column (_cells) and written at once, so a figure's text never
-    sits in memory whole; callers compute every value before writing.
-    """
+def _rows(header: Sequence[str], columns: Sequence[Sequence]) -> int:
+    """The row count of a block; a header and columns of unequal lengths are
+    refused (ValueError)."""
     lengths = [len(column) for column in columns]
     if len(header) != len(columns) or len(set(lengths)) > 1:
         raise ValueError(f"CSV header of {len(header)} names, column lengths {lengths}")
+    return lengths[0]
+
+
+def _write_blocks(path: str, meta: list[tuple[str, object]], header: Sequence[str],
+                  first: Sequence[Sequence], rest: Iterable[Sequence[Sequence]]) -> int:
+    """Write the metadata line, the header and the rows of each block, first
+    then rest; return the row count.
+
+    first is checked before the file is opened, and each block of rest as it
+    comes. Each column's format follows its first value in the block; every
+    command writes at least one row. Rows stream out _CHUNK_ROWS at a time,
+    each chunk's text made column by column (_cells) and written at once,
+    so a table's text never sits in memory whole, and a block is written
+    before the next is computed, so neither do its values.
+    """
+    _rows(header, first)
+    total = 0
     with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write("# " + " ".join(f"{k}={_spec(v) % v}" for k, v in meta)
                      + "\n")
         handle.write(",".join(header) + "\n")
-        for start in range(0, lengths[0], _CHUNK_ROWS):
-            cells = [_cells(column[start:start + _CHUNK_ROWS], _spec(column[0]))
-                     for column in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    return lengths[0]
+        for columns in itertools.chain([first], rest):
+            rows = _rows(header, columns)
+            for start in range(0, rows, _CHUNK_ROWS):
+                cells = [_cells(column[start:start + _CHUNK_ROWS], _spec(column[0]))
+                         for column in columns]
+                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            total += rows
+    return total
+
+
+def _write_csv(path: str, meta: list[tuple[str, object]], header: Sequence[str],
+               columns: Sequence[Sequence]) -> int:
+    """_write_blocks of a table held whole as its columns."""
+    return _write_blocks(path, meta, header, columns, ())
 
 
 def _run(cfg: dict, command: str, entry: _Entry,
-         figure: str | None = None) -> tuple[str, Sequence]:
+         figure: str | None = None) -> tuple[str, int, Sequence[Sequence]]:
     """Resolve entry's keys from cfg, build its grid and write its CSV under
     the metadata line: command, figure (if any), each set key in declared
-    order, the grid keys, out. Return the output path and the columns."""
+    order, the grid keys, out. The column function's checks and first block
+    run before the file is opened, so a refused run leaves no file and an
+    existing one as it was. Return the output path, the row count and the
+    first block (the whole table of a one-block entry)."""
     values = {key: cfg.get(key, default) for key, default in entry.keys}
     values.update(entry.fixed)
     axis = [(key, cfg.get(key, default))
             for key, default in zip(_GRID_KEYS, entry.grid or ())]
     grid = _grid(*(value for _, value in axis)) if axis else None
-    columns = entry.columns(grid, **values)
+    blocks = entry.columns(grid, **values)
+    first = next(blocks)
     out = cfg.get("out", f"{figure or command}.csv")
     meta = [("command", command), *([("figure", figure)] if figure else []),
             *((key, getattr(value, "value", value))  # a ParityKind as its value
               for key, value in values.items() if value is not None),
             *axis, ("out", out)]
-    _write_csv(out, meta, entry.header, columns)
-    return out, columns
+    return out, _write_blocks(out, meta, entry.header, first, blocks), first
 
 
-def run_figure(cfg: dict) -> tuple[str, Sequence]:
+def run_figure(cfg: dict) -> tuple[str, int]:
     name = cfg.get("figure", "fig1")
-    return _run(cfg, "figure", _FIGURES[name], name)
+    return _run(cfg, "figure", _FIGURES[name], name)[:2]
 
 
-def run_sweep(cfg: dict) -> tuple[str, Sequence]:
-    return _run(cfg, "sweep", _SWEEP)
+def run_sweep(cfg: dict) -> tuple[str, int]:
+    return _run(cfg, "sweep", _SWEEP)[:2]
 
 
-def run_optimize(cfg: dict) -> tuple[str, Sequence]:
-    return _run(cfg, "optimize", _OPTIMIZE)
+def run_optimize(cfg: dict) -> tuple[str, int]:
+    return _run(cfg, "optimize", _OPTIMIZE)[:2]
 
 
 def run_verify(cfg: dict) -> int:
-    out, columns = _run(cfg, "verify", _VERIFY)
+    out, _, columns = _run(cfg, "verify", _VERIFY)  # one block: every row
     n_pass, n_fail, n_skip = map(columns[-1].count, ("pass", "fail", "skip"))
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skip -> {out}")
     return 2 if n_fail else 3 if n_skip else 0
@@ -353,8 +405,8 @@ def main(argv: list[str]) -> int:
         return run_verify(cfg)
     # looked up per call, so a wrapped run_* is the one that runs
     run = {"figure": run_figure, "sweep": run_sweep, "optimize": run_optimize}
-    path, columns = run[command](cfg)
-    print(f"{command}: wrote {len(columns[0])} rows -> {path}")
+    path, rows = run[command](cfg)
+    print(f"{command}: wrote {rows} rows -> {path}")
     return 0
 
 

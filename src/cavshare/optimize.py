@@ -158,9 +158,12 @@ def optimal_intensity(n: int, parity: ParityKind) -> OptimumReport:
             iterations=0,
         )
 
-    def objective(x: float) -> float:
-        params = SystemParams(n_crystallites=n, intensity=x, parity=parity)
-        return coherent_concurrence(params, _PEAK_GT)
+    SystemParams(n_crystallites=n, parity=parity)  # validates parity
+    s = crmath.sin(_PEAK_GT)
+    s2 = s * s
+
+    def objective(x: float) -> float:  # coherent_concurrence's operands
+        return cat_ratio(parity, x, x * s2 / n, s2 / n)
 
     a, b = _INTENSITY_BRACKET
     c = b - _INVPHI * (b - a)
@@ -180,7 +183,8 @@ def optimal_intensity(n: int, parity: ParityKind) -> OptimumReport:
     x = 0.5 * (a + b)
     return OptimumReport(
         intensity=x,
-        concurrence=objective(x),
+        concurrence=coherent_concurrence(
+            SystemParams(n_crystallites=n, intensity=x, parity=parity), _PEAK_GT),
         method="golden-section",
         residual=b - a,
         iterations=iterations,

@@ -510,7 +510,67 @@ def test_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# A run computes its rows in blocks of cli._BLOCK_ROWS and writes each before
+# the next, so every refusal must come before the file opens: the column
+# function's checks and first block run first. fig2c's overflow lies past its
+# first block (10000 intensities up to 400); fig4's shows in its first. The
+# damped runs on negative times overflow in their third 7-row block, where
+# e^(-gamma t/4) has grown and sin(delta t) come up from a node.
+_NEGATIVE_TIMES = ["--alpha2", "150", "--t_start", "-12.6", "--t_stop", "-11.6",
+                   "--points", "20"]
+
+
+@pytest.mark.parametrize("argv, block_rows", [
+    (["--figure", "fig2c", "--t_stop", "400", "--points", "10000"], None),
+    (["--figure", "fig4", "--alpha2", "400"], None),
+    (["--figure", "fig4", *_NEGATIVE_TIMES], 7),
+    (["--command", "sweep", "--gamma_over_g", "0.5", *_NEGATIVE_TIMES], 7),
+], ids=["fig2c_400", "fig4_400", "fig4_negative_times", "sweep_negative_times"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_refusal_comes_before_the_file_opens(tmp_path, monkeypatch, capsys, argv,
+                                             block_rows, existing):
+    monkeypatch.chdir(tmp_path)
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_bytes(b"# an earlier run\n")
+    assert cli.entrypoint(argv + ["--out", "out.csv"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: intensity: e^(2|alpha|^2) overflows a double "
+                    "above |alpha|^2 = 354.89")
+    if existing:
+        assert out.read_bytes() == b"# an earlier run\n"
+    else:
+        assert not out.exists()
+
+
 # --- determinism -------------------------------------------------------------------
+
+# 7 rows: one time row a block for fig2a/b, seven values for the others; 61:
+# one time row; 128: two. Each grid puts a few values past a block edge.
+@pytest.mark.parametrize("block_rows", [7, 61, 128])
+@pytest.mark.parametrize("argv", [
+    *(["--figure", fig, "--points", "131"]
+      for fig in ("fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig4")),
+    ["--figure", "fig3"],
+    ["--command", "sweep", "--points", "129"],
+    ["--command", "sweep", "--gamma_over_g", "0.13", "--points", "260"],
+    ["--command", "sweep", "--gamma_over_g", "0.5", "--t_start", "-3",
+     "--points", "200"],
+], ids=["fig1", "fig2a", "fig2b", "fig2c", "fig2d", "fig4", "fig3", "sweep",
+        "damped_sweep", "damped_sweep_negative_times"])
+def test_block_edges_do_not_change_the_bytes(tmp_path, monkeypatch, argv,
+                                             block_rows):
+    # the same out for both runs: the metadata line names it
+    monkeypatch.chdir(tmp_path)
+    tables = []
+    for rows in (10**9, block_rows):  # one block, then many
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        assert cli.entrypoint(argv + ["--out", "t.csv"]) == 0
+        tables.append((tmp_path / "t.csv").read_bytes())
+    assert tables[0] == tables[1]
+
 
 def test_identical_config_gives_identical_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

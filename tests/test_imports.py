@@ -3,7 +3,8 @@ scipy at all, the Fock oracle loads scipy.sparse but no scipy.linalg, and
 no run loads mpmath, which only the tests use as a reference (crmath's
 fixed-point stage decides every argument, however large). The oracle
 imports no closed-form module. The Lindblad suite's peak memory grows with
-its sample count by blocks, not by dense samples.
+its sample count by blocks, not by dense samples, and a figure's does not
+grow with its points.
 
 Every case runs in a fresh interpreter, since this process has long since
 imported everything the other tests use (and grown to its size).
@@ -119,6 +120,15 @@ def test_lindblad_peak_memory_grows_by_blocks_not_dense_samples(tmp_path):
             ".counts() == (2 * {}, 0, 0)")
     few, many = (_peak_rss_bytes(code.format(n, n), tmp_path) for n in (5, 40))
     assert (many - few) / 35 < 1.5e6
+
+
+def test_figure_peak_memory_does_not_grow_with_points(tmp_path):
+    # a figure holds its grid (8 B a time) and one block of rows: fig2a at
+    # 8001 times is 488 061 rows, whose columns alone would take 11 MB
+    code = "from cavshare import cli\nassert cli.main(['--figure', 'fig2a'{}]) == 0"
+    few, many = (_peak_rss_bytes(code.format(extra), tmp_path)
+                 for extra in ("", ", '--points', '8001'"))
+    assert many - few < 4 << 20
 
 
 _SWEEP = "from cavshare import cli\nassert cli.main(['--command', 'sweep', {}]) == 0"
