@@ -13,7 +13,6 @@ which rounds them correctly, so every value is the same on every platform.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ class TransferCoefficients:
 class ModeAmplitudes:
     """Isotropic amplitude pair: cavity keeps u(t), each mode gets v(t)."""
 
-    u: complex
+    u: float
     v: complex
 
 
@@ -64,12 +63,9 @@ def transfer_coefficients(profile: CouplingProfile, gt: float) -> TransferCoeffi
 
 
 def isotropic_amplitudes(params: SystemParams, gt: float) -> ModeAmplitudes:
-    """Amplitudes u = cos(Gt) e^{-i w t}, v = -i sin(Gt)/sqrt(N) e^{-i w t}."""
+    """Amplitudes u = cos(Gt), v = -i sin(Gt)/sqrt(N) in the rotating frame."""
     n = params.n_crystallites
-    phase = cmath.exp(-1j * params.frequency * params.time_from_gt(gt))
-    u = crmath.cos(gt) * phase
-    v = -1j * (crmath.sin(gt) / math.sqrt(n)) * phase
-    return ModeAmplitudes(u=u, v=v)
+    return ModeAmplitudes(u=crmath.cos(gt), v=-1j * (crmath.sin(gt) / math.sqrt(n)))
 
 
 def single_photon_pair_density(profile: CouplingProfile, gt: float,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import crmath
 from .analytic import _cat_pair_density, cat_ratio
 from .entanglement import TwoQubitDensity
-from .errors import OverdampedRegime
+from .errors import InvalidParameter, OverdampedRegime
 from .model import SystemParams, TildeBasis
 
 
@@ -53,7 +53,11 @@ def damped_amplitudes(params: SystemParams, gt) -> DampedAmplitudes:
     """
     delta = _oscillation_rate(params)
     t = params.time_from_gt(gt)
-    envelope = crmath.exp(-params.decay_rate * t / 4.0)
+    try:
+        envelope = crmath.exp(-params.decay_rate * t / 4.0)
+    except OverflowError:  # the envelope grows only before t = 0
+        raise InvalidParameter("gt", "e^(-gamma t/4) overflows a double below "
+                               "gamma t = -2839.13") from None
     s = crmath.sin(delta * t)
     c = crmath.cos(delta * t)
     u_prime = envelope * ((params.decay_rate / (4.0 * delta)) * s + c)

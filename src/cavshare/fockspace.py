@@ -43,6 +43,10 @@ from .model import (
 _TAIL_BOUND = 1e-12
 _LEAK_TOL = 1e-8
 _DRIFT_TOL = 1e-8
+# The Lindblad oracle's only bound, checked first in lindblad_trajectory.
+# Densities are held as blocks, and one chain generator is held at a time,
+# but the widest one, d = 0, grows with the basis: 3.2 MiB at 364 states
+# (|alpha|^2 = 0.25), 6.7 MiB at 560 (0.4), 17.3 MiB at 969 (1.0).
 _LINDBLAD_CAPACITY = 400
 _CAPACITY = 200_000
 # Lanczos breakdown, relative to |H_k|_inf. A cat's basis closes after k + 1
@@ -662,17 +666,6 @@ def _expm_samples(a: sp.csr_matrix, norms: tuple[complex, float], v: np.ndarray,
     return out
 
 
-def check_lindblad_capacity(basis: FockBasis) -> None:
-    """CapacityExceeded for a basis over the Lindblad oracle's 400 states.
-    Densities are held as blocks, and one chain generator is held at a
-    time, but the widest one, d = 0, grows with the basis: 3.2 MiB at 364
-    states (|alpha|^2 = 0.25), 6.7 MiB at 560 (0.4), 17.3 MiB at 969 (1.0).
-    This is its only bound. lindblad_trajectory checks it first; a caller
-    may check before it prepares anything."""
-    if basis.dimension > _LINDBLAD_CAPACITY:
-        raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
-
-
 def lindblad_trajectory(params: SystemParams, rho0: MixedState,
                         times) -> list[MixedState]:
     """Density matrices at the given times (ascending, from t=0) under
@@ -694,7 +687,8 @@ def lindblad_trajectory(params: SystemParams, rho0: MixedState,
     alive; the sector terms they are built from are built once per call.
     """
     basis = rho0.basis
-    check_lindblad_capacity(basis)
+    if basis.dimension > _LINDBLAD_CAPACITY:
+        raise CapacityExceeded(basis.dimension, _LINDBLAD_CAPACITY)
     if not all(0.0 <= t < math.inf for t in times) or any(
             b < a for a, b in zip(times, times[1:])):
         raise InvalidParameter("times", "must be finite, nonnegative and ascending")

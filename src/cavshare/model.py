@@ -2,7 +2,7 @@
 
 Conventions used throughout the package: hbar = 1, all couplings are real
 and positive, and dynamics is expressed in the frame rotating at the common
-mode frequency, so the frequency enters only as a reconstructable phase.
+mode frequency, so no frequency appears.
 Public time arguments of the closed-form modules are dimensionless (Gt with
 G = g sqrt(N), or G't for anisotropic profiles). The Fock-space oracle takes
 raw time t: ``SystemParams.time_from_gt`` converts.
@@ -52,7 +52,6 @@ class SystemParams:
 
     n_crystallites: int
     coupling: float = 1.0
-    frequency: float = 0.0
     decay_rate: float = 0.0
     intensity: float = 0.0
     field_phase: float = 0.0
@@ -66,7 +65,7 @@ class SystemParams:
                  "pairwise entanglement needs at least two modes")
         _require(_finite(self.coupling) and self.coupling > 0, "coupling",
                  "must be finite and > 0")
-        for name in ("frequency", "decay_rate", "intensity"):
+        for name in ("decay_rate", "intensity"):
             value = getattr(self, name)
             _require(_finite(value) and value >= 0, name, "must be finite and >= 0")
         _require(_finite(self.field_phase), "field_phase", "must be finite")

@@ -50,20 +50,9 @@ class VerifyCase:
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    """One oracle-side pairwise concurrence, kept for the monogamy check."""
-
-    suite: str
-    n_crystallites: int
-    gt: float
-    concurrence: float
-
-
-@dataclass(frozen=True)
 class SuiteResult:
     suite: str
     cases: list[VerifyCase]
-    pair_records: list[PairRecord]
 
     def counts(self) -> tuple[int, int, int]:
         n_pass = sum(1 for c in self.cases if c.status == "pass")
@@ -116,38 +105,38 @@ def _run(suite: str, tol: float, preparations) -> SuiteResult:
     """The sample loop every suite shares.
 
     preparations yields, per prepared state, N and its samples in grid
-    order: (case id, Gt, state, qubit basis, closed form, extra rows). Each
+    order: (case id, state, qubit basis, closed form, extra rows). Each
     preparation makes two reductions, each scored by one kernel call: pair
-    (1, 2) on every sample, and every other pair, for the monogamy check,
-    on every tenth sample (none at N = 2); then each sample writes its rows
-    and records. A sample whose qubit basis degenerates becomes one skip
-    row with no record; a basis over capacity turns the whole suite into
-    one skip row.
+    (1, 2) on every sample, and every other pair on every tenth sample
+    (none at N = 2). Each sample writes its rows; a tenth sample then
+    writes one /pairs row, whose oracle is the other pair farthest from the
+    closed form, so its abs_error bounds every pair's. A sample whose qubit
+    basis degenerates becomes one skip row; a basis over capacity turns the
+    whole suite into one skip row.
     """
     cases: list[VerifyCase] = []
-    records: list[PairRecord] = []
     try:
         for n, samples in preparations:
-            states, bases = [s[2] for s in samples], [s[3] for s in samples]
+            states, bases = [s[1] for s in samples], [s[2] for s in samples]
             (c_pair,) = _concurrences(states, [PairIndex(1, 2)], bases)
             others = _all_pairs(n)[1:]
             c_others = _concurrences(states[::10], others, bases[::10]) if others else []
-            for k, (case_id, gt, _, _, reference, extra) in enumerate(samples):
+            for k, (case_id, _, _, reference, extra) in enumerate(samples):
                 if c_pair[k] is None:
                     cases.append(_skip(f"{case_id}/degenerate", reference, tol))
                     continue
-                records.append(PairRecord(suite, n, gt, c_pair[k]))
                 cases.append(_case(case_id, reference, c_pair[k], tol))
                 cases.extend(extra)
-                if k % 10 == 0:
-                    records.extend(PairRecord(suite, n, gt, c[k // 10])
-                                   for c in c_others)
+                if k % 10 == 0 and c_others:
+                    farthest = max((c[k // 10] for c in c_others),
+                                   key=lambda c: abs(reference - c))
+                    cases.append(_case(f"{case_id}/pairs", reference, farthest, tol))
             # let this preparation's states go before the next one propagates
             samples = states = None
     except CapacityExceeded as exc:
         case_id = f"{suite}/capacity dimension={exc.dimension} limit={exc.limit}"
-        return SuiteResult(suite, [_skip(case_id, float("nan"), tol)], [])
-    return SuiteResult(suite, cases, records)
+        return SuiteResult(suite, [_skip(case_id, float("nan"), tol)])
+    return SuiteResult(suite, cases)
 
 
 def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
@@ -178,7 +167,7 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
                 law = analytic.single_photon_concurrence(profile, gt, PairIndex(1, 2))
                 duality = (2.0 / n) * (1.0 - fockspace.observable_mean_photon(psi, 0))
                 case_id = f"single_photon/N={n}/Gt={gt:.10g}"
-                samples.append((f"{case_id}/law", gt, psi, analytic.NumberBasis(), law, (
+                samples.append((f"{case_id}/law", psi, analytic.NumberBasis(), law, (
                     _case(f"{case_id}/duality", law, duality, _SP_DUALITY_TOL),)))
             yield n, samples
 
@@ -207,8 +196,7 @@ def cat_suite(n: int = 3,
                     [params.time_from_gt(gt) for gt in grid],
                 )
                 yield n, [(
-                    f"cat/N={n}/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}",
-                    gt, psi,
+                    f"cat/N={n}/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}", psi,
                     analytic.cat_qubit_basis(params, gt),
                     analytic.coherent_concurrence(params, gt), (),
                 ) for gt, psi in zip(grid, trajectory)]
@@ -235,7 +223,6 @@ def lindblad_suite(n: int = 2,
         basis = fockspace.build_basis(
             n + 1, fockspace.minimum_truncation(intensity, margin=2)
         )
-        fockspace.check_lindblad_capacity(basis)  # before anything is prepared
         for parity in parities:
             params = SystemParams(
                 n_crystallites=n,
@@ -251,8 +238,7 @@ def lindblad_suite(n: int = 2,
                 basis=basis, blocks=[(support, amp[:, None] * amp.conj())])
             yield n, [(
                 f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
-                f"/{parity.name.lower()}/Gt={gt:.10g}",
-                gt, rho,
+                f"/{parity.name.lower()}/Gt={gt:.10g}", rho,
                 dissipative.damped_qubit_basis(params, gt),
                 dissipative.damped_concurrence(params, gt), (),
             ) for gt, rho in zip(grid, fockspace.lindblad_trajectory(

@@ -8,6 +8,7 @@ import pytest
 
 from cavshare import (
     Cat,
+    Coherent,
     CouplingProfile,
     DegenerateBasis,
     InvalidParameter,
@@ -67,15 +68,6 @@ def test_isotropic_amplitudes_limits_and_norm():
         amps = isotropic_amplitudes(params, gt)
         norm = abs(amps.u) ** 2 + 4 * abs(amps.v) ** 2
         assert math.isclose(norm, 1.0, abs_tol=1e-12)
-
-
-def test_amplitudes_carry_frame_phase_without_changing_moduli():
-    plain = SystemParams(n_crystallites=3)
-    rotated = SystemParams(n_crystallites=3, frequency=2.0)
-    a, b = isotropic_amplitudes(plain, 1.1), isotropic_amplitudes(rotated, 1.1)
-    assert math.isclose(abs(a.u), abs(b.u), rel_tol=1e-15)
-    assert math.isclose(abs(a.v), abs(b.v), rel_tol=1e-15)
-    assert a.u != b.u  # the phase itself differs
 
 
 # --- single-photon pair density and concurrence ----------------------------
@@ -338,6 +330,13 @@ def test_mean_photon_odd_vacuum_limit_is_single_photon():
     assert math.isclose(mean_photon_number(params, 0.8, Cat(ParityKind.ODD)),
                         math.cos(0.8) ** 2, abs_tol=1e-14)
     assert mean_photon_number(params, 0.8, Cat(ParityKind.EVEN)) == 0.0
+
+
+def test_mean_photon_refuses_a_coherent_preparation():
+    # only the single photon and the two cats have a closed form here
+    params = SystemParams(n_crystallites=3, intensity=0.5)
+    with pytest.raises(TypeError, match="unsupported initial state Coherent"):
+        mean_photon_number(params, 0.8, Coherent(params.alpha))
 
 
 def test_single_photon_duality_identity():

@@ -353,7 +353,6 @@ def test_verify_failures_exit_two(tmp_path, monkeypatch, capsys):
         cases=[VerifyCase(case_id="single_photon/N=2/Gt=1/law", analytic=0.5,
                           oracle=0.4, abs_error=0.1, tolerance=1e-8,
                           status="fail")],
-        pair_records=[],
     )
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("cavshare.verify.run_all", lambda **kw: [fake])
@@ -515,20 +514,26 @@ def test_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
 # function's checks and first block run first. fig2c's overflow lies past its
 # first block (10000 intensities up to 400); fig4's shows in its first. The
 # damped runs on negative times overflow in their third 7-row block, where
-# e^(-gamma t/4) has grown and sin(delta t) come up from a node.
+# e^(-gamma t/4) has grown and sin(delta t) come up from a node. At
+# Gt = -1e4 the envelope itself overflows.
 _NEGATIVE_TIMES = ["--alpha2", "150", "--t_start", "-12.6", "--t_stop", "-11.6",
                    "--points", "20"]
+_INTENSITY = "intensity: e^(2|alpha|^2) overflows a double above |alpha|^2 = 354.89"
 
 
-@pytest.mark.parametrize("argv, block_rows", [
-    (["--figure", "fig2c", "--t_stop", "400", "--points", "10000"], None),
-    (["--figure", "fig4", "--alpha2", "400"], None),
-    (["--figure", "fig4", *_NEGATIVE_TIMES], 7),
-    (["--command", "sweep", "--gamma_over_g", "0.5", *_NEGATIVE_TIMES], 7),
-], ids=["fig2c_400", "fig4_400", "fig4_negative_times", "sweep_negative_times"])
+@pytest.mark.parametrize("argv, block_rows, message", [
+    (["--figure", "fig2c", "--t_stop", "400", "--points", "10000"], None, _INTENSITY),
+    (["--figure", "fig4", "--alpha2", "400"], None, _INTENSITY),
+    (["--figure", "fig4", *_NEGATIVE_TIMES], 7, _INTENSITY),
+    (["--command", "sweep", "--gamma_over_g", "0.5", *_NEGATIVE_TIMES], 7, _INTENSITY),
+    (["--command", "sweep", "--gamma_over_g", "0.5", "--t_start", "-1e4",
+      "--points", "5"], None,
+     "gt: e^(-gamma t/4) overflows a double below gamma t = -2839.13"),
+], ids=["fig2c_400", "fig4_400", "fig4_negative_times", "sweep_negative_times",
+        "sweep_envelope"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_refusal_comes_before_the_file_opens(tmp_path, monkeypatch, capsys, argv,
-                                             block_rows, existing):
+                                             block_rows, message, existing):
     monkeypatch.chdir(tmp_path)
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
@@ -537,8 +542,7 @@ def test_refusal_comes_before_the_file_opens(tmp_path, monkeypatch, capsys, argv
         out.write_bytes(b"# an earlier run\n")
     assert cli.entrypoint(argv + ["--out", "out.csv"]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line == ("error: intensity: e^(2|alpha|^2) overflows a double "
-                    "above |alpha|^2 = 354.89")
+    assert line == f"error: {message}"
     if existing:
         assert out.read_bytes() == b"# an earlier run\n"
     else:
@@ -617,7 +621,6 @@ _PASSING = SuiteResult(
     cases=[VerifyCase(case_id="single_photon/N=2/Gt=0.4/law", analytic=0.5,
                       oracle=0.5, abs_error=0.0, tolerance=1e-8,
                       status="pass")],
-    pair_records=[],
 )
 
 

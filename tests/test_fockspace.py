@@ -113,6 +113,13 @@ def test_rank_refuses_vectors_outside_the_basis():
             basis.rank(occ)
 
 
+def test_basis_refuses_a_lone_mode_or_no_quanta():
+    with pytest.raises(InvalidParameter, match="n_modes: need at least cavity"):
+        FockBasis(1, 1)
+    with pytest.raises(InvalidParameter, match="max_total: cutoff must be at least 1"):
+        FockBasis(2, 0)
+
+
 def test_basis_dimension_is_binomial():
     assert build_basis(3, 11).dimension == math.comb(14, 3)
     assert build_basis(4, 5).dimension == math.comb(9, 4)
@@ -159,7 +166,8 @@ def test_minimum_truncation_values():
     # x*(3), criterion 4's oracle basis: the odd cat's tail needs one level
     # more than the coherent state's and the even cat's
     assert minimum_truncation(1.5 * math.log(2.0)) == 15
-    for bad in (-0.5, math.nan, math.inf):
+    # past |alpha|^2 ~ 1490 no cutoff is accepted: "no practical truncation"
+    for bad in (-0.5, math.nan, math.inf, 2000.0):
         with pytest.raises(InvalidParameter):
             minimum_truncation(bad)
 
@@ -265,6 +273,11 @@ def test_prepare_coherent_renormalizes_tiny_tail():
 def test_prepare_rejects_heavy_truncation():
     with pytest.raises(TruncationTooSmall):
         prepare_initial(Coherent(alpha=3.0), build_basis(2, 2))
+
+
+def test_prepare_refuses_an_unsupported_kind():
+    with pytest.raises(TypeError, match="unsupported preparation object"):
+        prepare_initial(object(), build_basis(2, 4))
 
 
 def test_prepare_cat_requires_amplitude():
@@ -638,6 +651,13 @@ def test_unitary_trajectory_of_no_times_is_empty():
     assert unitary_trajectory(ham, prepare_initial(SinglePhoton(), basis), []) == []
 
 
+def test_unitary_trajectory_refuses_a_state_of_another_dimension():
+    ham = build_hamiltonian(CouplingProfile.isotropic(1.0, 2), build_basis(3, 2))
+    psi0 = prepare_initial(SinglePhoton(), build_basis(3, 3))
+    with pytest.raises(DimensionMismatch, match="state and Hamiltonian bases differ"):
+        unitary_trajectory(ham, psi0, [0.5])
+
+
 def test_unitary_trajectory_steps_a_sector_whose_basis_does_not_close(monkeypatch):
     # with room for two Krylov vectors, every wider sector goes from sample
     # to sample through _expm_samples; the samples come back in their order,
@@ -708,7 +728,7 @@ def test_cat_suite_runs_without_dense_sector_eigensolves(monkeypatch):
     monkeypatch.setattr(SparseHermitian, "sector_eigensystems", refuse)
     monkeypatch.setattr(np.linalg, "eigh", two_qubits_or_lanczos)
     result = cat_suite(n=5, intensities=(0.25,), n_times=2)
-    assert [case.status for case in result.cases] == ["pass"] * 4
+    assert [case.status for case in result.cases] == ["pass"] * (4 + 2)  # 2 /pairs rows
 
 
 def test_vacuum_is_stationary():
@@ -943,6 +963,12 @@ def test_one_leaking_sample_fails_the_stack():
     bases[5] = TildeBasis(mu=0.5 * bases[5].mu)
     with pytest.raises(LeakageError):
         reduce_to_qubit_pair(states, PairIndex(1, 2), bases)
+
+
+def test_pair_reduction_refuses_an_unsupported_qubit_basis():
+    photon = prepare_initial(SinglePhoton(), build_basis(3, 1))
+    with pytest.raises(TypeError, match="unsupported qubit basis"):
+        reduce_to_qubit_pair([photon], PairIndex(1, 2), ["number"])
 
 
 @pytest.mark.parametrize("case, error, message", [

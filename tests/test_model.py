@@ -53,13 +53,18 @@ def test_time_conversion_roundtrip():
     dict(n_crystallites=2, coupling=math.inf),
     dict(n_crystallites=2, decay_rate=-0.1),
     dict(n_crystallites=2, intensity=-1e-9),
-    dict(n_crystallites=2, frequency=-1.0),
     dict(n_crystallites=2, field_phase=math.nan),
     dict(n_crystallites=2, parity="odd"),
 ])
 def test_system_params_rejects_bad_values(kwargs):
     with pytest.raises(InvalidParameter):
         SystemParams(**kwargs)
+
+
+def test_system_params_has_no_frequency():
+    # the package works in the frame rotating at the common mode frequency
+    with pytest.raises(TypeError, match="frequency"):
+        SystemParams(n_crystallites=2, frequency=1.0)
 
 
 def test_profile_collective_rate_quadrature():

@@ -16,10 +16,9 @@ import pytest
 
 from cavshare import (Cat, CouplingProfile, NumberBasis, PairIndex, ParityKind,
                       SinglePhoton, SystemParams, TildeBasis, TwoQubitDensity,
-                      analytic, concurrence, dissipative, fockspace,
-                      isotropic_amplitudes)
+                      analytic, coherent_concurrence, concurrence, dissipative,
+                      fockspace, isotropic_amplitudes, single_photon_concurrence)
 from cavshare.verify import (
-    PairRecord,
     SuiteResult,
     VerifyCase,
     _interior_grid,
@@ -31,10 +30,10 @@ from cavshare.verify import (
 
 _CASE_PATTERNS = {
     "single_photon": re.compile(
-        r"^single_photon/N=\d+/Gt=[0-9.e+-]+/(law|duality)$"
+        r"^single_photon/N=\d+/Gt=[0-9.e+-]+/(law|duality|law/pairs)$"
     ),
     "cat": re.compile(
-        r"^cat/N=\d+/x=[0-9.e+-]+/(even|odd)/Gt=[0-9.e+-]+$"
+        r"^cat/N=\d+/x=[0-9.e+-]+/(even|odd)/Gt=[0-9.e+-]+(/pairs)?$"
     ),
     "lindblad": re.compile(
         r"^lindblad/N=\d+/x=[0-9.e+-]+/gamma=[0-9.e+-]+/(even|odd)/Gt=[0-9.e+-]+$"
@@ -42,29 +41,64 @@ _CASE_PATTERNS = {
 }
 
 
+def _pairs_rows(result) -> list[VerifyCase]:
+    return [c for c in result.cases if c.case_id.endswith("/pairs")]
+
+
+def _crystallites(case: VerifyCase) -> int:
+    return int(re.search(r"/N=(\d+)/", case.case_id)[1])
+
+
 def test_single_photon_small_grid_passes():
     result = single_photon_suite(n_times=4)
     assert result.suite == "single_photon"
     passed, failed, skipped = result.counts()
     assert (failed, skipped) == (0, 0)
-    assert passed == len(result.cases) == 2 * 4 * 3  # law+duality, times, sizes
+    # law+duality, times, sizes, and the first sample's /pairs row at N = 3, 5
+    assert passed == len(result.cases) == 2 * 4 * 3 + 2
     for case in result.cases:
         assert _CASE_PATTERNS["single_photon"].match(case.case_id), case.case_id
         assert case.status == "pass"
         assert case.abs_error <= case.tolerance
-        expected_tol = 1e-8 if case.case_id.endswith("law") else 1e-10
+        expected_tol = 1e-10 if case.case_id.endswith("duality") else 1e-8
         assert case.tolerance == expected_tol
 
 
 def test_single_photon_records_pair_concurrences():
+    # the other pairs of N = 3 and 5 at the first sample, each a /pairs row
+    # right after its sample's law and duality rows; the farthest pair
+    # bounds them all, within the monogamy bound of the symmetric share
     result = single_photon_suite(n_times=4)
-    assert result.pair_records
-    for rec in result.pair_records:
-        assert rec.suite == "single_photon"
-        assert rec.n_crystallites in (2, 3, 5)
-        assert 0.0 <= rec.concurrence <= 1.0
-        # monogamy of the symmetric share
-        assert rec.concurrence <= 2.0 / rec.n_crystallites + 1e-9
+    ids = [c.case_id for c in result.cases]
+    rows = _pairs_rows(result)
+    assert [_crystallites(c) for c in rows] == [3, 5]
+    for case in rows:
+        main = case.case_id.removesuffix("/pairs")
+        assert ids.index(case.case_id) == ids.index(main) + 2
+        assert case.status == "pass" and case.tolerance == 1e-8
+        assert 0.0 <= case.oracle <= 1.0
+        assert case.analytic + case.abs_error <= 2.0 / _crystallites(case) + 1e-9
+
+
+def test_pairs_row_keeps_the_pair_farthest_from_the_closed_form(monkeypatch):
+    # isotropic pairs agree to the last bit, so here the kernel shifts the
+    # five other pairs of N = 4 by offsets of either sign: the row must keep
+    # the -5e-9 one, the farthest in absolute value, not the largest or the
+    # first
+    offsets = np.array([0.0, 3e-9, -5e-9, 1e-9, -2e-9])
+    shifted = []
+
+    def kernel(rho):
+        values = concurrence(rho)
+        if len(values) == len(offsets):
+            shifted.append(values + offsets)
+            return shifted[-1]
+        return values
+
+    monkeypatch.setattr("cavshare.verify.concurrence", kernel)
+    [row] = _pairs_rows(single_photon_suite(n_values=(4,), n_times=1, gt_max=1.0))
+    assert len(shifted) == 1 and row.oracle == shifted[0][2]
+    assert row.abs_error == abs(row.analytic - shifted[0][2]) and row.status == "pass"
 
 
 def test_cat_small_grid_passes():
@@ -73,7 +107,7 @@ def test_cat_small_grid_passes():
     assert result.suite == "cat"
     passed, failed, skipped = result.counts()
     assert (failed, skipped) == (0, 0)
-    assert passed == 2 * 2 * 4  # intensities x parities x times
+    assert passed == 2 * 2 * (4 + 1)  # intensities x parities x (times + /pairs)
     for case in result.cases:
         assert _CASE_PATTERNS["cat"].match(case.case_id), case.case_id
         assert case.tolerance == 1e-6
@@ -83,10 +117,11 @@ def test_cat_suite_reaches_ten_crystallites():
     # fig3's N=10 column at |alpha|^2 = 0.1: a 31 824-state basis whose top
     # sector has 19 448 states, within the one size limit
     result = cat_suite(n=10, intensities=(0.1,), n_times=2)
-    assert result.counts() == (4, 0, 0)
-    assert {rec.n_crystallites for rec in result.pair_records} == {10}
-    for rec in result.pair_records:
-        assert rec.concurrence <= 2.0 / 10 + 1e-9  # monogamy at N = 10
+    assert result.counts() == (6, 0, 0)
+    rows = _pairs_rows(result)
+    assert len(rows) == 2 and {_crystallites(c) for c in rows} == {10}
+    for case in result.cases:  # monogamy at N = 10, on every pair
+        assert case.analytic + case.abs_error <= 2.0 / 10 + 1e-9
 
 
 def test_lindblad_small_grid_passes():
@@ -145,16 +180,27 @@ def test_lindblad_suite_traced_peak_stays_under_ten_mib():
 def test_lindblad_capacity_is_checked_before_any_density(monkeypatch):
     # a basis over the Lindblad limit (the default one, 364 states, against
     # a limit of 363) is the suite's skip row before anything of size
-    # dim^2 exists: no MixedState is built
-    def refused(*args, **kwargs):
-        raise AssertionError("a MixedState was built")
+    # dim^2 exists: the one density built is rho0, one block on the odd
+    # cat's 6 populated states, and lindblad_trajectory refuses it before
+    # it builds a sector term
+    built = []
+    mixed = fockspace.MixedState
+
+    def recorded(**kwargs):
+        built.append([len(index) for index, _ in kwargs["blocks"]])
+        return mixed(**kwargs)
+
+    def refused(*args):
+        raise AssertionError("a sector term was built")
 
     monkeypatch.setattr(fockspace, "_LINDBLAD_CAPACITY", 363)
-    monkeypatch.setattr(fockspace, "MixedState", refused)
+    monkeypatch.setattr(fockspace, "MixedState", recorded)
+    monkeypatch.setattr(fockspace, "_sector_terms", refused)
     result = lindblad_suite(n_times=1, gt_max=0.1)
     assert [c.case_id for c in result.cases] == [
         "lindblad/capacity dimension=364 limit=363"]
-    assert result.counts() == (0, 0, 1) and not result.pair_records
+    assert result.counts() == (0, 0, 1)
+    assert built == [[6]]
 
 
 def _assert_one_basis(monkeypatch, module, name, density, run, params, gt_max):
@@ -288,19 +334,23 @@ def test_default_suite_worst_error(request, fixture, pin):
 def test_default_case_ids_match_golden(single_photon_result, cat_result,
                                        lindblad_result):
     # ids hold only parameters and .10g grid times, so unlike the oracle
-    # column this hash does not depend on the LAPACK build
-    digest = hashlib.sha256()
+    # column these hashes do not depend on the LAPACK build. The /pairs rows
+    # have their own, so the first still pins every other row, its status
+    # and their order
+    digests = {"verify_cases": hashlib.sha256(), "verify_pairs": hashlib.sha256()}
     for result in (single_photon_result, cat_result, lindblad_result):
         for case in result.cases:
-            digest.update(f"{case.case_id}\t{case.status}\n".encode())
-    stored = Path(__file__).parent / "golden" / "verify_cases.sha256"
-    assert digest.hexdigest() == stored.read_text().strip()
+            name = "verify_pairs" if case.case_id.endswith("/pairs") else "verify_cases"
+            digests[name].update(f"{case.case_id}\t{case.status}\n".encode())
+    for name, digest in digests.items():
+        stored = Path(__file__).parent / "golden" / f"{name}.sha256"
+        assert digest.hexdigest() == stored.read_text().strip(), name
 
 
 def test_interior_grid_avoids_degenerate_nodes():
     # times are offset half a cell so Gt = 0, pi, 2pi never occur
     result = cat_suite(n_times=8)
-    gts = {float(c.case_id.rsplit("Gt=", 1)[1]) for c in result.cases}
+    gts = {float(c.case_id.split("Gt=")[1].split("/")[0]) for c in result.cases}
     for gt in gts:
         assert min(abs(gt - k * math.pi) for k in range(0, 4)) > 1e-3
 
@@ -309,16 +359,16 @@ def test_degenerate_samples_become_skip_rows():
     # an odd count puts the middle sample on Gt = pi, where the cat's tilde
     # basis vanishes; the other samples still run, and the stacked reduction
     # gives each of them the bits of a reduction of its own
+    grid = [(k + 0.5) * 2.0 * math.pi / 3 for k in range(3)]
     result = cat_suite(n_times=3)
-    assert result.counts() == (8, 0, 4)
+    assert result.counts() == (8 + 4, 0, 4)  # each first sample has a /pairs row
     for case in result.cases:
         if case.status == "skip":
             assert case.case_id.endswith(f"/Gt={math.pi:.10g}/degenerate")
             assert math.isfinite(case.analytic)
             assert math.isnan(case.oracle) and math.isnan(case.abs_error)
-    assert all(abs(rec.gt - math.pi) > 1.0 for rec in result.pair_records)
+    assert all(f"/Gt={grid[0]:.10g}/pairs" in c.case_id for c in _pairs_rows(result))
     oracle = {case.case_id: case.oracle for case in result.cases}
-    grid = [(k + 0.5) * 2.0 * math.pi / 3 for k in range(3)]
     for x in (0.25, 1.0):
         basis = fockspace.build_basis(4, fockspace.minimum_truncation(x))
         ham = fockspace.build_hamiltonian(CouplingProfile.isotropic(1.0, 3), basis)
@@ -363,10 +413,11 @@ def _count_reductions(monkeypatch) -> list[int]:
     return log
 
 
-def _per_pair_reference(suite, n, gts, states, bases):
+def _per_pair_reference(n, closed_forms, states, bases):
     """One preparation's oracle value per sample (None where degenerate) and
-    its pair records, from one reduction and one kernel call per pair: pair
-    (1, 2) on every sample, every other pair on every tenth."""
+    the oracle cell of each /pairs row, from one reduction and one kernel
+    call per pair: pair (1, 2) on every sample, every other pair on every
+    tenth, of which the row keeps the one farthest from the closed form."""
     def alone(pair, picked):
         rho, degenerate = fockspace.reduce_to_qubit_pair(
             [states[k] for k in picked], pair, [bases[k] for k in picked])
@@ -376,18 +427,17 @@ def _per_pair_reference(suite, n, gts, states, bases):
     first = alone(PairIndex(1, 2), range(len(states)))
     others = [alone(PairIndex(m, k), range(0, len(states), 10))
               for m in range(1, n + 1) for k in range(m + 1, n + 1) if (m, k) != (1, 2)]
-    records = []
-    for k, gt in enumerate(gts):
-        if first[k] is not None:
-            records.append(PairRecord(suite, n, gt, first[k]))
-            if k % 10 == 0:
-                records.extend(PairRecord(suite, n, gt, c[k // 10]) for c in others)
-    return first, records
+    farthest = [max((c[k // 10] for c in others), key=lambda c: abs(closed_forms[k] - c))
+                for k in range(0, len(states), 10) if first[k] is not None]
+    return first, farthest
 
 
-def _hex_records(records) -> list[tuple]:
-    return [(r.suite, r.n_crystallites, r.gt.hex(), r.concurrence.hex())
-            for r in records]
+def _split_pairs(cases) -> tuple[list[str], list[str]]:
+    """The oracle cells, as hex, of the main rows and of the /pairs rows."""
+    rows = ([], [])
+    for c in cases:
+        rows[c.case_id.endswith("/pairs")].append(c.oracle.hex())
+    return rows
 
 
 def test_cat_suite_reduces_all_pairs_in_two_calls(monkeypatch):
@@ -395,11 +445,11 @@ def test_cat_suite_reduces_all_pairs_in_two_calls(monkeypatch):
     result = cat_suite(n=5, intensities=(0.25,), n_times=4)
     assert log == [1] * 4  # two calls per parity, one ket build in each
     monkeypatch.undo()
-    assert result.counts() == (8, 0, 0)
+    assert result.counts() == (10, 0, 0)
     grid = [(k + 0.5) * 2.0 * math.pi / 4 for k in range(4)]
     basis = fockspace.build_basis(6, fockspace.minimum_truncation(0.25))
     ham = fockspace.build_hamiltonian(CouplingProfile.isotropic(1.0, 5), basis)
-    oracle, records = [], []
+    oracle, pairs = [], []
     for parity in (ParityKind.EVEN, ParityKind.ODD):
         params = SystemParams(n_crystallites=5, intensity=0.25, parity=parity)
         states = fockspace.unitary_trajectory(
@@ -407,12 +457,13 @@ def test_cat_suite_reduces_all_pairs_in_two_calls(monkeypatch):
             [params.time_from_gt(gt) for gt in grid])
         bases = [TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha)
                  for gt in grid]
-        values, recs = _per_pair_reference("cat", 5, grid, states, bases)
+        closed = [coherent_concurrence(params, gt) for gt in grid]
+        values, farthest = _per_pair_reference(5, closed, states, bases)
         oracle += values
-        records += recs
-    assert [c.oracle.hex() for c in result.cases] == [v.hex() for v in oracle]
-    assert len(records) == 2 * (4 + 9)
-    assert _hex_records(result.pair_records) == _hex_records(records)
+        pairs += farthest
+    assert len(pairs) == 2
+    assert _split_pairs(result.cases) == ([v.hex() for v in oracle],
+                                          [v.hex() for v in pairs])
 
 
 def test_single_photon_suite_reduces_all_pairs_in_two_calls(monkeypatch):
@@ -422,17 +473,17 @@ def test_single_photon_suite_reduces_all_pairs_in_two_calls(monkeypatch):
     monkeypatch.undo()
     grid = [(k + 0.5) * 2.0 * math.pi / 20 for k in range(20)]
     params = SystemParams(n_crystallites=5)
+    profile = CouplingProfile.from_params(params)
     basis = fockspace.build_basis(6, 1)
     states = fockspace.unitary_trajectory(
-        fockspace.build_hamiltonian(CouplingProfile.from_params(params), basis),
+        fockspace.build_hamiltonian(profile, basis),
         fockspace.prepare_initial(SinglePhoton(), basis),
         [params.time_from_gt(gt) for gt in grid])
-    oracle, records = _per_pair_reference("single_photon", 5, grid, states,
-                                          [NumberBasis()] * 20)
-    laws = [c.oracle.hex() for c in result.cases if c.case_id.endswith("/law")]
-    assert laws == [v.hex() for v in oracle]
-    assert len(records) == 20 + 2 * 9
-    assert _hex_records(result.pair_records) == _hex_records(records)
+    closed = [single_photon_concurrence(profile, gt, PairIndex(1, 2)) for gt in grid]
+    oracle, pairs = _per_pair_reference(5, closed, states, [NumberBasis()] * 20)
+    laws = [c for c in result.cases if not c.case_id.endswith("/duality")]
+    assert len(pairs) == 2
+    assert _split_pairs(laws) == ([v.hex() for v in oracle], [v.hex() for v in pairs])
 
 
 def test_capacity_overflow_becomes_skip():
@@ -443,15 +494,14 @@ def test_capacity_overflow_becomes_skip():
     assert case.status == "skip"
     assert "capacity" in case.case_id
     assert math.isnan(case.analytic) and math.isnan(case.oracle)
-    assert not result.pair_records
 
 
 def test_run_all_propagates_overrides():
     results = run_all(n_times=2, gt_max=0.8, n_override=12)
     assert [r.suite for r in results] == ["single_photon", "cat", "lindblad"]
     single, cat, lind = results
-    # tiny single-excitation basis still fits at N=12
-    assert single.counts() == (2 * 2, 0, 0)
+    # tiny single-excitation basis still fits at N=12, with its /pairs row
+    assert single.counts() == (2 * 2 + 1, 0, 0)
     assert all("/N=12/" in c.case_id for c in single.cases)
     # the number-resolved suites overflow and report skips
     assert cat.counts() == (0, 0, 1)
