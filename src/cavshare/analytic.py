@@ -149,11 +149,18 @@ def _tilde_x_matrix(x: float, u: float, parity: ParityKind) -> np.ndarray:
     return mat
 
 
-def cat_qubit_basis(params: SystemParams, gt: float) -> TildeBasis:
+def cat_qubit_basis(params: SystemParams, gt):
     """The tilde basis a lossless cat's pairs are read in: the even/odd cat
     pair of the per-mode amplitude mu = v(t) alpha. The one place mu is
-    formed, for the closed density and the oracle's reduction alike."""
-    return TildeBasis(isotropic_amplitudes(params, gt).v * params.alpha)
+    formed, for the closed density and the oracle's reduction alike. A
+    float Gt gives its basis, an array of times a list of one per time."""
+    return _tilde_bases(isotropic_amplitudes(params, gt).v * params.alpha)
+
+
+def _tilde_bases(mu):
+    """TildeBasis(mu) of a complex mu, or a list of one per entry of an
+    array of them, each holding the same complex the scalar would."""
+    return TildeBasis(mu) if np.ndim(mu) == 0 else [TildeBasis(m) for m in mu.tolist()]
 
 
 def coherent_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
@@ -202,6 +209,12 @@ def cat_concurrence(n, parity: ParityKind, intensity, gt):
     return cat_ratio(parity, x, x * s2 / n, s2 / n)
 
 
+def _grown() -> InvalidParameter:
+    """The refusal of an e^(4|mu|^2) past a double where e^(2|alpha|^2) is not."""
+    return InvalidParameter("gt", "e^(4|alpha v|^2) overflows a double, as the "
+                            "damped v grows before t = 0")
+
+
 def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
     """The cat-state pair concurrence (e^{4|mu|^2} - 1)/(e^{2|alpha|^2} +- 1).
 
@@ -212,16 +225,21 @@ def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
     |v|^2) and the even one 0. Arguments broadcast; scalars give a float.
     """
     x = np.asarray(intensity, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 is the limit
+    # x = 0 is the limit; crmath's scalar path warns of the overflow it raises
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            numerator = crmath.expm1(4.0 * mu_sq)
             if parity is ParityKind.EVEN:
                 denominator = crmath.exp(2.0 * x) + 1.0
             else:
                 denominator = crmath.expm1(2.0 * x)
-        except OverflowError:  # 4 mu_sq <= 2 |alpha|^2: the intensity is why
+        except OverflowError:
             raise InvalidParameter("intensity", "e^(2|alpha|^2) overflows a "
                                    "double above |alpha|^2 = 354.89") from None
+        try:
+            numerator = crmath.expm1(4.0 * mu_sq)
+        except OverflowError:  # 4 mu_sq <= 2 |alpha|^2 while |v|^2 <= 1/2:
+            # only a damped v' before t = 0 grows past it
+            raise _grown() from None
         ratio = np.minimum(np.maximum(np.divide(numerator, denominator), 0.0), 1.0)
     limit = 2.0 * v_sq if parity is ParityKind.ODD else 0.0 * v_sq
     value = np.where(x == 0.0, limit, ratio)

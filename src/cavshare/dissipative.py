@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import crmath
-from .analytic import _cat_pair_density, cat_ratio
+from .analytic import _cat_pair_density, _grown, _tilde_bases, cat_ratio
 from .entanglement import TwoQubitDensity
 from .errors import InvalidParameter, OverdampedRegime
-from .model import SystemParams, TildeBasis
+from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,12 @@ def damped_overlap(params: SystemParams, gt: float) -> float:
     return crmath.exp(-2.0 * params.intensity * (1.0 - 2.0 * v * v))
 
 
-def damped_qubit_basis(params: SystemParams, gt: float) -> TildeBasis:
+def damped_qubit_basis(params: SystemParams, gt):
     """The tilde basis a damped cat's pairs are read in, of amplitude
     mu = -i v'(t) alpha. The one place mu is formed, for the closed density
-    and the oracle's reduction alike."""
-    return TildeBasis(-1j * damped_amplitudes(params, gt).v_prime * params.alpha)
+    and the oracle's reduction alike. A float Gt gives its basis, an array
+    of times a list of one per time."""
+    return _tilde_bases(-1j * damped_amplitudes(params, gt).v_prime * params.alpha)
 
 
 def damped_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
@@ -95,7 +98,12 @@ def damped_concurrence(params: SystemParams, gt):
     """Damped pairwise concurrence C' = (e^{4|alpha v'|^2} - 1)/(e^{2|alpha|^2} +- 1)."""
     v = damped_amplitudes(params, gt).v_prime
     x = params.intensity
-    return cat_ratio(params.parity, x, x * v * v, v * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_sq, v_sq = x * v * v, v * v
+        # crmath.expm1 passes an infinite 4 mu_sq through (nan at x = 0)
+        if not np.all(4.0 * mu_sq < math.inf):
+            raise _grown()
+    return cat_ratio(params.parity, x, mu_sq, v_sq)
 
 
 def damped_concurrence_weak_coupling(params: SystemParams, gt):

@@ -151,6 +151,7 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
     law to about 1e-15.
     """
     grid = _interior_grid(gt_max, n_times)
+    gts = np.array(grid)
 
     def preparations():
         for n in n_values:
@@ -160,12 +161,17 @@ def single_photon_suite(n_values: tuple[int, ...] = (2, 3, 5),
             trajectory = fockspace.unitary_trajectory(
                 fockspace.build_hamiltonian(profile, basis),
                 fockspace.prepare_initial(SinglePhoton(), basis),
-                [params.time_from_gt(gt) for gt in grid],
+                params.time_from_gt(gts),
             )
+            laws = analytic.single_photon_concurrence(profile, gts, PairIndex(1, 2))
+            # only (1, 0, ..., 0) holds the cavity photon: each sum has one
+            # nonzero term, so any order gives observable_mean_photon's bits
+            photons = (np.abs([psi.amplitudes for psi in trajectory]) ** 2
+                       @ basis.occupations[:, 0].astype(float))
+            dualities = (2.0 / n) * (1.0 - photons)
             samples = []
-            for gt, psi in zip(grid, trajectory):
-                law = analytic.single_photon_concurrence(profile, gt, PairIndex(1, 2))
-                duality = (2.0 / n) * (1.0 - fockspace.observable_mean_photon(psi, 0))
+            for gt, psi, law, duality in zip(grid, trajectory, laws.tolist(),
+                                             dualities.tolist()):
                 case_id = f"single_photon/N={n}/Gt={gt:.10g}"
                 samples.append((f"{case_id}/law", psi, analytic.NumberBasis(), law, (
                     _case(f"{case_id}/duality", law, duality, _SP_DUALITY_TOL),)))
@@ -181,6 +187,7 @@ def cat_suite(n: int = 3,
               gt_max: float = 2.0 * math.pi) -> SuiteResult:
     """Cat-state runs: oracle tilde-basis concurrence vs the closed form."""
     grid = _interior_grid(gt_max, n_times)
+    gts = np.array(grid)
 
     def preparations():
         for x in intensities:
@@ -193,13 +200,14 @@ def cat_suite(n: int = 3,
                 trajectory = fockspace.unitary_trajectory(
                     hamiltonian,
                     fockspace.prepare_initial(Cat(parity, params.alpha), basis),
-                    [params.time_from_gt(gt) for gt in grid],
+                    params.time_from_gt(gts),
                 )
                 yield n, [(
                     f"cat/N={n}/x={x:.10g}/{parity.name.lower()}/Gt={gt:.10g}", psi,
-                    analytic.cat_qubit_basis(params, gt),
-                    analytic.coherent_concurrence(params, gt), (),
-                ) for gt, psi in zip(grid, trajectory)]
+                    qubit_basis, closed, (),
+                ) for gt, psi, qubit_basis, closed in zip(
+                    grid, trajectory, analytic.cat_qubit_basis(params, gts),
+                    analytic.coherent_concurrence(params, gts).tolist())]
 
     return _run("cat", _CAT_TOL, preparations())
 
@@ -218,6 +226,7 @@ def lindblad_suite(n: int = 2,
     propagator is also held to 1e-8 by its own drift guard.
     """
     grid = _interior_grid(gt_max, n_times)
+    gts = np.array(grid)
 
     def preparations():
         basis = fockspace.build_basis(
@@ -238,11 +247,13 @@ def lindblad_suite(n: int = 2,
                 basis=basis, blocks=[(support, amp[:, None] * amp.conj())])
             yield n, [(
                 f"lindblad/N={n}/x={intensity:.10g}/gamma={gamma_over_g:.10g}"
-                f"/{parity.name.lower()}/Gt={gt:.10g}", rho,
-                dissipative.damped_qubit_basis(params, gt),
-                dissipative.damped_concurrence(params, gt), (),
-            ) for gt, rho in zip(grid, fockspace.lindblad_trajectory(
-                params, rho0, [params.time_from_gt(gt) for gt in grid]))]
+                f"/{parity.name.lower()}/Gt={gt:.10g}", rho, qubit_basis, closed, (),
+            ) for gt, rho, qubit_basis, closed in zip(
+                grid,
+                fockspace.lindblad_trajectory(params, rho0,
+                                              params.time_from_gt(gts).tolist()),
+                dissipative.damped_qubit_basis(params, gts),
+                dissipative.damped_concurrence(params, gts).tolist())]
 
     return _run("lindblad", _LINDBLAD_TOL, preparations())
 

@@ -514,23 +514,27 @@ def test_unwritable_output_exits_one(tmp_path, monkeypatch, capsys):
 # function's checks and first block run first. fig2c's overflow lies past its
 # first block (10000 intensities up to 400); fig4's shows in its first. The
 # damped runs on negative times overflow in their third 7-row block, where
-# e^(-gamma t/4) has grown and sin(delta t) come up from a node. At
-# Gt = -1e4 the envelope itself overflows.
+# e^(-gamma t/4) has grown and sin(delta t) come up from a node: it is
+# e^(4|alpha v'|^2) that overflows, so Gt is to blame. Near Gt = -5000,
+# alpha^2 v'^2 itself overflows to inf, and at Gt = -1e4 the envelope does.
 _NEGATIVE_TIMES = ["--alpha2", "150", "--t_start", "-12.6", "--t_stop", "-11.6",
                    "--points", "20"]
 _INTENSITY = "intensity: e^(2|alpha|^2) overflows a double above |alpha|^2 = 354.89"
+_GROWN = "gt: e^(4|alpha v|^2) overflows a double, as the damped v grows before t = 0"
 
 
 @pytest.mark.parametrize("argv, block_rows, message", [
     (["--figure", "fig2c", "--t_stop", "400", "--points", "10000"], None, _INTENSITY),
     (["--figure", "fig4", "--alpha2", "400"], None, _INTENSITY),
-    (["--figure", "fig4", *_NEGATIVE_TIMES], 7, _INTENSITY),
-    (["--command", "sweep", "--gamma_over_g", "0.5", *_NEGATIVE_TIMES], 7, _INTENSITY),
+    (["--figure", "fig4", *_NEGATIVE_TIMES], 7, _GROWN),
+    (["--command", "sweep", "--gamma_over_g", "0.5", *_NEGATIVE_TIMES], 7, _GROWN),
+    (["--command", "sweep", "--gamma_over_g", "0.5", "--t_start", "-5000",
+      "--t_stop", "-4999", "--points", "2"], None, _GROWN),
     (["--command", "sweep", "--gamma_over_g", "0.5", "--t_start", "-1e4",
       "--points", "5"], None,
      "gt: e^(-gamma t/4) overflows a double below gamma t = -2839.13"),
 ], ids=["fig2c_400", "fig4_400", "fig4_negative_times", "sweep_negative_times",
-        "sweep_envelope"])
+        "sweep_infinite_v2", "sweep_envelope"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_refusal_comes_before_the_file_opens(tmp_path, monkeypatch, capsys, argv,
                                              block_rows, message, existing):

@@ -9,6 +9,7 @@ import pytest
 from cavshare import (
     Cat,
     DegenerateBasis,
+    InvalidParameter,
     OverdampedRegime,
     PairIndex,
     ParityKind,
@@ -178,6 +179,24 @@ def test_overdamped_regime_is_rejected():
         damped_amplitudes(p, 0.5)
     with pytest.raises(OverdampedRegime):
         damped_concurrence(p, 0.5)
+
+
+@pytest.mark.parametrize("gt, finite", [
+    (-100.0, (True, True)), (-4109.58, (True, False)), (-5000.0, (False, False)),
+], ids=["e4mu2_past_a_double", "4mu2_past_a_double", "mu2_past_a_double"])
+@pytest.mark.parametrize("parity", list(ParityKind))
+def test_damped_concurrence_refuses_a_grown_v_before_t0(gt, finite, parity):
+    # before t = 0 the envelope grows v': at |alpha|^2 = 1, e^(4|alpha v'|^2),
+    # then 4|alpha v'|^2 and at last |alpha v'|^2 leave the doubles. Each is
+    # refused naming gt, for a float and for an array, where it read 1
+    p = _params(n=2, gamma=0.5, parity=parity)
+    v = damped_amplitudes(p, gt).v_prime
+    v_sq = v * v  # inf, not OverflowError, past a double
+    assert (math.isfinite(v_sq), math.isfinite(4.0 * v_sq)) == finite
+    assert 4.0 * v_sq > math.log(np.finfo(float).max)
+    for times in (gt, np.array([gt, gt])):
+        with pytest.raises(InvalidParameter, match=r"^gt: e\^\(4\|alpha v"):
+            damped_concurrence(p, times)
 
 
 def test_closed_form_matches_master_equation():

@@ -244,6 +244,83 @@ def test_sparse_operator_refuses_complex_values():
     assert real.toarray().tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
+_OPERATOR_CASES = {
+    "single_photon": (CouplingProfile.isotropic(1.0, 3), 4, 1),
+    "cat": (CouplingProfile.isotropic(1.0, 3), 4, minimum_truncation(1.0)),
+    "anisotropic": (CouplingProfile(couplings=(1.0, 0.4, 2.2, 0.7, 1.5)), 6,
+                    minimum_truncation(0.1)),
+    "lindblad": (CouplingProfile.isotropic(1.0, 2), 3,
+                 minimum_truncation(0.25, margin=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OPERATOR_CASES))
+def test_sparse_operator_is_its_sector_blocks(monkeypatch, case):
+    # each block is the whole CSR, built from the same entries as before it
+    # was held as blocks, sliced at its sector, word for word; each floor is
+    # _BREAKDOWN |H_k|_inf; to_csr assembles the whole one back
+    profile, n_modes, max_total = _OPERATOR_CASES[case]
+    entries = []
+
+    class Recorded(SparseHermitian):
+        def __init__(self, basis, rows, cols, values):
+            entries.append((np.asarray(rows), np.asarray(cols), np.asarray(values)))
+            super().__init__(basis, rows, cols, values)
+
+    monkeypatch.setattr(fockspace, "SparseHermitian", Recorded)
+    basis = build_basis(n_modes, max_total)
+    ham = build_hamiltonian(profile, basis)
+    [(rows, cols, values)] = entries
+    off = rows != cols
+    whole = sp.coo_matrix(
+        (np.concatenate([values, values[off]]),
+         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+        shape=(basis.dimension,) * 2).tocsr()
+
+    def same(a, b):
+        return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in
+                   ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+    assert len(ham.blocks) == len(ham.floors) == len(basis.sectors)
+    for s, block, floor in zip(basis.sectors, ham.blocks, ham.floors):
+        assert same(block, whole[s, s])
+        assert floor == fockspace._BREAKDOWN * abs(block).sum(axis=1).max()
+    assert same(ham.to_csr(), whole)
+    assert not hasattr(ham, "_csr")
+
+
+def test_sparse_operator_refuses_an_entry_between_sectors():
+    # (0, 0) is sector 0 and (1, 0) sector 1: the blocks could not hold it
+    with pytest.raises(InvalidParameter, match="couples two sectors"):
+        SparseHermitian(build_basis(2, 1), [0], [1], [1.0])
+
+
+def test_evolution_slices_no_whole_space_csr(monkeypatch):
+    # unitary_trajectory, on both its Krylov and its stepped path, and
+    # _sector_terms read the held blocks: neither assembles the whole CSR
+    # nor slices any CSR
+    def refuse(*_args):
+        raise AssertionError("a whole-space CSR was sliced")
+
+    profile = CouplingProfile(couplings=(1.0, 2.5))
+    basis = build_basis(3, 3)
+    ham = build_hamiltonian(profile, basis)
+    psi0 = _random_state(basis, range(4), seed=5)
+    expected = [psi.amplitudes for psi in unitary_trajectory(ham, psi0, [0.3, 1.7])]
+    monkeypatch.setattr(SparseHermitian, "to_csr", refuse)
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", refuse)
+    with pytest.raises(AssertionError, match="sliced"):
+        ham.blocks[1][0:1, 0:1]
+    for vectors in (fockspace._KRYLOV_VECTORS, 2):
+        monkeypatch.setattr(fockspace, "_KRYLOV_VECTORS", vectors)
+        states = unitary_trajectory(ham, psi0, [0.3, 1.7])
+        for psi, amplitudes in zip(states, expected):
+            np.testing.assert_allclose(psi.amplitudes, amplitudes, rtol=0, atol=1e-14)
+    params = SystemParams(n_crystallites=2, decay_rate=0.13, intensity=0.25)
+    assert len(fockspace._sector_terms(params, basis)) == len(basis.sectors)
+    assert cat_suite(n=3, intensities=(0.25,), n_times=2).counts() == (6, 0, 0)
+
+
 def test_hamiltonian_csr_is_hermitian():
     basis = build_basis(3, 3)
     mat = build_hamiltonian(CouplingProfile(couplings=(1.0, 2.0)), basis).to_csr()
@@ -691,7 +768,8 @@ def test_unitary_trajectory_keeps_high_sectors_of_a_large_cat_exact():
     for k in range(30, basis.max_total + 1, 2):
         s = basis.sectors[k]
         weight = np.linalg.norm(psi0.amplitudes[s])
-        paths.append(fockspace._krylov_basis(full[s, s], psi0.amplitudes[s] / weight))
+        paths.append(fockspace._krylov_basis(ham.blocks[k], ham.floors[k],
+                                             psi0.amplitudes[s] / weight))
         lam, vec = np.linalg.eigh(full[s, s].toarray())
         for t, psi in zip(times, states):
             exact = vec @ (np.exp(-1j * lam * t) * (vec.T @ psi0.amplitudes[s]))

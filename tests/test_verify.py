@@ -207,11 +207,16 @@ def _assert_one_basis(monkeypatch, module, name, density, run, params, gt_max):
     """Patch module.name to return -mu and check that run's reductions and
     the closed density both read pairs in the very bases it returns."""
     original = getattr(module, name)
-    made = []
+    made, grids = [], []
 
     def flipped(p, gt):
-        made.append(TildeBasis(-original(p, gt).mu))
-        return made[-1]
+        if np.ndim(gt) == 0:
+            made.append(TildeBasis(-original(p, gt).mu))
+            return made[-1]
+        grids.append(len(gt))
+        bases = [TildeBasis(-b.mu) for b in original(p, gt)]
+        made.extend(bases)
+        return bases
 
     monkeypatch.setattr(module, name, flipped)
     seen = []
@@ -223,6 +228,7 @@ def _assert_one_basis(monkeypatch, module, name, density, run, params, gt_max):
 
     monkeypatch.setattr(fockspace, "reduce_to_qubit_pair", recording)
     assert run().counts() == (4, 0, 0)
+    assert grids == [2, 2]  # one call per preparation, on its whole grid
     grid = _interior_grid(gt_max, 2)
     negated = [-original(p, gt).mu for p in params for gt in grid]
     assert 0.0 not in negated
@@ -231,6 +237,47 @@ def _assert_one_basis(monkeypatch, module, name, density, run, params, gt_max):
     for p in params:
         for gt in grid:
             assert density(p, gt).basis_tag is made[-1]
+
+
+_SUITE_GRIDS = [_interior_grid(2.0 * math.pi, 100), _interior_grid(2.0 * math.pi, 50),
+                _interior_grid(4.0 * math.pi, 25), _interior_grid(2.0 * math.pi, 3)]
+
+
+def _words(values) -> np.ndarray:
+    """The float64 words of real or complex values, as int64."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("grid", _SUITE_GRIDS, ids=["100", "50", "25", "node"])
+def test_closed_forms_on_a_grid_keep_the_scalar_words(grid):
+    # the suites call each closed form once on a preparation's whole grid;
+    # crmath rounds correctly, so every value and every mu is the double
+    # one call per Gt gives. The 3-point grid puts a sample on Gt = pi
+    gts = np.array(grid)
+    for n in (2, 3, 5):
+        profile = CouplingProfile.from_params(SystemParams(n_crystallites=n))
+        law = single_photon_concurrence(profile, gts, PairIndex(1, 2))
+        assert np.array_equal(_words(law), _words(
+            [single_photon_concurrence(profile, gt, PairIndex(1, 2)) for gt in grid]))
+    for x, phase in ((0.0, 0.0), (0.25, 0.0), (1.0, 0.0), (0.25, 0.7)):
+        for parity in ParityKind:
+            if x == 0.0 and parity is ParityKind.EVEN:
+                continue
+            cases = [(analytic, "coherent_concurrence", "cat_qubit_basis",
+                      SystemParams(n_crystallites=3, intensity=x, field_phase=phase,
+                                   parity=parity))]
+            cases += [(dissipative, "damped_concurrence", "damped_qubit_basis",
+                       SystemParams(n_crystallites=2, decay_rate=gamma, intensity=x,
+                                    field_phase=phase, parity=parity))
+                      for gamma in (0.13, 0.5)]
+            for module, closed, qubit_basis, params in cases:
+                value = getattr(module, closed)
+                assert np.array_equal(_words(value(params, gts)),
+                                      _words([value(params, gt) for gt in grid]))
+                bases = getattr(module, qubit_basis)
+                assert np.array_equal(
+                    _words([b.mu for b in bases(params, gts)]),
+                    _words([bases(params, gt).mu for gt in grid]))
 
 
 def test_cat_suite_and_closed_density_read_pairs_in_one_basis(monkeypatch):
