@@ -218,11 +218,12 @@ def _grown() -> InvalidParameter:
 def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
     """The cat-state pair concurrence (e^{4|mu|^2} - 1)/(e^{2|alpha|^2} +- 1).
 
-    + for even and - for odd parity, clipped to [0, 1]. mu_sq is
-    |mu|^2 = |alpha|^2 |v|^2 as the caller forms it, since the rounding of
-    that product shows in the last digit of every CSV value; 4 mu_sq is
-    exact. At zero intensity the odd value is its limit 2|v|^2 (v_sq is
-    |v|^2) and the even one 0. Arguments broadcast; scalars give a float.
+    + for even and - for odd parity. mu_sq is |mu|^2 = |alpha|^2 |v|^2 as
+    the caller forms it, since the rounding of that product shows in the
+    last digit of every CSV value; 4 mu_sq is exact. At zero intensity the
+    odd value is its limit 2|v|^2 (v_sq is |v|^2) and the even one 0. Either
+    is clipped to [0, 1]: a damped v' grows past 1/sqrt(2) before t = 0.
+    Arguments broadcast; scalars give a float.
     """
     x = np.asarray(intensity, dtype=float)
     # x = 0 is the limit; crmath's scalar path warns of the overflow it raises
@@ -240,9 +241,9 @@ def cat_ratio(parity: ParityKind, intensity, mu_sq, v_sq):
         except OverflowError:  # 4 mu_sq <= 2 |alpha|^2 while |v|^2 <= 1/2:
             # only a damped v' before t = 0 grows past it
             raise _grown() from None
-        ratio = np.minimum(np.maximum(np.divide(numerator, denominator), 0.0), 1.0)
+        ratio = np.divide(numerator, denominator)
     limit = 2.0 * v_sq if parity is ParityKind.ODD else 0.0 * v_sq
-    value = np.where(x == 0.0, limit, ratio)
+    value = np.minimum(np.maximum(np.where(x == 0.0, limit, ratio), 0.0), 1.0)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -27,7 +27,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import CouplingProfile, PairIndex, ParityKind, SinglePhoton, SystemParams
-from .optimize import _PEAK_GT, OptimumReport, optimal_intensity
+from .optimize import _PEAK_GT, OptimumReport, optimal_intensities, optimal_intensity
 
 _GRID_KEYS = ("t_start", "t_stop", "points")
 _TIME_AXIS = (0.0, 2.0 * math.pi, 801)  # 400 points per pi-period
@@ -137,7 +137,9 @@ def _sweep_columns(gts, N, g, gamma_over_g, alpha2, parity):
 
 def _optimize_columns(grid, N, parity):
     n_values = [N] if N is not None else list(range(2, 11))
-    reports = [optimal_intensity(n, parity) for n in n_values]
+    # one N through optimal_intensity, the call perfbench's tracer wraps here
+    reports = ([optimal_intensity(N, parity)] if N is not None
+               else optimal_intensities(n_values, parity))
     yield (n_values, [parity.value] * len(n_values),
            *_field_columns(reports, OptimumReport))
 
@@ -259,15 +261,20 @@ def _spec(value) -> str:
     return "%.17g" if isinstance(value, float) else "%s"
 
 
-def _cells(chunk, spec: str) -> list[str]:
-    """Each value of a column chunk as text; %.17g formats each distinct bit
-    pattern once (the int64 view keeps -0.0 apart from 0.0)."""
+def _cells(chunk, spec: str) -> tuple[str, list]:
+    """The format and the values of a column chunk, for the one % that
+    renders its chunk. Text and integers go in as they are under %s. Floats
+    go in as floats under %.17g when more than half of them are distinct;
+    otherwise each distinct bit pattern is formatted once (the int64 view
+    keeps -0.0 apart from 0.0) and its text goes in under %s."""
     if spec == "%s":
-        return list(map(str, chunk))
-    bits = np.asarray(chunk, dtype=np.float64).view(np.int64)
-    keys, index = np.unique(bits, return_inverse=True)
+        return "%s", chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+    values = np.asarray(chunk, dtype=np.float64)
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * keys.size > values.size:
+        return "%.17g", values.tolist()
     text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[index].tolist()
+    return "%s", np.array(text, dtype=object)[index].tolist()
 
 
 def _rows(header: Sequence[str], columns: Sequence[Sequence]) -> int:
@@ -286,10 +293,11 @@ def _write_blocks(path: str, meta: list[tuple[str, object]], header: Sequence[st
 
     first is checked before the file is opened, and each block of rest as it
     comes. Each column's format follows its first value in the block; every
-    command writes at least one row. Rows stream out _CHUNK_ROWS at a time,
-    each chunk's text made column by column (_cells) and written at once,
-    so a table's text never sits in memory whole, and a block is written
-    before the next is computed, so neither do its values.
+    command writes at least one row. Rows stream out _CHUNK_ROWS at a time:
+    a chunk's text is one % of a row template repeated over its rows, each
+    column's format and values from _cells, and is written at once, so a
+    table's text never sits in memory whole, and a block is written before
+    the next is computed, so neither do its values.
     """
     _rows(header, first)
     total = 0
@@ -300,9 +308,12 @@ def _write_blocks(path: str, meta: list[tuple[str, object]], header: Sequence[st
         for columns in itertools.chain([first], rest):
             rows = _rows(header, columns)
             for start in range(0, rows, _CHUNK_ROWS):
-                cells = [_cells(column[start:start + _CHUNK_ROWS], _spec(column[0]))
-                         for column in columns]
-                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                specs, cells = zip(*(_cells(column[start:start + _CHUNK_ROWS],
+                                            _spec(column[0]))
+                                     for column in columns))
+                template = (",".join(specs) + "\n") * len(cells[0])
+                handle.write(template % tuple(itertools.chain.from_iterable(
+                    zip(*cells))))
             total += rows
     return total
 

@@ -10,7 +10,7 @@ of CORE-MATH (Sibidanov, Zimmermann and Glondu, ARITH 2022):
 1. evaluate the whole array in ``np.longdouble`` (x87 extended with a 64-bit
    mantissa, or IEEE quad) and keep each result whose error interval rounds
    to a single float64 (Ziv's rounding test): all but about one in a hundred;
-2. evaluate each argument left in Python-integer fixed point with p = 160
+2. evaluate each argument left in Python-integer fixed point with p = 96
    fraction bits: reduce it by k·ln 2 or k·π/2, sum the Taylor series, and
    apply the same test to that value and its error bound, again with p
    doubled while the test fails. Where ``long double`` is no wider than
@@ -28,8 +28,8 @@ through e^r <= 1.42 or the series' slopes (<= 0.56 in -r²), and the last
 product's floor add 4.2 units: 0.9p + 10.5 < p + 11 in all.
 
 Against mpmath, on 7 000 random arguments per function (|x| from 2^-1074 up,
-past 2^1000 for sin and cos), the worst error was 13.2 units at p = 160 and
-20.6 at p = 320: a margin of 13. The loop ends: at nonzero finite x each
+past 2^1000 for sin and cos), the worst error was 9.4 units at p = 96 and
+14.6 at p = 192: a margin of 11. The loop ends: at nonzero finite x each
 value is transcendental (Lindemann-Weierstrass), so it is no rounding
 boundary (a midpoint of two doubles or the overflow threshold), and the test
 decides it once 2^-p (p + 11) is below its distance to the nearest one.
@@ -53,7 +53,7 @@ _FAST = _LD.nmant in (63, 112)
 # stay within 1.44 epsilons, a factor of 4.8 below; for IEEE quad it is
 # assumed. One more epsilon covers the rounding of the interval's ends.
 _SLACK = np.longdouble(8) * _LD.eps
-_P = 160  # stage 2's first precision, in fraction bits
+_P = 96  # stage 2's first precision, in fraction bits
 
 
 @functools.cache

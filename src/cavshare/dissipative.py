@@ -46,13 +46,10 @@ def _oscillation_rate(params: SystemParams) -> float:
     return math.sqrt(delta_sq)
 
 
-def damped_amplitudes(params: SystemParams, gt) -> DampedAmplitudes:
-    """Amplitudes u'(t), v'(t) and the shifted rate delta.
-
-    u' = e^{-gamma t/4} [(gamma/4 delta) sin(delta t) + cos(delta t)],
-    v' = (g/delta) e^{-gamma t/4} sin(delta t). At gamma = 0 these reduce to
-    cos(Gt) and sin(Gt)/sqrt(N).
-    """
+def _damped_v(params: SystemParams, gt):
+    """v'(t) = (g/delta) e^{-gamma t/4} sin(delta t), with delta, delta t,
+    the envelope and the sine it is made of: all but the cosine that u'
+    adds, which nothing reading v' alone evaluates."""
     delta = _oscillation_rate(params)
     t = params.time_from_gt(gt)
     try:
@@ -61,15 +58,24 @@ def damped_amplitudes(params: SystemParams, gt) -> DampedAmplitudes:
         raise InvalidParameter("gt", "e^(-gamma t/4) overflows a double below "
                                "gamma t = -2839.13") from None
     s = crmath.sin(delta * t)
-    c = crmath.cos(delta * t)
-    u_prime = envelope * ((params.decay_rate / (4.0 * delta)) * s + c)
-    v_prime = (params.coupling / delta) * envelope * s
+    return (params.coupling / delta) * envelope * s, delta, delta * t, envelope, s
+
+
+def damped_amplitudes(params: SystemParams, gt) -> DampedAmplitudes:
+    """Amplitudes u'(t), v'(t) and the shifted rate delta.
+
+    u' = e^{-gamma t/4} [(gamma/4 delta) sin(delta t) + cos(delta t)],
+    v' = (g/delta) e^{-gamma t/4} sin(delta t). At gamma = 0 these reduce to
+    cos(Gt) and sin(Gt)/sqrt(N).
+    """
+    v_prime, delta, phase, envelope, s = _damped_v(params, gt)
+    u_prime = envelope * ((params.decay_rate / (4.0 * delta)) * s + crmath.cos(phase))
     return DampedAmplitudes(u_prime=u_prime, v_prime=v_prime, delta=delta)
 
 
 def damped_overlap(params: SystemParams, gt: float) -> float:
     """Branch overlap P'(t) = exp[-2|alpha|^2 (1 - 2 v'(t)^2)]."""
-    v = damped_amplitudes(params, gt).v_prime
+    v = _damped_v(params, gt)[0]
     return crmath.exp(-2.0 * params.intensity * (1.0 - 2.0 * v * v))
 
 
@@ -78,7 +84,7 @@ def damped_qubit_basis(params: SystemParams, gt):
     mu = -i v'(t) alpha. The one place mu is formed, for the closed density
     and the oracle's reduction alike. A float Gt gives its basis, an array
     of times a list of one per time."""
-    return _tilde_bases(-1j * damped_amplitudes(params, gt).v_prime * params.alpha)
+    return _tilde_bases(-1j * _damped_v(params, gt)[0] * params.alpha)
 
 
 def damped_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
@@ -89,14 +95,14 @@ def damped_pair_density(params: SystemParams, gt: float) -> TwoQubitDensity:
     replaced by v'(t). Raises DegenerateBasis once the basis amplitude has
     decayed below threshold.
     """
-    v = damped_amplitudes(params, gt).v_prime
+    v = _damped_v(params, gt)[0]
     return _cat_pair_density(params, params.intensity * v * v,
                              damped_qubit_basis(params, gt))
 
 
 def damped_concurrence(params: SystemParams, gt):
     """Damped pairwise concurrence C' = (e^{4|alpha v'|^2} - 1)/(e^{2|alpha|^2} +- 1)."""
-    v = damped_amplitudes(params, gt).v_prime
+    v = _damped_v(params, gt)[0]
     x = params.intensity
     with np.errstate(over="ignore", invalid="ignore"):
         mu_sq, v_sq = x * v * v, v * v

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import crmath
 from .analytic import cat_ratio, coherent_concurrence
 from .errors import DomainError, InvalidParameter, NoRoot
@@ -30,6 +32,11 @@ class OptimumReport:
     method: str  # "root-solve", "golden-section", or "plateau"
     residual: float
     iterations: int
+
+
+# N = 2 odd: the peak is 1 at every intensity
+_PLATEAU = OptimumReport(intensity=_INTENSITY_BRACKET[0], concurrence=1.0,
+                         method="plateau", residual=0.0, iterations=0)
 
 
 def lambert_w0(z: float) -> float:
@@ -145,47 +152,62 @@ def optimal_intensity(n: int, parity: ParityKind) -> OptimumReport:
     known flat case (the peak is 1 at every intensity) and is reported as a
     plateau at the lower edge instead of searching.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidParameter("n", "must be an integer")
-    if n < 2:
-        raise InvalidParameter("n", "need at least two modes")
-    if n == 2 and parity is ParityKind.ODD:
-        return OptimumReport(
-            intensity=_INTENSITY_BRACKET[0],
-            concurrence=1.0,
-            method="plateau",
-            residual=0.0,
-            iterations=0,
-        )
+    return optimal_intensities([n], parity)[0]
 
-    SystemParams(n_crystallites=n, parity=parity)  # validates parity
+
+def optimal_intensities(ns, parity: ParityKind) -> list[OptimumReport]:
+    """optimal_intensity of each N in ns, in order, from one search.
+
+    The golden-section searches of every N run in lockstep: each step
+    evaluates all their new points in one cat_ratio call, and a search whose
+    bracket is already narrow enough stops while the others go on. Each
+    element does the IEEE operations of a search run alone, so every report
+    is the same to the bit, iterations and residual included.
+    """
+    ns = list(ns)
+    for n in ns:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvalidParameter("n", "must be an integer")
+        if n < 2:
+            raise InvalidParameter("n", "need at least two modes")
+        SystemParams(n_crystallites=n, parity=parity)  # validates parity
+    odd = parity is ParityKind.ODD
+    m = np.array([n for n in ns if not (odd and n == 2)], dtype=np.int64)
     s = crmath.sin(_PEAK_GT)
     s2 = s * s
 
-    def objective(x: float) -> float:  # coherent_concurrence's operands
+    def objective(x, n):  # coherent_concurrence's operands
         return cat_ratio(parity, x, x * s2 / n, s2 / n)
 
-    a, b = _INTENSITY_BRACKET
+    a = np.full(m.size, _INTENSITY_BRACKET[0])
+    b = np.full(m.size, _INTENSITY_BRACKET[1])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    f_c, f_d = objective(c), objective(d)
-    iterations = 0
-    while b - a > 1e-8:
-        if f_c < f_d:
-            a, c, f_c = c, d, f_d
-            d = a + _INVPHI * (b - a)
-            f_d = objective(d)
-        else:
-            b, d, f_d = d, c, f_c
-            c = b - _INVPHI * (b - a)
-            f_c = objective(c)
-        iterations += 1
-    x = 0.5 * (a + b)
-    return OptimumReport(
-        intensity=x,
-        concurrence=coherent_concurrence(
-            SystemParams(n_crystallites=n, intensity=x, parity=parity), _PEAK_GT),
-        method="golden-section",
-        residual=b - a,
-        iterations=iterations,
-    )
+    f_c, f_d = objective(c, m), objective(d, m)
+    iterations = np.zeros(m.size, dtype=np.int64)
+    while (live := np.flatnonzero(b - a > 1e-8)).size:
+        up = f_c[live] < f_d[live]
+        right, left = live[up], live[~up]  # the bracket that is kept
+        a[right], c[right], f_c[right] = c[right], d[right], f_d[right]
+        d[right] = a[right] + _INVPHI * (b[right] - a[right])
+        b[left], d[left], f_d[left] = d[left], c[left], f_c[left]
+        c[left] = b[left] - _INVPHI * (b[left] - a[left])
+        f = objective(np.concatenate([d[right], c[left]]),
+                      m[np.concatenate([right, left])])
+        f_d[right], f_c[left] = f[:right.size], f[right.size:]
+        iterations[live] += 1
+    found = iter(zip((0.5 * (a + b)).tolist(), (b - a).tolist(),
+                     iterations.tolist()))
+
+    def report(n, x, residual, count):
+        return OptimumReport(
+            intensity=x,
+            concurrence=coherent_concurrence(
+                SystemParams(n_crystallites=n, intensity=x, parity=parity), _PEAK_GT),
+            method="golden-section",
+            residual=residual,
+            iterations=count,
+        )
+
+    return [_PLATEAU if odd and n == 2 else report(n, *next(found))
+            for n in ns]

@@ -236,6 +236,19 @@ def test_sweep_lossy_uses_damped_form(tmp_path, monkeypatch):
         assert float(row[1]) == damped_concurrence(p, float(row[0]))
 
 
+def test_zero_intensity_damped_sweep_before_t0_stays_in_range(tmp_path, monkeypatch):
+    # at |alpha|^2 = 0 the odd value is its limit 2 v'^2, and v' grows with
+    # the envelope before t = 0: the limit is clipped to 1 as the ratio is
+    # (the first two rows read 26.674353521857302 and 9.3376957462859576
+    # unclipped); the row that stays in range keeps its bits
+    monkeypatch.chdir(tmp_path)
+    assert cli.entrypoint(["--command", "sweep", "--N", "2", "--gamma_over_g",
+                           "0.5", "--alpha2", "0", "--t_start", "-20",
+                           "--t_stop", "-19", "--points", "3"]) == 0
+    _, _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[1] for row in rows] == ["1", "1", "0.16741587086628665"]
+
+
 def test_optimize_default_covers_small_ensembles(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.entrypoint(["--command", "optimize"]) == 0

@@ -181,6 +181,44 @@ def test_overdamped_regime_is_rejected():
         damped_concurrence(p, 0.5)
 
 
+def test_concurrence_reads_no_cosine(monkeypatch):
+    # only u' needs cos(delta t), and the concurrence reads v' alone;
+    # damped_amplitudes still gives u' as its formula does
+    from cavshare import crmath
+
+    p = _params()
+    gts = np.array([0.0, 0.7, 2.0, 9.5])
+    amps = damped_amplitudes(p, gts)
+    t = p.time_from_gt(gts)
+    envelope = crmath.exp(-p.decay_rate * t / 4.0)
+    s, c = crmath.sin(amps.delta * t), crmath.cos(amps.delta * t)
+    u_prime = envelope * ((p.decay_rate / (4.0 * amps.delta)) * s + c)
+    assert amps.u_prime.tobytes() == u_prime.tobytes()
+    expected = damped_concurrence(p, gts)
+
+    def refuse(x):
+        raise AssertionError("cos evaluated")
+
+    monkeypatch.setattr(crmath, "cos", refuse)
+    for parity in ParityKind:
+        damped_concurrence(_params(parity=parity), gts)
+    assert damped_concurrence(p, gts).tobytes() == expected.tobytes()
+    assert damped_concurrence(p, 0.7) == expected[1]
+
+
+@pytest.mark.parametrize("parity, value", [(ParityKind.ODD, 1.0),
+                                           (ParityKind.EVEN, 0.0)])
+def test_zero_intensity_limit_is_clipped_before_t0(parity, value):
+    # the odd limit 2 v'^2 read 26.67 at Gt = -20, where the envelope has
+    # grown v'; from t = 0 on, 2 v'^2 <= 2/N keeps it in range unclipped
+    p = _params(n=2, x=0.0, gamma=0.5, parity=parity)
+    assert damped_concurrence(p, -20.0) == value
+    gts = np.linspace(0.0, 20.0, 201)
+    v = damped_amplitudes(p, gts).v_prime
+    limit = (2.0 if parity is ParityKind.ODD else 0.0) * (v * v)
+    assert damped_concurrence(p, gts).tobytes() == limit.tobytes()
+
+
 @pytest.mark.parametrize("gt, finite", [
     (-100.0, (True, True)), (-4109.58, (True, False)), (-5000.0, (False, False)),
 ], ids=["e4mu2_past_a_double", "4mu2_past_a_double", "mu2_past_a_double"])

@@ -55,6 +55,8 @@ def test_oracle_suites_load_no_scipy_linalg(suite, tmp_path):
     ["--figure", "fig1"],
     ["--command", "optimize", "--N", "3"],
     ["--command", "sweep", "--points", "3"],
+    ["--figure", "fig4", "--points", "3"],
+    ["--command", "sweep", "--gamma_over_g", "0.13", "--points", "3"],
 ])
 def test_closed_form_commands_load_no_scipy(argv, tmp_path):
     loaded = _modules(

@@ -1,6 +1,7 @@
 """Optimum-intensity solvers: the Lambert W kernel, the stationarity root
 solve, and the direct golden-section search that cross-checks it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from cavshare import (
     optimal_intensity,
     threshold_intensity,
 )
+from cavshare import crmath
 from cavshare import optimize as optimize_module
+from cavshare.analytic import cat_ratio
 
 _E = math.e
 
@@ -177,7 +180,71 @@ def test_even_objective_is_unimodal_on_grid():
         assert all(a >= b - 1e-15 for a, b in zip(falling, falling[1:]))
 
 
+def _lone_search(n, parity):
+    """The golden-section search of one N as a scalar loop: the reference
+    the lockstep search must repeat to the bit."""
+    if n == 2 and parity is ParityKind.ODD:
+        return OptimumReport(1e-4, 1.0, "plateau", 0.0, 0)
+    s = crmath.sin(math.pi / 2.0)
+    s2 = s * s
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(x):
+        return cat_ratio(parity, x, x * s2 / n, s2 / n)
+
+    a, b = optimize_module._INTENSITY_BRACKET
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    f_c, f_d = objective(c), objective(d)
+    iterations = 0
+    while b - a > 1e-8:
+        if f_c < f_d:
+            a, c, f_c = c, d, f_d
+            d = a + invphi * (b - a)
+            f_d = objective(d)
+        else:
+            b, d, f_d = d, c, f_c
+            c = b - invphi * (b - a)
+            f_c = objective(c)
+        iterations += 1
+    x = 0.5 * (a + b)
+    params = SystemParams(n_crystallites=n, intensity=x, parity=parity)
+    return OptimumReport(x, coherent_concurrence(params, math.pi / 2.0),
+                         "golden-section", b - a, iterations)
+
+
+def _fields(report):
+    """Each field, a float as its exact bits, with its type."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("parity", list(ParityKind))
+@pytest.mark.parametrize("ns", [tuple(range(2, 11)), (5, 3), (10, 2, 10), ()],
+                         ids=["all", "unsorted", "repeated", "none"])
+def test_lockstep_search_is_each_lone_search(ns, parity):
+    reports = optimize_module.optimal_intensities(ns, parity)
+    assert [_fields(r) for r in reports] == [
+        _fields(_lone_search(n, parity)) for n in ns]
+    assert [_fields(r) for r in reports] == [
+        _fields(optimal_intensity(n, parity)) for n in ns]
+
+
+def test_lockstep_search_stops_each_n_at_its_own_width(monkeypatch):
+    # the bracket's width is cut by golden steps that round differently up
+    # and down; on this bracket some N reach width 1e-8 a step before the
+    # others, and their searches must stop there while the rest go on
+    monkeypatch.setattr(optimize_module, "_INTENSITY_BRACKET",
+                        (0.5, 1.0401852099961642))
+    ns = tuple(range(2, 11))
+    reports = optimize_module.optimal_intensities(ns, ParityKind.EVEN)
+    assert {r.iterations for r in reports} == {37, 38}
+    assert [_fields(r) for r in reports] == [
+        _fields(_lone_search(n, ParityKind.EVEN)) for n in ns]
+
+
 def test_optimal_intensity_rejects_bad_sizes():
     for bad in (1, 0, -2, 2.0, True):
         with pytest.raises(InvalidParameter):
             optimal_intensity(bad, ParityKind.EVEN)
+        with pytest.raises(InvalidParameter):
+            optimize_module.optimal_intensities([3, bad], ParityKind.EVEN)
